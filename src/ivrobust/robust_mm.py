@@ -5,14 +5,19 @@ regressor beta_x * sqrt(w), intercept column sqrt(w)). A high-breakdown
 S-stage searches random exact-fit candidates for the smallest M-scale of the
 residuals under a bisquare loss tuned for 50% breakdown (c = 1.548); an
 efficiency-tuned M-stage (c = 4.685) then iterates reweighted least squares
-at that fixed scale. Slope uncertainty comes from the standard M-estimation
+at that fixed scale. M-scales are solved by safeguarded Newton steps inside a
+bracket (bisection only for rows the step cap does not settle). After the
+last refinement step only candidates that can still hold the smallest scale
+are solved, in the spirit of Salibian-Barrera & Yohai (2006), "A fast
+algorithm for S-regression estimates"; the winner is the one a solve of every
+candidate would pick. Slope uncertainty comes from the standard M-estimation
 sandwich, post-processed the same way as the weighted least-squares fits
 (multiplicative random effects).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -32,7 +37,10 @@ REFINE_STEPS = 2
 M_STEP_TOL = 1e-10
 M_STEP_MAX_ITER = 500
 _SUBSET_RETRY_ROUNDS = 1000
+_NEWTON_MAX_ITER = 16
 _BISECT_STEPS = 64
+_EPS = float(np.finfo(float).eps)
+_PRUNE_MARGIN = 1e-9
 _Z975 = normal_quantile(0.975)
 
 
@@ -115,39 +123,91 @@ def _rho_norm(u: np.ndarray, c: float) -> np.ndarray:
 
 
 def _m_scale_batch(resid: np.ndarray, c: float, breakdown: float):
-    """Row-wise M-scales; returns (scales, exact_fit flags)."""
+    """Row-wise M-scales; returns (scales, exact_fit flags).
+
+    Each row solves g(s) = mean(rho_norm(|r| / s)) - breakdown = 0, where g
+    does not increase in s, by Newton steps kept inside a bracket [lo, hi]
+    with g(lo) >= 0 >= g(hi); a step that leaves the bracket, or is not
+    finite, is replaced by the bracket midpoint. Rows that the iteration cap
+    does not settle finish by bisection of their bracket. Every operation is
+    row-wise, so a row's scale does not depend on the other rows of the batch.
+    """
     a = np.abs(resid)
     n = a.shape[1]
     nonzero = np.count_nonzero(a, axis=1)
     exact = nonzero < breakdown * n
+    # with exactly breakdown * n nonzero residuals g is 0 on all of (0, lo]:
+    # the smallest root is lo itself
+    plateau = nonzero == breakdown * n
     solve = ~exact
     min_nz = np.where(a > 0.0, a, np.inf).min(axis=1)
     lo = np.where(solve, min_nz / c, 1.0)
     hi = np.maximum(a.max(axis=1), lo)
-    # every nonzero residual sits at or past c at s = lo, so the mean of the
-    # scaled loss is >= breakdown there; expand hi until it drops below
+    # preallocated work buffers: no per-iteration allocation of batch size
+    u2_buf = np.empty_like(a)
+    w_buf = np.empty_like(a)
+    w2_buf = np.empty_like(a)
+
+    def g_and_slope(rows: np.ndarray, s: np.ndarray):
+        # g(s) and mean(u^2 (1 - u^2)^2) over u^2 = (|r| / (c s))^2 < 1, so
+        # that g'(s) = -(6 / s) * slope; clipped u^2 = 1 drops out of both
+        k = len(rows)
+        u2 = np.divide(rows, (c * s)[:, None], out=u2_buf[:k])
+        np.square(u2, out=u2)
+        np.minimum(u2, 1.0, out=u2)
+        w = np.subtract(1.0, u2, out=w_buf[:k])
+        w2 = np.multiply(w, w, out=w2_buf[:k])
+        g = (1.0 - breakdown) - np.einsum("ij,ij->i", w2, w) / n
+        return g, np.einsum("ij,ij->i", w2, u2) / n
+
+    # every nonzero residual sits at or past c at s = lo, so g(lo) >= 0;
+    # expand hi until g(hi) <= 0
     for _ in range(200):
-        g_hi = _rho_norm(a / hi[:, None], c).mean(axis=1) - breakdown
-        need = solve & (g_hi > 0.0)
+        need = solve & (g_and_slope(a, hi)[0] > 0.0)
         if not np.any(need):
             break
         hi = np.where(need, hi * 2.0, hi)
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        g_mid = _rho_norm(a / mid[:, None], c).mean(axis=1) - breakdown
-        above = g_mid > 0.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return np.where(exact, 0.0, 0.5 * (lo + hi)), exact
+
+    s = hi.copy()
+    pending = solve & ~plateau
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_MAX_ITER):
+            if not np.any(pending):
+                break
+            g, slope = g_and_slope(a, s)
+            above = g > 0.0
+            np.copyto(lo, s, where=pending & above)
+            np.copyto(hi, s, where=pending & ~above)
+            step = s + g * s / (6.0 * slope)
+            inside = (step >= lo) & (step <= hi)
+            step = np.where(inside, step, 0.5 * (lo + hi))
+            settled = np.abs(step - s) <= 4.0 * _EPS * step
+            np.copyto(s, step, where=pending)
+            pending &= ~settled
+    if np.any(pending):
+        rows = a[pending]
+        b_lo = lo[pending]
+        b_hi = hi[pending]
+        for _ in range(_BISECT_STEPS):
+            mid = 0.5 * (b_lo + b_hi)
+            above = g_and_slope(rows, mid)[0] > 0.0
+            b_lo = np.where(above, mid, b_lo)
+            b_hi = np.where(above, b_hi, mid)
+        s[pending] = 0.5 * (b_lo + b_hi)
+    s = np.where(plateau, lo, s)
+    return np.where(exact, 0.0, s), exact
 
 
 def m_scale(residuals, c: float = 1.548, breakdown: float = 0.5) -> tuple[float, bool]:
     """M-estimate of scale under the bisquare loss.
 
-    Solves mean(rho(r_i / s, c)) / (c^2 / 6) = breakdown for s by monotone
-    bracketing and bisection. When strictly more than ``1 - breakdown`` of
-    the residuals are exactly zero the equation has no positive root; the
-    scale is then 0 with the second return value flagging the exact fit.
+    Solves mean(rho(r_i / s, c)) / (c^2 / 6) = breakdown for s by Newton
+    steps kept inside a bracket, with bisection as the fallback. When exactly
+    ``breakdown`` of the residuals are nonzero, every s up to min|r_i| / c
+    solves the equation and that bound is returned. When strictly more than
+    ``1 - breakdown`` of the residuals are exactly zero the equation has no
+    positive root; the scale is then 0 with the second return value flagging
+    the exact fit.
     """
     _check_tuning(c)
     if not 0.0 < breakdown < 1.0:
@@ -221,6 +281,35 @@ def _weighted_solve_rows(design: np.ndarray, response: np.ndarray,
     return out
 
 
+def _contending_scales(resid: np.ndarray, c: float, breakdown: float,
+                       prev_scales: np.ndarray, active: np.ndarray):
+    """M-scales of the active rows that can hold the smallest one, +inf elsewhere.
+
+    The active row with the smallest previous scale is solved first, giving
+    s_ref. g(s) = mean(rho_norm(|r| / s)) - breakdown does not increase in s,
+    so a row with g(s_ref) > 0 has its root above s_ref and cannot be the
+    minimum; only rows with g(s_ref) <= _PRUNE_MARGIN are solved. The margin
+    sits far above the rounding error of g (a mean of terms in [0, 1]), so a
+    row whose solved scale could round to or below s_ref, such as a
+    near-duplicate candidate whose residuals differ from the reference row's
+    in the last bits, is never skipped, and the first minimum is the one a
+    solve of every row finds. Exact-fit flags cover every row.
+    """
+    n = resid.shape[1]
+    exact = np.count_nonzero(resid, axis=1) < breakdown * n
+    scales = np.where(exact, 0.0, np.inf)
+    live = active & ~exact
+    if not np.any(live):
+        return scales, exact
+    ref = int(np.argmin(np.where(live, prev_scales, np.inf)))
+    s_ref = _m_scale_batch(resid[ref:ref + 1], c, breakdown)[0][0]
+    g = _rho_norm(resid / s_ref, c).mean(axis=1) - breakdown
+    keep = live & (g <= _PRUNE_MARGIN)
+    keep[ref] = True
+    scales[keep] = _m_scale_batch(resid[keep], c, breakdown)[0]
+    return scales, exact
+
+
 def _s_stage(s: SummarySet, design, response, params: BisquareParams, rng,
              n_candidates: int, refine_steps: int):
     """Random-subset search for the smallest M-scale; first minimum wins."""
@@ -255,7 +344,7 @@ def _s_stage(s: SummarySet, design, response, params: BisquareParams, rng,
     # explicitly so rounding dust cannot mask an exact fit
     resid[np.arange(idx.shape[0])[:, None], idx] = 0.0
     scales, exact = _m_scale_batch(resid, params.c_s, params.breakdown)
-    for _ in range(refine_steps):
+    for step in range(refine_steps):
         active = ~exact
         if not np.any(active):
             break
@@ -265,7 +354,12 @@ def _s_stage(s: SummarySet, design, response, params: BisquareParams, rng,
         updated = _weighted_solve_rows(design, response, irls_w, coefs)
         coefs = np.where(active[:, None], updated, coefs)
         resid = _candidate_residuals(design, response, coefs)
-        new_scales, new_exact = _m_scale_batch(resid, params.c_s, params.breakdown)
+        if step + 1 < refine_steps:
+            new_scales, new_exact = _m_scale_batch(resid, params.c_s, params.breakdown)
+        else:
+            # only the argmin of the last solve is used
+            new_scales, new_exact = _contending_scales(
+                resid, params.c_s, params.breakdown, scales, active)
         scales = np.where(active, new_scales, scales)
         exact = exact | new_exact
         scales = np.where(exact, 0.0, scales)
@@ -401,55 +495,61 @@ def mm_regress(s: SummarySet, weights: WeightVector | None = None,
         se_available=se_available,
         iterations=iterations,
     )
-    return fit, _robust_estimate(
+    est = _robust_estimate(
         fit, label, effects, s.j, sigma=sigma,
         se_slope_raw=math.sqrt(var_slope) if se_available else None,
         se_int_raw=math.sqrt(var_int) if se_available and intercept else None,
     )
+    # a collapsed interval leaves the fit without a usable SE as well
+    return replace(fit, se_available=est.se_reported), est
 
 
 def _robust_estimate(fit: RobustFit, label: str, effects: str, j: int,
                      sigma: float, se_slope_raw: float | None = None,
                      se_int_raw: float | None = None) -> Estimate:
-    if not fit.se_available or se_slope_raw is None:
-        return Estimate(
-            method=label,
-            theta=fit.slope,
-            se_reported=False,
-            effects_model=effects,
-            intercept=fit.intercept,
-            residual_scale=sigma,
-            warnings=("standard error unavailable",)
-            + (("exact fit",) if fit.exact_fit else ()),
-        )
-    correction = sigma if effects == "fixed" else min(sigma, 1.0)
-    se = se_slope_raw / correction
-    if fit.intercept is None:
-        ci_low = fit.slope - _Z975 * se
-        ci_high = fit.slope + _Z975 * se
-        p_value = 2.0 * normal_sf(abs(fit.slope) / se)
-        df = None
-        intercept_se = intercept_p = None
-    else:
-        df = j - 2
-        q975 = t_quantile(0.975, df)
-        ci_low = fit.slope - q975 * se
-        ci_high = fit.slope + q975 * se
-        p_value = 2.0 * (1.0 - t_cdf(abs(fit.slope) / se, df))
-        intercept_se = se_int_raw / correction
-        intercept_p = 2.0 * (1.0 - t_cdf(abs(fit.intercept) / intercept_se, df))
+    collapsed = ()
+    if fit.se_available and se_slope_raw is not None:
+        correction = sigma if effects == "fixed" else min(sigma, 1.0)
+        se = se_slope_raw / correction
+        if fit.intercept is None:
+            ci_low = fit.slope - _Z975 * se
+            ci_high = fit.slope + _Z975 * se
+            p_value = 2.0 * normal_sf(abs(fit.slope) / se)
+            df = None
+            intercept_se = intercept_p = None
+        else:
+            df = j - 2
+            q975 = t_quantile(0.975, df)
+            ci_low = fit.slope - q975 * se
+            ci_high = fit.slope + q975 * se
+            p_value = 2.0 * (1.0 - t_cdf(abs(fit.slope) / se, df))
+            intercept_se = se_int_raw / correction
+            intercept_p = 2.0 * (1.0 - t_cdf(abs(fit.intercept) / intercept_se, df))
+        # an SE that is tiny next to the slope rounds the interval onto it
+        if math.isfinite(se) and ci_low < fit.slope < ci_high:
+            return Estimate(
+                method=label,
+                theta=fit.slope,
+                se=se,
+                ci_low=ci_low,
+                ci_high=ci_high,
+                p_value=p_value,
+                effects_model=effects,
+                df=df,
+                intercept=fit.intercept,
+                intercept_se=intercept_se,
+                intercept_p=intercept_p,
+                residual_scale=sigma,
+                warnings=() if fit.converged else ("M-step did not converge",),
+            )
+        collapsed = ("interval collapsed",)
     return Estimate(
         method=label,
         theta=fit.slope,
-        se=se,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        p_value=p_value,
+        se_reported=False,
         effects_model=effects,
-        df=df,
         intercept=fit.intercept,
-        intercept_se=intercept_se,
-        intercept_p=intercept_p,
         residual_scale=sigma,
-        warnings=() if fit.converged else ("M-step did not converge",),
+        warnings=("standard error unavailable",) + collapsed
+        + (("exact fit",) if fit.exact_fit else ()),
     )

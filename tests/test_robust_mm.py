@@ -9,20 +9,26 @@ import scipy.integrate
 import scipy.optimize
 import scipy.stats as st
 
+from ivrobust import robust_mm
+from ivrobust.estimators import run_methods
 from ivrobust.exceptions import (
     DegenerateInstrumentError,
     InsufficientInstrumentsError,
 )
 from ivrobust.robust_mm import (
     BisquareParams,
+    _design,
+    _m_scale_batch,
     _normal_consistency,
+    _rho_norm,
+    _s_stage,
     m_scale,
     mm_regress,
     psi_bisquare,
     rho_bisquare,
     weight_bisquare,
 )
-from ivrobust.wls import egger, ivw
+from ivrobust.wls import egger, inverse_variance_weights, ivw
 
 from _helpers import make_set
 
@@ -145,6 +151,178 @@ class TestMScale:
             m_scale(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             m_scale(np.array([1.0]), breakdown=0.0)
+
+
+def bisect_m_scale_batch(resid, c, breakdown):
+    """Reference row-wise M-scales: bracket expansion, then 64 bisection steps."""
+    a = np.abs(resid)
+    n = a.shape[1]
+    nonzero = np.count_nonzero(a, axis=1)
+    exact = nonzero < breakdown * n
+    solve = ~exact
+    min_nz = np.where(a > 0.0, a, np.inf).min(axis=1)
+    lo = np.where(solve, min_nz / c, 1.0)
+    hi = np.maximum(a.max(axis=1), lo)
+    for _ in range(200):
+        g_hi = _rho_norm(a / hi[:, None], c).mean(axis=1) - breakdown
+        need = solve & (g_hi > 0.0)
+        if not np.any(need):
+            break
+        hi = np.where(need, hi * 2.0, hi)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        g_mid = _rho_norm(a / mid[:, None], c).mean(axis=1) - breakdown
+        above = g_mid > 0.0
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return np.where(exact, 0.0, 0.5 * (lo + hi)), exact
+
+
+def oracle_batch(rng, rows, j):
+    """Normal and heavy-tailed rows at magnitudes 1e-10..1e2, some with zeros."""
+    mag = 10.0 ** rng.uniform(-10.0, 2.0, size=(rows, 1))
+    r = rng.normal(size=(rows, j))
+    heavy = rng.random(rows) < 0.5
+    r[heavy] = rng.standard_t(rng.choice([1, 2, 3]), size=(int(heavy.sum()), j))
+    r *= mag
+    for i in range(rows):
+        kind = rng.integers(0, 8)
+        if kind == 0:    # exact fit: strictly more than half zero
+            r[i, rng.choice(j, size=j // 2 + 1, replace=False)] = 0.0
+        elif kind == 1 and j % 2 == 0:    # plateau: exactly half zero
+            r[i, rng.choice(j, size=j // 2, replace=False)] = 0.0
+        elif kind == 2:    # a few zeros, fewer than half
+            r[i, rng.choice(j, size=(j - 1) // 2, replace=False)] = 0.0
+        elif kind == 3:
+            r[i] = 0.0
+    return r
+
+
+def assert_matches_bisection(r, c=1.548, breakdown=0.5):
+    got, exact = _m_scale_batch(r, c, breakdown)
+    ref, ref_exact = bisect_m_scale_batch(r, c, breakdown)
+    np.testing.assert_array_equal(exact, ref_exact)
+    assert np.all(got[exact] == 0.0)
+    plateau = np.count_nonzero(r, axis=1) == breakdown * r.shape[1]
+    np.testing.assert_allclose(got[plateau], ref[plateau], rtol=1e-12)
+    solved = ~exact & ~plateau
+    # relative sensitivity of the root to rounding in g: 1 / |s g'(s)|; past
+    # 1e3 (a root where few residuals lie inside the loss's smooth part) the
+    # reference itself is only that accurate, so the tolerance grows with it
+    a = np.abs(r[solved])
+    u2 = np.minimum((a / (c * ref[solved, None])) ** 2, 1.0)
+    cond = 1.0 / (6.0 * np.mean(u2 * (1.0 - u2) ** 2, axis=1))
+    rtol = 1e-12 * np.maximum(1.0, cond / 1e3)
+    assert np.all(np.abs(got[solved] - ref[solved]) <= rtol * ref[solved])
+    return cond
+
+
+class TestMScaleNewtonOracle:
+    def test_matches_bisection_reference(self):
+        rng = np.random.default_rng(191)
+        conds = []
+        for j in range(2, 41):
+            conds.append(assert_matches_bisection(oracle_batch(rng, 60, j)))
+        conds = np.concatenate(conds)
+        # the plain 1e-12 bound covers nearly every row
+        assert np.mean(conds <= 1e3) > 0.97
+
+    def test_plateau_returns_lower_bracket_end(self):
+        rng = np.random.default_rng(193)
+        for j in (2, 4, 10, 40):
+            r = rng.normal(size=(20, j)) * 10.0 ** rng.uniform(-10, 2, size=(20, 1))
+            r[:, : j // 2] = 0.0
+            got, exact = _m_scale_batch(r, 1.548, 0.5)
+            assert not exact.any()
+            np.testing.assert_array_equal(got, np.abs(r[:, j // 2:]).min(axis=1) / 1.548)
+
+    def test_all_zero_rows(self):
+        got, exact = _m_scale_batch(np.zeros((3, 7)), 1.548, 0.5)
+        assert exact.all() and np.all(got == 0.0)
+
+    def test_bisection_fallback_past_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(robust_mm, "_NEWTON_MAX_ITER", 1)
+        rng = np.random.default_rng(197)
+        for j in (2, 3, 11, 25, 40):
+            assert_matches_bisection(oracle_batch(rng, 60, j))
+
+    def test_rows_independent_of_batch(self):
+        rng = np.random.default_rng(199)
+        r = oracle_batch(rng, 50, 25)
+        full, _ = _m_scale_batch(r, 1.548, 0.5)
+        for i in (0, 17, 49):
+            assert _m_scale_batch(r[i:i + 1], 1.548, 0.5)[0][0] == full[i]
+        np.testing.assert_array_equal(_m_scale_batch(r[::3], 1.548, 0.5)[0], full[::3])
+
+
+def s_stage_case(seed):
+    """A harmonized set: clean, contaminated, or partly on an exact line."""
+    rng = np.random.default_rng(seed)
+    j = int(rng.integers(5, 41))
+    x = rng.uniform(0.03, 0.3, size=j)
+    y = 0.1 * x + rng.normal(0.0, 0.01, size=j)
+    kind = seed % 3
+    if kind == 1:
+        bad = rng.random(j) < 0.3
+        y[bad] += rng.uniform(-0.1, 0.1, size=int(bad.sum()))
+    elif kind == 2:
+        on_line = rng.choice(j, size=j // 2 + 2, replace=False)
+        y[on_line] = 0.1 * x[on_line]
+    return make_set(x, np.full(j, 0.01), y, rng.uniform(0.005, 0.02, size=j),
+                    harmonized=True)
+
+
+class TestSStagePruning:
+    def test_same_winner_as_solving_every_candidate(self, monkeypatch):
+        params = BisquareParams()
+        sizes = []
+        real_batch = robust_mm._m_scale_batch
+
+        def counting_batch(resid, c, breakdown):
+            sizes.append(resid.shape[0])
+            return real_batch(resid, c, breakdown)
+
+        for seed in range(50):
+            s = s_stage_case(seed)
+            w = inverse_variance_weights(s).w
+            for intercept in (False, True):
+                design, response = _design(s, w, intercept)
+                with monkeypatch.context() as m:
+                    m.setattr(robust_mm, "_m_scale_batch", counting_batch)
+                    sizes.clear()
+                    pruned = _s_stage(s, design, response, params,
+                                      np.random.Generator(np.random.Philox(seed)), 500, 2)
+                    solved_last = sum(sizes[2:])
+                with monkeypatch.context() as m:
+                    m.setattr(robust_mm, "_contending_scales",
+                              lambda resid, c, bd, prev, active: _m_scale_batch(resid, c, bd))
+                    full = _s_stage(s, design, response, params,
+                                    np.random.Generator(np.random.Philox(seed)), 500, 2)
+                np.testing.assert_array_equal(pruned[0], full[0])
+                assert pruned[1:] == full[1:]
+                if seed % 3 != 2:
+                    assert solved_last < 250
+
+
+class TestCollapsedInterval:
+    # the slope's SE is ~1e-9 of the slope: slope -/+ z * se rounds onto it
+    SET = dict(beta_x=[0.29529876001658606, 0.2893025449027409], se_x=[0.01] * 2,
+               beta_y=[0.029529876983451435, -27.455962395417824],
+               se_y=[6.0977293872916404e-09, 46.94028973049949])
+
+    def test_mm_regress_reports_no_se(self):
+        fit, est = mm_regress(make_set(**self.SET, harmonized=True), seed=6)
+        assert not est.se_reported
+        assert not fit.se_available
+        assert est.theta == fit.slope
+        assert "standard error unavailable" in est.warnings
+        assert "interval collapsed" in est.warnings
+
+    def test_run_methods_does_not_raise(self):
+        est = run_methods(make_set(**self.SET, harmonized=True),
+                          ("penalized_robust_ivw",), seed=4)["penalized_robust_ivw"]
+        assert not est.se_reported
+        assert "interval collapsed" in est.warnings
 
 
 class TestNormalConsistency:
