@@ -116,7 +116,7 @@ def main(argv=None) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    data = read_csv(args.input)
+    data = harmonize(read_csv(args.input))
     seed = args.seed
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2 ** 32))
@@ -142,8 +142,7 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _diagnostics(data) -> dict:
-    hs = harmonize(data)
+def _diagnostics(hs) -> dict:
     out: dict = {"n_variants": hs.j}
     if hs.j >= 2:
         strength = instrument_strength(hs)
@@ -162,7 +161,7 @@ _FIELDS = ("method", "theta", "se", "ci_low", "ci_high", "p_value",
 
 
 def _estimate_dict(est: Estimate) -> dict:
-    return {name: getattr(est, name) for name in _FIELDS}
+    return {**{name: getattr(est, name) for name in _FIELDS}, "warnings": list(est.warnings)}
 
 
 def _print_csv(estimates) -> None:

@@ -17,6 +17,7 @@ import numpy as np
 
 from ._util import as_seed_sequence
 from .distributions import normal_quantile, normal_sf
+from .exceptions import InsufficientInstrumentsError
 from .penalization import cochran_q_ivw
 from .summary_data import SummarySet, ratio_estimates
 from .wls import Estimate
@@ -176,14 +177,21 @@ def _median_estimate(s: SummarySet, weights: MedianWeights, method: str,
                      draws: int, seed) -> Estimate:
     theta = float(weighted_median(ratio_estimates(s).theta, weights))
     se = bootstrap_se(s, weights, draws=draws, seed=seed)
-    return Estimate(
-        method=method,
-        theta=theta,
-        se=se,
-        ci_low=theta - _Z975 * se,
-        ci_high=theta + _Z975 * se,
-        p_value=2.0 * normal_sf(abs(theta) / se),
-    )
+    ci_low = theta - _Z975 * se
+    ci_high = theta + _Z975 * se
+    # an SE that is tiny next to the estimate rounds the interval onto it
+    if not (math.isfinite(se) and ci_low < theta < ci_high):
+        return Estimate(method=method, theta=theta, se_reported=False,
+                        warnings=("standard error unavailable", "interval collapsed"))
+    return Estimate(method=method, theta=theta, se=se, ci_low=ci_low, ci_high=ci_high,
+                    p_value=2.0 * normal_sf(abs(theta) / se))
+
+
+def _estimator_weights(raw: np.ndarray, method: str) -> MedianWeights:
+    # weights that all underflow to zero leave no variant to take a median of
+    if not np.any(raw > 0.0):
+        raise InsufficientInstrumentsError(f"{method}: every weight is zero")
+    return MedianWeights.from_raw(raw)
 
 
 def simple_median(s: SummarySet, draws: int = 1000, seed=None) -> Estimate:
@@ -201,8 +209,8 @@ def weighted_median_estimate(s: SummarySet, draws: int = 1000, seed=None) -> Est
     delta-method variances of the ratio estimates; consistent when valid
     instruments carry at least half the total weight.
     """
-    raw = s.beta_x ** 2.0 / s.se_y ** 2.0
-    return _median_estimate(s, MedianWeights.from_raw(raw), "weighted_median", draws, seed)
+    weights = _estimator_weights(s.beta_x ** 2.0 / s.se_y ** 2.0, "weighted_median")
+    return _median_estimate(s, weights, "weighted_median", draws, seed)
 
 
 def penalized_weighted_median(s: SummarySet, draws: int = 1000, seed=None) -> Estimate:
@@ -213,8 +221,9 @@ def penalized_weighted_median(s: SummarySet, draws: int = 1000, seed=None) -> Es
     one-degree-of-freedom heterogeneity statistic and the weights are
     multiplied by min(1, 20 p_j) before the final median and its bootstrap.
     """
+    method = "penalized_weighted_median"
     raw = s.beta_x ** 2.0 / s.se_y ** 2.0
-    reference = float(weighted_median(ratio_estimates(s).theta, MedianWeights.from_raw(raw)))
+    reference = float(weighted_median(ratio_estimates(s).theta, _estimator_weights(raw, method)))
     report = cochran_q_ivw(s, reference)
-    penalized = MedianWeights.from_raw(raw * report.factor_j)
-    return _median_estimate(s, penalized, "penalized_weighted_median", draws, seed)
+    penalized = _estimator_weights(raw * report.factor_j, method)
+    return _median_estimate(s, penalized, method, draws, seed)

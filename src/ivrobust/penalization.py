@@ -6,14 +6,17 @@ min(1, 20 * p_j) so only variants with p_j < 0.05 are shrunk, in proportion
 to how extreme they are. Penalization is applied once (no iteration to a
 fixed point), then the estimator of interest is refit with the reduced
 weights.
+
+The one-degree-of-freedom tail p_j = P(chi2_1 > q_j) is evaluated in closed
+form, erfc(sqrt(q_j / 2)), not by the general chi-square continued fraction.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import chisq_sf
 from .exceptions import InsufficientInstrumentsError
 from .summary_data import SummarySet, ratio_estimates
 from .wls import WeightVector
@@ -47,7 +50,7 @@ class PenaltyReport:
 
 
 def _factors(q_j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p_j = np.array([chisq_sf(float(q), 1) for q in q_j])
+    p_j = np.array([math.erfc(math.sqrt(0.5 * q)) for q in q_j.tolist()])
     return p_j, np.minimum(1.0, PENALTY_SLOPE * p_j)
 
 

@@ -2,23 +2,26 @@
 
 A :class:`SummarySet` holds, for each candidate instrument, the estimated
 association with the exposure and with the outcome together with their
-standard errors. Routines here cover CSV ingestion/serialization, orientation
-of variants so exposure associations are non-negative, and per-variant ratio
-estimates with delta-method variances.
+standard errors, stored as four read-only float64 columns beside an ``ids``
+tuple; :class:`VariantAssociation` rows are built only on request. Routines
+here cover CSV ingestion/serialization, orientation of variants so exposure
+associations are non-negative, and per-variant ratio estimates with
+delta-method variances, each working on whole columns.
 """
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
 from .exceptions import CsvParseError, DegenerateInstrumentError
 
 CSV_COLUMNS = ("id", "beta_x", "se_x", "beta_y", "se_y")
+_VALUES = CSV_COLUMNS[1:]
 
 
 @dataclass(frozen=True)
@@ -55,76 +58,100 @@ class VariantAssociation:
             raise ValueError(f"variant {self.id!r}: se_y must be > 0, got {self.se_y!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class SummarySet:
-    """An ordered collection of variant associations.
+    """An ordered collection of variant associations, stored as columns.
 
-    ``harmonized`` records that every exposure association has been oriented
-    to be non-negative (see :func:`harmonize`).
+    ``SummarySet(variants, harmonized=False)`` unpacks
+    :class:`VariantAssociation` rows once; :meth:`from_arrays` takes parallel
+    sequences. Either way the set holds an ``ids`` tuple and four read-only
+    float64 columns, validated once. ``harmonized`` records that every
+    exposure association has been oriented to be non-negative (see
+    :func:`harmonize`).
     """
 
-    variants: tuple[VariantAssociation, ...]
-    harmonized: bool = False
+    ids: tuple[str, ...]
+    harmonized: bool
+    _cols: tuple[np.ndarray, ...]
 
-    def __post_init__(self):
-        variants = tuple(self.variants)
-        object.__setattr__(self, "variants", variants)
-        if not variants:
-            raise ValueError("a summary set needs at least one variant")
-        seen = set()
-        for v in variants:
-            if v.id in seen:
-                raise ValueError(f"duplicate variant id {v.id!r}")
-            seen.add(v.id)
-        if self.harmonized and any(v.beta_x < 0.0 for v in variants):
-            raise ValueError("harmonized set contains a negative exposure association")
+    def __init__(self, variants, harmonized: bool = False):
+        variants = tuple(variants)
+        cols = [[getattr(v, name) for v in variants] for name in _VALUES]
+        self._store(tuple(v.id for v in variants), cols, harmonized, check=True)
+
+    def _store(self, ids, cols, harmonized, check: bool) -> "SummarySet":
+        cols = tuple(np.asarray(c, dtype=float) for c in cols)
+        for col in cols:
+            col.setflags(write=False)
+        # frozen: fields are set once, here, bypassing the dataclass guard
+        self.__dict__.update(ids=ids, harmonized=bool(harmonized), _cols=cols)
+        if check:
+            if not ids:
+                raise ValueError("a summary set needs at least one variant")
+            fault = _first_fault(ids, cols)
+            if fault is not None:
+                raise ValueError(fault[1])
+            if self.harmonized and np.any(cols[0] < 0.0):
+                raise ValueError("harmonized set contains a negative exposure association")
+        return self
+
+    def __eq__(self, other):
+        if not isinstance(other, SummarySet):
+            return NotImplemented
+        return (self.ids == other.ids and self.harmonized == other.harmonized
+                and all(map(np.array_equal, self._cols, other._cols)))
 
     def __len__(self) -> int:
-        return len(self.variants)
+        return len(self.ids)
 
     @property
     def j(self) -> int:
         """Number of variants."""
-        return len(self.variants)
+        return len(self.ids)
 
     @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(v.id for v in self.variants)
+    def variants(self) -> tuple[VariantAssociation, ...]:
+        """The rows as :class:`VariantAssociation` objects, built on demand."""
+        cols = [col.tolist() for col in self._cols]
+        return tuple(VariantAssociation(*row) for row in zip(self.ids, *cols))
 
-    @property
-    def beta_x(self) -> np.ndarray:
-        return np.array([v.beta_x for v in self.variants])
-
-    @property
-    def se_x(self) -> np.ndarray:
-        return np.array([v.se_x for v in self.variants])
-
-    @property
-    def beta_y(self) -> np.ndarray:
-        return np.array([v.beta_y for v in self.variants])
-
-    @property
-    def se_y(self) -> np.ndarray:
-        return np.array([v.se_y for v in self.variants])
+    # writable copies: changing one never alters the set
+    beta_x = property(lambda self: self._cols[0].copy())
+    se_x = property(lambda self: self._cols[1].copy())
+    beta_y = property(lambda self: self._cols[2].copy())
+    se_y = property(lambda self: self._cols[3].copy())
 
     @classmethod
     def from_arrays(cls, beta_x, se_x, beta_y, se_y, ids=None,
                     harmonized: bool = False) -> "SummarySet":
         """Build a set from parallel sequences; ids default to v1, v2, ..."""
-        beta_x = np.asarray(beta_x, dtype=float)
-        se_x = np.asarray(se_x, dtype=float)
-        beta_y = np.asarray(beta_y, dtype=float)
-        se_y = np.asarray(se_y, dtype=float)
-        sizes = {arr.shape for arr in (beta_x, se_x, beta_y, se_y)}
-        if len(sizes) != 1 or beta_x.ndim != 1:
+        cols = [np.array(c, dtype=float) for c in (beta_x, se_x, beta_y, se_y)]
+        if len({c.shape for c in cols}) != 1 or cols[0].ndim != 1:
             raise ValueError("beta_x, se_x, beta_y, se_y must be equal-length 1-d sequences")
-        if ids is None:
-            ids = [f"v{i + 1}" for i in range(beta_x.size)]
-        variants = tuple(
-            VariantAssociation(str(i), bx, sx, by, sy)
-            for i, bx, sx, by, sy in zip(ids, beta_x, se_x, beta_y, se_y)
-        )
-        return cls(variants, harmonized=harmonized)
+        j = cols[0].size
+        ids = tuple(f"v{i + 1}" for i in range(j)) if ids is None else tuple(map(str, ids))
+        if len(ids) != j:
+            raise ValueError(f"got {len(ids)} ids for {j} variants")
+        return object.__new__(cls)._store(ids, cols, harmonized, check=True)
+
+
+def _first_fault(ids, cols) -> tuple[int, str] | None:
+    # position and message of the first invalid variant: a repeated id first,
+    # then the checks of VariantAssociation in its order; None if all valid
+    bad = ~np.isfinite(np.stack(cols)).all(axis=0) | (cols[1] <= 0.0) | (cols[3] <= 0.0)
+    if not bad.any() and all(ids) and len(set(ids)) == len(ids):
+        return None
+    seen: set[str] = set()
+    for k, vid in enumerate(ids):
+        if vid in seen:
+            return k, f"duplicate variant id {vid!r}"
+        if bad[k] or not vid:
+            try:
+                VariantAssociation(vid, *(float(col[k]) for col in cols))
+            except ValueError as exc:
+                return k, str(exc)
+        seen.add(vid)
+    return None
 
 
 @dataclass(frozen=True)
@@ -154,11 +181,11 @@ def harmonize(s: SummarySet) -> SummarySet:
     exposure association counts as positive and is left untouched. Standard
     errors are unchanged. Idempotent.
     """
-    flipped = tuple(
-        v if v.beta_x >= 0.0 else replace(v, beta_x=-v.beta_x, beta_y=-v.beta_y)
-        for v in s.variants
-    )
-    return SummarySet(flipped, harmonized=True)
+    bx, se_x, by, se_y = s._cols
+    flip = bx < 0.0
+    # flipping keeps every column valid, so the result is stored unchecked
+    return object.__new__(SummarySet)._store(
+        s.ids, (np.where(flip, -bx, bx), se_x, np.where(flip, -by, by), se_y), True, False)
 
 
 def ratio_estimates(s: SummarySet) -> RatioEstimates:
@@ -168,15 +195,13 @@ def ratio_estimates(s: SummarySet) -> RatioEstimates:
     which ignores uncertainty in the exposure association. A variant with
     ``beta_x == 0`` has no ratio and raises :class:`DegenerateInstrumentError`.
     """
-    for v in s.variants:
-        if v.beta_x == 0.0:
-            raise DegenerateInstrumentError(
-                f"variant {v.id!r} has a zero exposure association; no ratio estimate exists"
-            )
-    beta_x = s.beta_x
-    theta = s.beta_y / beta_x
-    variance = (s.se_y / beta_x) ** 2
-    return RatioEstimates(theta, variance)
+    beta_x, _, beta_y, se_y = s._cols
+    zero = np.flatnonzero(beta_x == 0.0)
+    if zero.size:
+        raise DegenerateInstrumentError(
+            f"variant {s.ids[zero[0]]!r} has a zero exposure association; no ratio estimate exists"
+        )
+    return RatioEstimates(beta_y / beta_x, (se_y / beta_x) ** 2)
 
 
 def read_csv(source: str | Path | IO[str]) -> SummarySet:
@@ -208,35 +233,39 @@ def _parse_csv(fh: IO[str]) -> SummarySet:
         raise CsvParseError(
             f"row 1: columns must appear in the order {','.join(CSV_COLUMNS)}"
         )
-    variants: list[VariantAssociation] = []
-    seen: set[str] = set()
+    ids: list[str] = []
+    lines: list[int] = []
+    cols: tuple[list[float], ...] = ([], [], [], [])
     for row in reader:
         row_num = reader.line_num
         if not row:
             continue
         if len(row) != len(CSV_COLUMNS):
-            raise CsvParseError(f"row {row_num}: expected {len(CSV_COLUMNS)} fields, got {len(row)}")
-        vid = row[0].strip()
-        values = []
-        for name, cell in zip(CSV_COLUMNS[1:], row[1:]):
+            _check_rows(ids, cols, lines)
+            raise CsvParseError(
+                f"row {row_num}: expected {len(CSV_COLUMNS)} fields, got {len(row)}")
+        for name, cell, col in zip(_VALUES, row[1:], cols):
             try:
-                value = float(cell)
+                col.append(float(cell))
             except ValueError:
+                _check_rows(ids, cols, lines)
                 raise CsvParseError(
                     f"row {row_num}: non-numeric value {cell.strip()!r} for {name}"
                 ) from None
-            values.append(value)
-        if vid in seen:
-            raise CsvParseError(f"row {row_num}: duplicate variant id {vid!r}")
-        try:
-            variant = VariantAssociation(vid, *values)
-        except ValueError as exc:
-            raise CsvParseError(f"row {row_num}: {exc}") from None
-        seen.add(vid)
-        variants.append(variant)
-    if not variants:
+        ids.append(row[0].strip())
+        lines.append(row_num)
+    if not ids:
         raise CsvParseError("no variants: input has a header but no data rows")
-    return SummarySet(tuple(variants))
+    cols = tuple(np.array(col) for col in cols)
+    _check_rows(ids, cols, lines)
+    return object.__new__(SummarySet)._store(tuple(ids), cols, False, check=False)
+
+
+def _check_rows(ids, cols, lines) -> None:
+    # the first invalid row of those fully read, as a row-by-row check finds it
+    fault = _first_fault(ids, [np.asarray(col[:len(ids)], dtype=float) for col in cols])
+    if fault is not None:
+        raise CsvParseError(f"row {lines[fault[0]]}: {fault[1]}")
 
 
 def write_csv(s: SummarySet, dest: str | Path | IO[str]) -> None:
@@ -251,5 +280,5 @@ def write_csv(s: SummarySet, dest: str | Path | IO[str]) -> None:
 def _write_csv(s: SummarySet, fh: IO[str]) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for v in s.variants:
-        writer.writerow([v.id, repr(v.beta_x), repr(v.se_x), repr(v.beta_y), repr(v.se_y)])
+    for vid, *values in zip(s.ids, *(col.tolist() for col in s._cols)):
+        writer.writerow([vid, *map(repr, values)])

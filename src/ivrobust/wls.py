@@ -146,7 +146,7 @@ def ivw(s: SummarySet, weights: WeightVector | None = None,
         raise ValueError(f"effects must be one of {EFFECTS_MODELS}, got {effects!r}")
     w = _resolve_weights(s, weights)
     if not np.any(w > 0.0):
-        raise ValueError("ivw needs at least one strictly positive weight")
+        raise InsufficientInstrumentsError("ivw needs at least one strictly positive weight")
     x = s.beta_x
     y = s.beta_y
     sxx = float(np.sum(w * x * x))
@@ -201,7 +201,7 @@ def egger(s: SummarySet, weights: WeightVector | None = None) -> Estimate:
         )
     w = _resolve_weights(s, weights)
     if np.count_nonzero(w > 0.0) < 2:
-        raise ValueError("egger needs at least two strictly positive weights")
+        raise InsufficientInstrumentsError("egger needs at least two strictly positive weights")
     x = s.beta_x
     y = s.beta_y
     sw = float(np.sum(w))

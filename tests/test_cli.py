@@ -97,6 +97,41 @@ class TestAnalyze:
         assert code == EXIT_PRECONDITION
         assert "error:" in capsys.readouterr().err
 
+    def test_json_lists_estimate_warnings(self, tmp_path, capsys):
+        one = tmp_path / "one.csv"
+        one.write_text("id,beta_x,se_x,beta_y,se_y\nrs1,0.1,0.01,0.01,0.05\n")
+        code = main(["analyze", str(one), "--methods", "ivw", "--seed", "1",
+                     "--format", "json"])
+        assert code == EXIT_OK
+        (row,) = json.loads(capsys.readouterr().out)["estimates"]
+        assert row["warnings"] == [
+            "single variant: residual scale undefined, fixed-effects fallback"]
+
+    def test_json_warnings_empty_list_by_default(self, csv_path, capsys):
+        assert main(["analyze", csv_path, "--methods", "ivw,egger", "--seed", "1",
+                     "--format", "json"]) == EXIT_OK
+        for row in json.loads(capsys.readouterr().out)["estimates"]:
+            assert row["warnings"] == []
+
+    def test_csv_columns_unchanged(self, csv_path, capsys):
+        assert main(["analyze", csv_path, "--methods", "ivw", "--seed", "1",
+                     "--format", "csv"]) == EXIT_OK
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header == ("method,theta,se,ci_low,ci_high,p_value,intercept,"
+                          "intercept_se,intercept_p,residual_scale,effects_model")
+
+    def test_zero_penalized_weights_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "far.csv"
+        path.write_text(
+            "id,beta_x,se_x,beta_y,se_y\n"
+            "v1,0.1,0.01,1.0,0.0001\n"
+            "v2,0.1,0.01,-1.0,0.0001\n"
+            "v3,0.2,0.01,0.5,0.0001\n"
+        )
+        code = main(["analyze", str(path), "--methods", "penalized_ivw", "--seed", "1"])
+        assert code == EXIT_PRECONDITION
+        assert "strictly positive weight" in capsys.readouterr().err
+
     def test_unknown_method_rejected_by_parser(self, csv_path):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", csv_path, "--methods", "ivw,mode"])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ivrobust.estimators import ALL_METHODS, run_methods
+from ivrobust.exceptions import EstimationError, InsufficientInstrumentsError
 from ivrobust.penalization import cochran_q_egger, cochran_q_ivw, penalize_weights
 from ivrobust.summary_data import harmonize
 from ivrobust.wls import egger, inverse_variance_weights, ivw
@@ -107,3 +108,30 @@ class TestPenalizedWiring:
                                method="penalized_robust_ivw")
         got = run_methods(summary, ("penalized_robust_ivw",), seed=13)
         assert got["penalized_robust_ivw"] == manual
+
+
+class TestUnderflowedWeights:
+    """Weights that underflow to zero raise EstimationError, never a bare ValueError."""
+
+    @pytest.mark.parametrize("method", ["penalized_ivw", "penalized_egger"])
+    def test_penalty_factors_all_zero(self, method):
+        # every variant is so far from the reference fit that its factor is 0
+        s = make_set([0.1, 0.1, 0.2], [0.01] * 3, [1.0, -1.0, 0.5], [1e-4] * 3)
+        with pytest.raises(InsufficientInstrumentsError, match="strictly positive"):
+            run_methods(s, (method,), seed=1)
+
+    @pytest.mark.parametrize("method", ["weighted_median", "penalized_weighted_median"])
+    def test_inverse_variance_weights_all_zero(self, method):
+        # beta_x ** 2 underflows, so every inverse-variance weight is 0
+        s = make_set([1e-170, 2e-170, 3e-170], [0.01] * 3, [0.01, 0.02, 0.05], [0.05] * 3)
+        with pytest.raises(InsufficientInstrumentsError, match="every weight is zero") as exc:
+            run_methods(s, (method,), seed=1, bootstrap_draws=100)
+        assert isinstance(exc.value, EstimationError)
+
+    def test_simple_median_interval_collapsed(self):
+        s = make_set([1e-170, 2e-170, 3e-170], [0.01] * 3, [0.01, 0.02, 0.05], [0.05] * 3)
+        est = run_methods(s, ("simple_median",), seed=1, bootstrap_draws=100)["simple_median"]
+        assert est.theta == 1e168
+        assert not est.se_reported
+        assert est.se is None and est.ci_low is None and est.p_value is None
+        assert est.warnings == ("standard error unavailable", "interval collapsed")

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
+from ivrobust.distributions import chisq_sf
 from ivrobust.exceptions import InsufficientInstrumentsError
 from ivrobust.penalization import (
+    PENALTY_SLOPE,
+    _factors,
     cochran_q_egger,
     cochran_q_ivw,
     penalize_weights,
@@ -69,6 +72,34 @@ class TestFactors:
             assert np.all(rep.factor_j <= 1.0)
             assert rep.q_total == pytest.approx(rep.q_j.sum(), rel=1e-12)
             assert rep.df_total == 9
+
+
+class TestClosedFormTail:
+    """The df = 1 tail erfc(sqrt(q / 2)) against scipy and the general series."""
+
+    def test_matches_scipy_over_range(self):
+        q = np.concatenate([np.linspace(0.0, 1400.0, 20_001),
+                            np.geomspace(1e-12, 1400.0, 2_001)])
+        p, _ = _factors(q)
+        expected = st.chi2.sf(q, 1)
+        assert np.all(expected > 0.0)
+        rel = np.abs(p - expected) / expected
+        assert rel.max() <= 1e-12
+
+    def test_one_at_zero(self):
+        p, factor = _factors(np.array([0.0]))
+        assert p[0] == 1.0
+        assert factor[0] == 1.0
+
+    def test_factors_match_general_tail(self):
+        rng = np.random.default_rng(89)
+        q = np.concatenate([rng.exponential(10.0, 2_000), rng.uniform(0.0, 1400.0, 2_000)])
+        _, factor = _factors(q)
+        old = np.minimum(1.0, PENALTY_SLOPE * np.array([chisq_sf(x, 1) for x in q]))
+        below = factor < 1.0
+        assert below.sum() > 2_000
+        np.testing.assert_array_equal(below, old < 1.0)
+        np.testing.assert_allclose(factor[below], old[below], rtol=1e-12, atol=0.0)
 
 
 class TestCochranQ:

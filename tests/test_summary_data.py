@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import io
+import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivrobust.exceptions import CsvParseError, DegenerateInstrumentError
 from ivrobust.summary_data import (
@@ -165,3 +168,113 @@ class TestCsv:
     def test_empty_file_rejected(self):
         with pytest.raises(CsvParseError, match="header"):
             read_csv(io.StringIO(""))
+
+
+@st.composite
+def summary_columns(draw):
+    j = draw(st.integers(1, 30))
+    magnitude = st.floats(1e-6, 1e3) | st.sampled_from([0.0, -0.0])
+    beta_x = [draw(magnitude) * draw(st.sampled_from([-1.0, 1.0])) for _ in range(j)]
+    se = st.floats(1e-10, 1e2)
+    columns = {
+        "beta_x": beta_x,
+        "se_x": draw(st.lists(se, min_size=j, max_size=j)),
+        "beta_y": draw(st.lists(st.floats(-1e3, 1e3), min_size=j, max_size=j)),
+        "se_y": draw(st.lists(se, min_size=j, max_size=j)),
+    }
+    alphabet = string.ascii_letters + string.digits + "_:.-"
+    ids = draw(st.none() | st.lists(st.text(alphabet, min_size=1, max_size=8),
+                                    min_size=j, max_size=j, unique=True))
+    return columns, ids
+
+
+class TestColumnarProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(summary_columns())
+    def test_round_trip_harmonize_and_rows(self, drawn):
+        columns, ids = drawn
+        s = SummarySet.from_arrays(**columns, ids=ids)
+        buf = io.StringIO()
+        write_csv(s, buf)
+        buf.seek(0)
+        assert read_csv(buf) == s
+
+        h = harmonize(s)
+        assert h.harmonized and np.all(h.beta_x >= 0.0)
+        assert harmonize(h) == h
+        np.testing.assert_array_equal(h.se_x, s.se_x)
+        np.testing.assert_array_equal(h.se_y, s.se_y)
+        if np.all(s.beta_x != 0.0):
+            r0, r1 = ratio_estimates(s), ratio_estimates(h)
+            np.testing.assert_array_equal(r0.theta, r1.theta)
+            np.testing.assert_array_equal(r0.variance, r1.variance)
+        else:
+            for t in (s, h):
+                with pytest.raises(DegenerateInstrumentError):
+                    ratio_estimates(t)
+
+        for t in (s, h):
+            rows = t.variants
+            assert tuple(v.id for v in rows) == t.ids
+            for name in ("beta_x", "se_x", "beta_y", "se_y"):
+                assert [getattr(v, name) for v in rows] == getattr(t, name).tolist()
+            assert SummarySet(rows, harmonized=t.harmonized) == t
+
+    @settings(max_examples=50, deadline=None)
+    @given(summary_columns())
+    def test_stored_columns_read_only(self, drawn):
+        columns, ids = drawn
+        source = {name: np.array(col) for name, col in columns.items()}
+        s = SummarySet.from_arrays(**source, ids=ids)
+        before = s.beta_x
+        source["beta_x"][0] = 123.0
+        copy = s.beta_x
+        copy[0] = 456.0
+        np.testing.assert_array_equal(s.beta_x, before)
+        for t in (s, harmonize(s)):
+            for col in t._cols:
+                assert not col.flags.writeable
+                with pytest.raises(ValueError):
+                    col[0] = 1.0
+
+
+HEADER = "id,beta_x,se_x,beta_y,se_y\n"
+
+
+class TestCsvRowNumbers:
+    @pytest.mark.parametrize("bad_row, message", [
+        ("rs2,nan,0.01,0.02,0.05", "row 4: variant 'rs2': beta_x must be finite, got nan"),
+        ("rs2,0.2,0.01,inf,0.05", "row 4: variant 'rs2': beta_y must be finite, got inf"),
+        ("rs2,0.2,0.01,0.02,-inf", "row 4: variant 'rs2': se_y must be finite, got -inf"),
+        ("rs2,0.2,0.0,0.02,0.05", "row 4: variant 'rs2': se_x must be > 0, got 0.0"),
+        ("rs2,0.2,0.01,0.02,0", "row 4: variant 'rs2': se_y must be > 0, got 0.0"),
+        (",0.2,0.01,0.02,0.05", "row 4: variant id must be a non-empty string, got ''"),
+        ("rs1,0.2,0.01,0.02,0.05", "row 4: duplicate variant id 'rs1'"),
+        ("rs1,0.2,0.0,nan,0.05", "row 4: duplicate variant id 'rs1'"),
+    ])
+    def test_reports_first_bad_row(self, bad_row, message):
+        # the blank line 3 still counts, and the bad line 4 comes before a bad line 6
+        text = HEADER + "rs1,0.1,0.01,0.02,0.05\n\n" + bad_row + "\nrs3,0.3,0.01,0.02,0.05\n"
+        for tail in ("", "rs4,0.1,0.0,0.02,0.05\n", "rs4,x,0.01,0.02,0.05\n",
+                     "rs4,0.1,0.01\n"):
+            with pytest.raises(CsvParseError) as exc:
+                read_csv(io.StringIO(text + tail))
+            assert str(exc.value) == message
+
+    def test_parse_error_after_valid_rows(self):
+        text = HEADER + "rs1,0.1,0.01,0.02,0.05\nrs2,0.1,0.01,zz,0.05\n"
+        with pytest.raises(CsvParseError, match=r"^row 3: non-numeric value 'zz' for beta_y$"):
+            read_csv(io.StringIO(text))
+
+    def test_messages_match_row_constructor(self):
+        with pytest.raises(ValueError) as exc:
+            SummarySet.from_arrays([0.1, 0.2], [0.01, 0.01], [0.0, np.nan], [0.05, 0.05],
+                                   ids=["a", "b"])
+        assert str(exc.value) == "variant 'b': beta_y must be finite, got nan"
+        with pytest.raises(ValueError, match="duplicate variant id 'a'"):
+            SummarySet.from_arrays([0.1, 0.2], [0.01, 0.01], [0.0, 0.0], [0.05, 0.05],
+                                   ids=["a", "a"])
+        with pytest.raises(ValueError, match="harmonized set"):
+            SummarySet.from_arrays([-0.1], [0.01], [0.0], [0.05], harmonized=True)
+        with pytest.raises(ValueError, match="2 ids for 1 variants"):
+            SummarySet.from_arrays([0.1], [0.01], [0.0], [0.05], ids=["a", "b"])
