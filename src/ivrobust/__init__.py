@@ -4,6 +4,10 @@ Estimates a causal effect from per-variant summary statistics (associations
 of genetic variants with an exposure and an outcome) using a family of
 estimators with different robustness properties to invalid instruments,
 plus a Monte Carlo engine for evaluating them under controlled violations.
+
+The top level exports the estimators, weights, data, study and exception
+API; helpers such as ``wls.ivw_bias_term`` or ``robust_mm.m_scale`` stay
+importable from their modules.
 """
 from .estimators import ALL_METHODS, run_methods
 from .exceptions import (
@@ -14,32 +18,15 @@ from .exceptions import (
     SingularDesignError,
 )
 from .median_methods import (
-    MedianWeights,
     bootstrap_se,
     penalized_weighted_median,
     simple_median,
     weighted_median,
     weighted_median_estimate,
 )
-from .penalization import (
-    PenaltyReport,
-    cochran_q_egger,
-    cochran_q_ivw,
-    penalize_weights,
-)
-from .robust_mm import (
-    BisquareParams,
-    RobustFit,
-    m_scale,
-    mm_regress,
-    psi_bisquare,
-    rho_bisquare,
-    weight_bisquare,
-)
+from .penalization import cochran_q_egger, cochran_q_ivw, penalize_weights
+from .robust_mm import BisquareParams, RobustFit, mm_regress
 from .simulation import (
-    GeneratedStudy,
-    MethodSummary,
-    RawStudy,
     ScenarioSpec,
     SimulationReport,
     extract_summary,
@@ -47,7 +34,6 @@ from .simulation import (
     run_study,
 )
 from .summary_data import (
-    RatioEstimates,
     SummarySet,
     VariantAssociation,
     harmonize,
@@ -55,18 +41,7 @@ from .summary_data import (
     read_csv,
     write_csv,
 )
-from .wls import (
-    EggerDiagnostics,
-    Estimate,
-    WeightVector,
-    egger,
-    i_squared_instrument_strength,
-    instrument_strength,
-    inverse_variance_weights,
-    ivw,
-    ivw_bias_term,
-    inside_weighted_covariance,
-)
+from .wls import Estimate, WeightVector, egger, inverse_variance_weights, ivw
 
 __version__ = "0.1.0"
 
@@ -75,16 +50,9 @@ __all__ = [
     "BisquareParams",
     "CsvParseError",
     "DegenerateInstrumentError",
-    "EggerDiagnostics",
     "Estimate",
     "EstimationError",
-    "GeneratedStudy",
     "InsufficientInstrumentsError",
-    "MedianWeights",
-    "MethodSummary",
-    "PenaltyReport",
-    "RatioEstimates",
-    "RawStudy",
     "RobustFit",
     "ScenarioSpec",
     "SimulationReport",
@@ -99,24 +67,16 @@ __all__ = [
     "extract_summary",
     "generate_individual_data",
     "harmonize",
-    "i_squared_instrument_strength",
-    "inside_weighted_covariance",
-    "instrument_strength",
     "inverse_variance_weights",
     "ivw",
-    "ivw_bias_term",
-    "m_scale",
     "mm_regress",
     "penalize_weights",
     "penalized_weighted_median",
-    "psi_bisquare",
     "ratio_estimates",
     "read_csv",
-    "rho_bisquare",
     "run_methods",
     "run_study",
     "simple_median",
-    "weight_bisquare",
     "weighted_median",
     "weighted_median_estimate",
     "write_csv",

@@ -1,28 +1,26 @@
 """Registry running any subset of the estimator family on one summary set.
 
-Method identifiers:
-
-====================================  ==============================================
-ivw, egger                            weighted LS, without / with intercept
-robust_ivw, robust_egger              MM-regression counterparts
-penalized_ivw, penalized_egger        weighted LS on heterogeneity-penalized weights
-penalized_robust_ivw, ..._egger       MM-regression on the same penalized weights
-simple_median                         equal-weight median of ratio estimates
-weighted_median                       inverse-variance weighted median
-penalized_weighted_median             weighted median on penalized weights
-====================================  ==============================================
+The eight regression methods are one table: {ivw: through the origin,
+egger: free intercept} x {least squares, robust_: MM-regression} x
+{inverse-variance weights, penalized_: heterogeneity-penalized weights}.
+The three medians are one weighted median of the ratio estimates under
+equal (simple_median), inverse-variance (weighted_median) and penalized
+inverse-variance (penalized_weighted_median) weights.
 
 Penalty factors for the regression methods come from the unpenalized IVW and
 intercept-model reference fits; the robust penalized variants reuse exactly
-those weights. Results are keyed by method id in request order.
+those weights. Intercept methods always use multiplicative random effects.
+Results are keyed by method id in request order.
 """
 from __future__ import annotations
 
 import dataclasses
+from typing import Iterator
 
 import numpy as np
 
 from ._util import as_seed_sequence
+from .exceptions import EstimationError
 from .median_methods import (
     penalized_weighted_median,
     simple_median,
@@ -33,19 +31,23 @@ from .robust_mm import BisquareParams, mm_regress
 from .summary_data import SummarySet, harmonize
 from .wls import Estimate, egger, inverse_variance_weights, ivw
 
-ALL_METHODS = (
-    "ivw",
-    "egger",
-    "robust_ivw",
-    "robust_egger",
-    "penalized_ivw",
-    "penalized_egger",
-    "penalized_robust_ivw",
-    "penalized_robust_egger",
-    "simple_median",
-    "weighted_median",
-    "penalized_weighted_median",
-)
+# id: (intercept, robust, penalized)
+_REGRESSIONS = {
+    "ivw": (False, False, False),
+    "egger": (True, False, False),
+    "robust_ivw": (False, True, False),
+    "robust_egger": (True, True, False),
+    "penalized_ivw": (False, False, True),
+    "penalized_egger": (True, False, True),
+    "penalized_robust_ivw": (False, True, True),
+    "penalized_robust_egger": (True, True, True),
+}
+_MEDIANS = {
+    "simple_median": simple_median,
+    "weighted_median": weighted_median_estimate,
+    "penalized_weighted_median": penalized_weighted_median,
+}
+ALL_METHODS = (*_REGRESSIONS, *_MEDIANS)
 
 # fixed per-method random streams so a subset request never reshuffles seeds
 _STREAMS = {
@@ -68,16 +70,15 @@ def _stream(root: np.random.SeedSequence, name: str) -> np.random.SeedSequence:
     )
 
 
-def run_methods(s: SummarySet, methods=ALL_METHODS, *,
-                effects: str = "multiplicative_random",
-                bootstrap_draws: int = 1000, seed=None,
-                params: BisquareParams | None = None) -> dict[str, Estimate]:
-    """Run the requested estimators on one summary set.
+def _fit_each(s: SummarySet, methods, *, effects: str = "multiplicative_random",
+              bootstrap_draws: int = 1000, seed=None,
+              params: BisquareParams | None = None
+              ) -> Iterator[tuple[str, Estimate | EstimationError]]:
+    """Yield ``(method, Estimate or the EstimationError it raised)`` in request order.
 
-    The set is harmonized once up front (a no-op when already harmonized);
-    every estimator sees the same orientation. ``seed`` feeds fixed-index
-    substreams per stochastic method, so results for a method do not depend
-    on which other methods were requested.
+    Each reference fit and penalized weight vector is computed when a method
+    first needs it; one that raised is recomputed by the next method needing
+    it, which is deterministic because reference fits draw no random numbers.
     """
     methods = tuple(methods)
     unknown = [m for m in methods if m not in ALL_METHODS]
@@ -88,64 +89,61 @@ def run_methods(s: SummarySet, methods=ALL_METHODS, *,
     hs = s if s.harmonized else harmonize(s)
     base_w = inverse_variance_weights(hs)
     root = as_seed_sequence(seed)
-    need = set(methods)
+    refs = {}
+    penalized_w = {}
 
-    ivw_ref = None
-    if need & {"ivw", "penalized_ivw", "penalized_robust_ivw"}:
-        ivw_ref = ivw(hs, base_w, effects=effects)
-    egger_ref = None
-    if need & {"egger", "penalized_egger", "penalized_robust_egger"}:
-        egger_ref = egger(hs, base_w)
-    pen_w_ivw = None
-    if need & {"penalized_ivw", "penalized_robust_ivw"}:
-        report = cochran_q_ivw(hs, ivw_ref.theta)
-        pen_w_ivw = penalize_weights(base_w, report)
-    pen_w_egger = None
-    if need & {"penalized_egger", "penalized_robust_egger"}:
-        report = cochran_q_egger(hs, egger_ref.intercept, egger_ref.theta)
-        pen_w_egger = penalize_weights(base_w, report)
+    def reference(intercept: bool) -> Estimate:
+        if intercept not in refs:
+            refs[intercept] = egger(hs, base_w) if intercept else ivw(hs, base_w, effects=effects)
+        return refs[intercept]
 
-    results: dict[str, Estimate] = {}
+    def weights(intercept: bool, penalized: bool):
+        if not penalized:
+            return base_w
+        if intercept not in penalized_w:
+            ref = reference(intercept)
+            report = (cochran_q_egger(hs, ref.intercept, ref.theta) if intercept
+                      else cochran_q_ivw(hs, ref.theta))
+            penalized_w[intercept] = penalize_weights(base_w, report)
+        return penalized_w[intercept]
+
+    def fit(name: str) -> Estimate:
+        if name in _MEDIANS:
+            return _MEDIANS[name](hs, draws=bootstrap_draws, seed=_stream(root, name))
+        intercept, robust, penalized = _REGRESSIONS[name]
+        if not (robust or penalized):
+            return reference(intercept)
+        w = weights(intercept, penalized)
+        if robust:
+            return mm_regress(hs, w, intercept=intercept, params=params,
+                              seed=_stream(root, name), method=name,
+                              effects="multiplicative_random" if intercept else effects)[1]
+        est = egger(hs, w) if intercept else ivw(hs, w, effects=effects)
+        return dataclasses.replace(est, method=name)
+
     for name in methods:
-        if name == "ivw":
-            results[name] = ivw_ref
-        elif name == "egger":
-            results[name] = egger_ref
-        elif name == "robust_ivw":
-            _, est = mm_regress(hs, base_w, intercept=False, params=params,
-                                seed=_stream(root, name), effects=effects,
-                                method=name)
-            results[name] = est
-        elif name == "robust_egger":
-            _, est = mm_regress(hs, base_w, intercept=True, params=params,
-                                seed=_stream(root, name), method=name)
-            results[name] = est
-        elif name == "penalized_ivw":
-            est = ivw(hs, pen_w_ivw, effects=effects)
-            results[name] = _relabel(est, name)
-        elif name == "penalized_egger":
-            est = egger(hs, pen_w_egger)
-            results[name] = _relabel(est, name)
-        elif name == "penalized_robust_ivw":
-            _, est = mm_regress(hs, pen_w_ivw, intercept=False, params=params,
-                                seed=_stream(root, name), effects=effects,
-                                method=name)
-            results[name] = est
-        elif name == "penalized_robust_egger":
-            _, est = mm_regress(hs, pen_w_egger, intercept=True, params=params,
-                                seed=_stream(root, name), method=name)
-            results[name] = est
-        elif name == "simple_median":
-            results[name] = simple_median(hs, draws=bootstrap_draws,
-                                          seed=_stream(root, name))
-        elif name == "weighted_median":
-            results[name] = weighted_median_estimate(hs, draws=bootstrap_draws,
-                                                     seed=_stream(root, name))
-        else:
-            results[name] = penalized_weighted_median(hs, draws=bootstrap_draws,
-                                                      seed=_stream(root, name))
+        try:
+            yield name, fit(name)
+        except EstimationError as exc:
+            yield name, exc
+
+
+def run_methods(s: SummarySet, methods=ALL_METHODS, *,
+                effects: str = "multiplicative_random",
+                bootstrap_draws: int = 1000, seed=None,
+                params: BisquareParams | None = None) -> dict[str, Estimate]:
+    """Run the requested estimators on one summary set.
+
+    The set is harmonized once up front (a no-op when already harmonized);
+    every estimator sees the same orientation. ``seed`` feeds fixed-index
+    substreams per stochastic method, so results for a method do not depend
+    on which other methods were requested. The first method in request order
+    that fails raises its :class:`EstimationError`, and no later method runs.
+    """
+    results: dict[str, Estimate] = {}
+    for name, fit in _fit_each(s, methods, effects=effects, bootstrap_draws=bootstrap_draws,
+                               seed=seed, params=params):
+        if isinstance(fit, EstimationError):
+            raise fit
+        results[name] = fit
     return results
-
-
-def _relabel(est: Estimate, name: str) -> Estimate:
-    return dataclasses.replace(est, method=name)

@@ -11,7 +11,6 @@ distributions while holding the weights fixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,108 +19,52 @@ from .distributions import normal_quantile, normal_sf
 from .exceptions import InsufficientInstrumentsError
 from .penalization import cochran_q_ivw
 from .summary_data import SummarySet, ratio_estimates
-from .wls import Estimate
-
-CUMULATIVE_RULES = ("midpoint", "plain")
+from .wls import Estimate, WeightVector
 
 _Z975 = normal_quantile(0.975)
 
 
-@dataclass(frozen=True)
-class MedianWeights:
-    """Normalized non-negative weights over the ratio estimates."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.w, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must form a non-empty 1-d vector")
-        if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-            raise ValueError("weights must be finite and >= 0")
-        total = float(np.sum(w))
-        if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
-            raise ValueError(f"weights must sum to 1, got {total!r}")
-        w.setflags(write=False)
-        object.__setattr__(self, "w", w)
-
-    def __len__(self) -> int:
-        return self.w.size
-
-    @classmethod
-    def from_raw(cls, raw) -> "MedianWeights":
-        """Normalize arbitrary non-negative weights to sum to one."""
-        raw = np.asarray(raw, dtype=float)
-        if raw.ndim != 1 or raw.size == 0:
-            raise ValueError("weights must form a non-empty 1-d vector")
-        if not np.all(np.isfinite(raw)) or np.any(raw < 0.0):
-            raise ValueError("weights must be finite and >= 0")
-        total = float(np.sum(raw))
-        if total <= 0.0:
-            raise ValueError("at least one weight must be strictly positive")
-        return cls(raw / total)
-
-    @classmethod
-    def equal(cls, j: int) -> "MedianWeights":
-        return cls(np.full(j, 1.0 / j))
+def _normalized(weights, n: int) -> np.ndarray:
+    # a WeightVector or raw non-negative weights, scaled to sum to one
+    w = (weights if isinstance(weights, WeightVector) else WeightVector(weights)).w
+    if w.size != n:
+        raise ValueError(f"got {w.size} weights for {n} values")
+    total = w.sum()
+    if not total > 0.0:
+        raise ValueError("at least one weight must be strictly positive")
+    return w / total
 
 
-def _coerce_weights(weights) -> MedianWeights:
-    if isinstance(weights, MedianWeights):
-        return weights
-    return MedianWeights.from_raw(weights)
-
-
-def weighted_median(theta, weights, cumulative: str = "midpoint") -> float:
+def weighted_median(theta, weights) -> float:
     """Weighted median of ``theta`` by cumulative-weight interpolation.
 
     Parameters
     ----------
     theta : array_like
         Values to summarize.
-    weights : MedianWeights or array_like
-        Non-negative weights; raw vectors are normalized.
-    cumulative : {"midpoint", "plain"}
-        "midpoint" assigns value j the cumulative weight
-        s_j = sum(w_1..w_j) - w_j / 2 before interpolating to 0.5; "plain"
-        uses the ordinary running total s_j = sum(w_1..w_j).
+    weights : WeightVector or array_like
+        Non-negative weights, normalized to sum to one.
 
     Returns
     -------
     float
-        theta_k + (theta_{k+1} - theta_k) * (0.5 - s_k) / (s_{k+1} - s_k)
-        with k the largest index (in sorted order) where s_k < 0.5; the
-        smallest value if no s_k is below one half.
+        Value j in sorted order gets the cumulative weight
+        s_j = sum(w_1..w_j) - w_j / 2; the result is
+        theta_k + (theta_{k+1} - theta_k) * ((0.5 - s_k) / (s_{k+1} - s_k))
+        with k the largest index where s_k < 0.5, or the smallest value if no
+        s_k is below one half.
     """
-    if cumulative not in CUMULATIVE_RULES:
-        raise ValueError(f"cumulative must be one of {CUMULATIVE_RULES}, got {cumulative!r}")
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or theta.size == 0:
         raise ValueError("theta must be a non-empty 1-d vector")
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta must be finite")
-    mw = _coerce_weights(weights)
-    if len(mw) != theta.size:
-        raise ValueError(f"got {len(mw)} weights for {theta.size} values")
-    if theta.size == 1:
-        return float(theta[0])
-    order = np.argsort(theta, kind="stable")
-    th = theta[order]
-    w = mw.w[order]
-    cum = np.cumsum(w)
-    s = cum - 0.5 * w if cumulative == "midpoint" else cum
-    k = int(np.sum(s < 0.5)) - 1
-    if k < 0:
-        return float(th[0])
-    # s is capped at 1 with s[-1] >= 0.5, so k + 1 is always in range and the
-    # bracketing gap s[k+1] - s[k] is strictly positive.
-    frac = (0.5 - s[k]) / (s[k + 1] - s[k])
-    return float(th[k] + (th[k + 1] - th[k]) * frac)
+    return float(_weighted_median_rows(theta[None, :], _normalized(weights, theta.size))[0])
 
 
 def _weighted_median_rows(theta: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # Row-wise midpoint-rule medians with one fixed weight vector; used by
-    # the bootstrap where theta is (draws, J).
+    # Row-wise weighted medians of theta (rows, J) under one normalized
+    # weight vector w (J,).
     j = theta.shape[1]
     if j == 1:
         return theta[:, 0].copy()
@@ -131,13 +74,15 @@ def _weighted_median_rows(theta: np.ndarray, w: np.ndarray) -> np.ndarray:
     cum = np.cumsum(ws, axis=1)
     s = cum - 0.5 * ws
     k = np.sum(s < 0.5, axis=1) - 1
+    # s[-1] >= 0.5 up to rounding, so k + 1 is in range and s_hi > s_lo;
+    # the clip only guards rows that take the k < 0 branch
     kc = np.clip(k, 0, j - 2)
     rows = np.arange(theta.shape[0])
     s_lo = s[rows, kc]
     s_hi = s[rows, kc + 1]
     th_lo = th[rows, kc]
     th_hi = th[rows, kc + 1]
-    est = th_lo + (th_hi - th_lo) * (0.5 - s_lo) / (s_hi - s_lo)
+    est = th_lo + (th_hi - th_lo) * ((0.5 - s_lo) / (s_hi - s_lo))
     return np.where(k < 0, th[:, 0], est)
 
 
@@ -152,9 +97,7 @@ def bootstrap_se(s: SummarySet, weights, draws: int = 1000, seed=None) -> float:
     """
     if draws < 2:
         raise ValueError(f"bootstrap needs at least 2 draws, got {draws}")
-    mw = _coerce_weights(weights)
-    if len(mw) != s.j:
-        raise ValueError(f"got {len(mw)} weights for {s.j} variants")
+    w = _normalized(weights, s.j)
     rng = np.random.Generator(np.random.Philox(as_seed_sequence(seed)))
     beta_x = s.beta_x
     se_x = s.se_x
@@ -169,13 +112,13 @@ def bootstrap_se(s: SummarySet, weights, draws: int = 1000, seed=None) -> float:
         scales = np.broadcast_to(se_x, bx.shape)[zero]
         bx[zero] = rng.normal(locs, scales)
         zero = bx == 0.0
-    meds = _weighted_median_rows(by / bx, mw.w)
+    meds = _weighted_median_rows(by / bx, w)
     return float(np.std(meds, ddof=1))
 
 
-def _median_estimate(s: SummarySet, weights: MedianWeights, method: str,
+def _median_estimate(s: SummarySet, weights: np.ndarray, method: str,
                      draws: int, seed) -> Estimate:
-    theta = float(weighted_median(ratio_estimates(s).theta, weights))
+    theta = weighted_median(ratio_estimates(s).theta, weights)
     se = bootstrap_se(s, weights, draws=draws, seed=seed)
     ci_low = theta - _Z975 * se
     ci_high = theta + _Z975 * se
@@ -187,11 +130,11 @@ def _median_estimate(s: SummarySet, weights: MedianWeights, method: str,
                     p_value=2.0 * normal_sf(abs(theta) / se))
 
 
-def _estimator_weights(raw: np.ndarray, method: str) -> MedianWeights:
+def _estimator_weights(raw: np.ndarray, method: str) -> np.ndarray:
     # weights that all underflow to zero leave no variant to take a median of
     if not np.any(raw > 0.0):
         raise InsufficientInstrumentsError(f"{method}: every weight is zero")
-    return MedianWeights.from_raw(raw)
+    return raw
 
 
 def simple_median(s: SummarySet, draws: int = 1000, seed=None) -> Estimate:
@@ -199,7 +142,7 @@ def simple_median(s: SummarySet, draws: int = 1000, seed=None) -> Estimate:
 
     Consistent when at least half the variants are valid instruments.
     """
-    return _median_estimate(s, MedianWeights.equal(s.j), "simple_median", draws, seed)
+    return _median_estimate(s, np.ones(s.j), "simple_median", draws, seed)
 
 
 def weighted_median_estimate(s: SummarySet, draws: int = 1000, seed=None) -> Estimate:
@@ -223,7 +166,7 @@ def penalized_weighted_median(s: SummarySet, draws: int = 1000, seed=None) -> Es
     """
     method = "penalized_weighted_median"
     raw = s.beta_x ** 2.0 / s.se_y ** 2.0
-    reference = float(weighted_median(ratio_estimates(s).theta, _estimator_weights(raw, method)))
+    reference = weighted_median(ratio_estimates(s).theta, _estimator_weights(raw, method))
     report = cochran_q_ivw(s, reference)
     penalized = _estimator_weights(raw * report.factor_j, method)
     return _median_estimate(s, penalized, method, draws, seed)

@@ -104,4 +104,4 @@ def penalize_weights(base: WeightVector, report: PenaltyReport) -> WeightVector:
         raise ValueError(
             f"got {len(base)} weights for {report.factor_j.size} penalty factors"
         )
-    return WeightVector(base.w * report.factor_j, kind="penalized")
+    return WeightVector(base.w * report.factor_j)

@@ -33,8 +33,7 @@ from typing import IO
 
 import numpy as np
 
-from .estimators import ALL_METHODS, run_methods
-from .exceptions import EstimationError
+from .estimators import ALL_METHODS, _fit_each
 from .robust_mm import BisquareParams
 from .summary_data import SummarySet, harmonize
 from .wls import Estimate, i_squared_instrument_strength
@@ -271,37 +270,23 @@ def _replicate(spec: ScenarioSpec, rep: int, methods: tuple[str, ...],
         )
     hs = harmonize(study.summary)
     method_seed = np.random.SeedSequence(spec.seed, spawn_key=(rep, 1))
-    try:
-        results: dict[str, Estimate | None] = dict(
-            run_methods(hs, methods, seed=method_seed,
-                        bootstrap_draws=bootstrap_draws, params=params)
-        )
-    except EstimationError:
-        # salvage per method so one precondition failure is one NA, not many
-        results = {}
-        for name in methods:
-            try:
-                results[name] = run_methods(hs, (name,), seed=method_seed,
-                                            bootstrap_draws=bootstrap_draws,
-                                            params=params)[name]
-            except EstimationError:
-                results[name] = None
+    results = dict(_fit_each(hs, methods, seed=method_seed,
+                             bootstrap_draws=bootstrap_draws, params=params))
     estimates = {}
     ses = {}
     rejects = {}
-    for name in methods:
-        est = results[name]
-        if est is None:
-            estimates[name] = math.nan
-            ses[name] = math.nan
-            rejects[name] = False
-        else:
+    for name, est in results.items():
+        if isinstance(est, Estimate):
             estimates[name] = est.theta
             ses[name] = est.se if est.se_reported else math.nan
             rejects[name] = est.rejects_null(0.0)
+        else:
+            estimates[name] = math.nan
+            ses[name] = math.nan
+            rejects[name] = False
     egger_est = results.get("egger")
     intercept_reject = bool(
-        egger_est is not None
+        isinstance(egger_est, Estimate)
         and egger_est.intercept_p is not None
         and egger_est.intercept_p < 0.05
     )

@@ -193,7 +193,8 @@ def ratio_estimates(s: SummarySet) -> RatioEstimates:
 
     The variance is the first-order delta-method value se_y**2 / beta_x**2,
     which ignores uncertainty in the exposure association. A variant with
-    ``beta_x == 0`` has no ratio and raises :class:`DegenerateInstrumentError`.
+    ``beta_x == 0``, or so close to zero that its ratio overflows, has no
+    ratio and raises :class:`DegenerateInstrumentError`.
     """
     beta_x, _, beta_y, se_y = s._cols
     zero = np.flatnonzero(beta_x == 0.0)
@@ -201,7 +202,15 @@ def ratio_estimates(s: SummarySet) -> RatioEstimates:
         raise DegenerateInstrumentError(
             f"variant {s.ids[zero[0]]!r} has a zero exposure association; no ratio estimate exists"
         )
-    return RatioEstimates(beta_y / beta_x, (se_y / beta_x) ** 2)
+    with np.errstate(over="ignore"):
+        theta = beta_y / beta_x
+    overflow = np.flatnonzero(~np.isfinite(theta))
+    if overflow.size:
+        raise DegenerateInstrumentError(
+            f"variant {s.ids[overflow[0]]!r}: ratio estimate overflows; the exposure "
+            "association is too close to zero"
+        )
+    return RatioEstimates(theta, (se_y / beta_x) ** 2)
 
 
 def read_csv(source: str | Path | IO[str]) -> SummarySet:

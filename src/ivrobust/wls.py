@@ -25,7 +25,6 @@ from .exceptions import (
 from .summary_data import SummarySet
 
 EFFECTS_MODELS = ("fixed", "multiplicative_random")
-WEIGHT_KINDS = ("inverse_variance", "penalized")
 
 _Z975 = normal_quantile(0.975)
 
@@ -35,7 +34,6 @@ class WeightVector:
     """Non-negative analysis weights, one per variant."""
 
     w: np.ndarray
-    kind: str = "inverse_variance"
 
     def __post_init__(self):
         w = np.array(self.w, dtype=float)
@@ -43,8 +41,6 @@ class WeightVector:
             raise ValueError("weights must form a non-empty 1-d vector")
         if not np.all(np.isfinite(w)) or np.any(w < 0.0):
             raise ValueError("weights must be finite and >= 0")
-        if self.kind not in WEIGHT_KINDS:
-            raise ValueError(f"kind must be one of {WEIGHT_KINDS}, got {self.kind!r}")
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
 
@@ -105,7 +101,7 @@ class EggerDiagnostics:
 
 def inverse_variance_weights(s: SummarySet) -> WeightVector:
     """Weights proportional to the inverse outcome-association variances."""
-    return WeightVector(s.se_y ** -2.0, kind="inverse_variance")
+    return WeightVector(s.se_y ** -2.0)
 
 
 def _resolve_weights(s: SummarySet, weights: WeightVector | None) -> np.ndarray:

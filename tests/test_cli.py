@@ -132,6 +132,18 @@ class TestAnalyze:
         assert code == EXIT_PRECONDITION
         assert "strictly positive weight" in capsys.readouterr().err
 
+    def test_overflowing_ratio_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "tiny.csv"
+        path.write_text(
+            "id,beta_x,se_x,beta_y,se_y\n"
+            "v1,1e-310,0.01,1.0,0.05\n"
+            "v2,0.1,0.01,0.01,0.05\n"
+            "v3,0.2,0.01,0.02,0.05\n"
+        )
+        code = main(["analyze", str(path), "--methods", "ivw,weighted_median", "--seed", "1"])
+        assert code == EXIT_PRECONDITION
+        assert "ratio estimate overflows" in capsys.readouterr().err
+
     def test_unknown_method_rejected_by_parser(self, csv_path):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", csv_path, "--methods", "ivw,mode"])

@@ -4,8 +4,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ivrobust import estimators
 from ivrobust.estimators import ALL_METHODS, run_methods
-from ivrobust.exceptions import EstimationError, InsufficientInstrumentsError
+from ivrobust.exceptions import (
+    DegenerateInstrumentError,
+    EstimationError,
+    InsufficientInstrumentsError,
+)
 from ivrobust.penalization import cochran_q_egger, cochran_q_ivw, penalize_weights
 from ivrobust.summary_data import harmonize
 from ivrobust.wls import egger, inverse_variance_weights, ivw
@@ -61,6 +66,33 @@ class TestRegistry:
             got = run_methods(summary, subset, seed=11, bootstrap_draws=200)
             for name in subset:
                 assert got[name] == full[name]
+
+    def test_raises_error_of_first_failing_method(self):
+        # egger fails for want of variants, simple_median on the zero beta_x;
+        # the error raised is the one of the first failing method requested
+        s = make_set([0.0, 0.1], [0.01] * 2, [0.01, 0.02], [0.05] * 2)
+        with pytest.raises(InsufficientInstrumentsError, match="egger needs at least 3"):
+            run_methods(s, ("ivw", "egger", "simple_median"), seed=1, bootstrap_draws=50)
+
+    def test_first_requested_failure_wins_and_stops(self, monkeypatch):
+        # reference fits are computed on demand, so the median requested first
+        # reports its own error even though the egger reference would also fail
+        calls = []
+        monkeypatch.setitem(estimators._MEDIANS, "weighted_median",
+                            lambda *a, **k: calls.append("weighted_median"))
+        s = make_set([0.0, 0.1], [0.01] * 2, [0.01, 0.02], [0.05] * 2)
+        with pytest.raises(DegenerateInstrumentError, match="zero exposure association"):
+            run_methods(s, ("ivw", "simple_median", "egger", "weighted_median"), seed=1)
+        assert calls == []
+
+    def test_effects_reach_only_the_origin_methods(self, summary):
+        fixed = run_methods(summary, effects="fixed", seed=5, bootstrap_draws=50)
+        default = run_methods(summary, seed=5, bootstrap_draws=50)
+        for name in ("ivw", "robust_ivw", "penalized_ivw", "penalized_robust_ivw"):
+            assert fixed[name].effects_model == "fixed"
+        for name in ("egger", "robust_egger", "penalized_egger", "penalized_robust_egger"):
+            assert fixed[name] == default[name]
+            assert fixed[name].effects_model == "multiplicative_random"
 
     def test_harmonization_is_idempotent_entry(self, summary):
         a = run_methods(summary, seed=3, bootstrap_draws=100)
@@ -135,3 +167,19 @@ class TestUnderflowedWeights:
         assert not est.se_reported
         assert est.se is None and est.ci_low is None and est.p_value is None
         assert est.warnings == ("standard error unavailable", "interval collapsed")
+
+
+class TestOverflowingRatio:
+    """A subnormal beta_x overflows its ratio estimate: a precondition, not a bare ValueError."""
+
+    @pytest.mark.parametrize("method", ["penalized_ivw", "penalized_robust_ivw", "simple_median",
+                                        "weighted_median", "penalized_weighted_median"])
+    def test_ratio_methods_raise_degenerate_instrument(self, method):
+        s = make_set([1e-310, 0.1, 0.2], [0.01] * 3, [1.0, 0.01, 0.02], [0.05] * 3)
+        with pytest.raises(DegenerateInstrumentError, match="'v1': ratio estimate overflows"):
+            run_methods(s, (method,), seed=1, bootstrap_draws=50)
+
+    def test_methods_without_ratios_still_fit(self):
+        s = make_set([1e-310, 0.1, 0.2], [0.01] * 3, [1.0, 0.01, 0.02], [0.05] * 3)
+        got = run_methods(s, ("ivw", "robust_ivw"), seed=1)
+        assert all(np.isfinite(est.theta) for est in got.values())

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ivrobust.median_methods import (
-    MedianWeights,
     bootstrap_se,
     penalized_weighted_median,
     simple_median,
@@ -17,7 +16,7 @@ from ivrobust.summary_data import ratio_estimates
 from _helpers import make_set
 
 
-def median_oracle(theta, w, midpoint=True):
+def median_oracle(theta, w):
     # direct transcription of the interpolation rule, written without
     # vectorized shortcuts
     order = np.argsort(theta, kind="stable")
@@ -28,11 +27,8 @@ def median_oracle(theta, w, midpoint=True):
     s = []
     running = 0.0
     for v in ww:
-        if midpoint:
-            s.append(running + v / 2.0)
+        s.append(running + v / 2.0)
         running += v
-        if not midpoint:
-            s.append(running)
     k = -1
     for i, v in enumerate(s):
         if v < 0.5:
@@ -56,7 +52,7 @@ def ratio_set(ratios, se_y=0.05, beta_x=0.2):
 
 class TestWeightedMedian:
     def test_three_equal_weights(self):
-        assert weighted_median([0.1, 0.1, 0.3], MedianWeights.equal(3)) == pytest.approx(
+        assert weighted_median([0.1, 0.1, 0.3], np.ones(3)) == pytest.approx(
             0.1, abs=1e-15
         )
 
@@ -67,11 +63,7 @@ class TestWeightedMedian:
 
     def test_split_at_half(self):
         theta = np.array([0.0] * 12 + [1.0] * 13)
-        assert weighted_median(theta, MedianWeights.equal(25)) == pytest.approx(1.0, abs=1e-12)
-        # the plain running-total rule interpolates across the gap instead
-        assert weighted_median(theta, MedianWeights.equal(25), cumulative="plain") == (
-            pytest.approx(0.5, abs=1e-12)
-        )
+        assert weighted_median(theta, np.ones(25)) == pytest.approx(1.0, abs=1e-12)
 
     def test_dominant_weight(self):
         got = weighted_median([0.7, -1.0, 2.0], np.array([0.98, 0.01, 0.01]))
@@ -86,21 +78,17 @@ class TestWeightedMedian:
             j = int(rng.integers(1, 30))
             theta = rng.normal(size=j)
             w = rng.uniform(0.01, 1.0, size=j)
-            got = weighted_median(theta, MedianWeights.from_raw(w))
+            got = weighted_median(theta, w)
             assert got == pytest.approx(median_oracle(theta, w), rel=1e-12, abs=1e-12)
-            got_plain = weighted_median(theta, MedianWeights.from_raw(w), cumulative="plain")
-            assert got_plain == pytest.approx(
-                median_oracle(theta, w, midpoint=False), rel=1e-12, abs=1e-12
-            )
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(97)
         theta = rng.normal(size=11)
         w = rng.uniform(0.1, 1.0, size=11)
-        base = weighted_median(theta, MedianWeights.from_raw(w))
+        base = weighted_median(theta, w)
         for _ in range(10):
             perm = rng.permutation(11)
-            assert weighted_median(theta[perm], MedianWeights.from_raw(w[perm])) == (
+            assert weighted_median(theta[perm], w[perm]) == (
                 pytest.approx(base, rel=1e-13)
             )
 
@@ -111,7 +99,7 @@ class TestWeightedMedian:
         rng = np.random.default_rng(101)
         for _ in range(50):
             theta = rng.normal(size=9)
-            w = MedianWeights.from_raw(rng.uniform(0.1, 1.0, size=9))
+            w = rng.uniform(0.1, 1.0, size=9)
             base = weighted_median(theta, w)
             assert weighted_median(theta + 3.25, w) == pytest.approx(base + 3.25, abs=1e-12)
             assert weighted_median(2.5 * theta, w) == pytest.approx(2.5 * base, rel=1e-12)
@@ -121,7 +109,7 @@ class TestWeightedMedian:
         rng = np.random.default_rng(109)
         for _ in range(50):
             theta = rng.normal(size=7)
-            w = MedianWeights.from_raw(rng.uniform(0.01, 1.0, size=7))
+            w = rng.uniform(0.01, 1.0, size=7)
             got = weighted_median(theta, w)
             assert theta.min() - 1e-12 <= got <= theta.max() + 1e-12
 
@@ -135,26 +123,22 @@ class TestWeightedMedian:
             idx = rng.choice(25, size=12, replace=False)
             corrupted[idx] = rng.uniform(-1e6, 1e6, size=12)
             keep = np.delete(clean, idx)
-            got = weighted_median(corrupted, MedianWeights.equal(25))
+            got = weighted_median(corrupted, np.ones(25))
             assert keep.min() - 1e-9 <= got <= keep.max() + 1e-9
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
-            MedianWeights(np.array([0.5, 0.6]))
+            weighted_median([1.0, 2.0], np.array([0.0, 0.0]))
         with pytest.raises(ValueError):
-            MedianWeights.from_raw(np.array([0.0, 0.0]))
+            weighted_median([1.0, 2.0], np.array([1.0, -0.1]))
         with pytest.raises(ValueError):
-            MedianWeights.from_raw(np.array([1.0, -0.1]))
-        with pytest.raises(ValueError):
-            weighted_median([1.0, 2.0], MedianWeights.equal(3))
-        with pytest.raises(ValueError):
-            weighted_median([1.0, 2.0], MedianWeights.equal(2), cumulative="nearest")
+            weighted_median([1.0, 2.0], np.ones(3))
 
 
 class TestBootstrap:
     def test_deterministic_by_seed(self):
         s = ratio_set([0.1, 0.15, 0.2, 0.05, 0.12])
-        w = MedianWeights.equal(5)
+        w = np.ones(5)
         a = bootstrap_se(s, w, draws=500, seed=42)
         b = bootstrap_se(s, w, draws=500, seed=42)
         c = bootstrap_se(s, w, draws=500, seed=43)
@@ -165,7 +149,7 @@ class TestBootstrap:
     def test_se_scales_with_outcome_noise(self):
         s1 = ratio_set([0.1, 0.12, 0.08, 0.11, 0.09, 0.1, 0.13], se_y=0.03)
         s2 = ratio_set([0.1, 0.12, 0.08, 0.11, 0.09, 0.1, 0.13], se_y=0.06)
-        w = MedianWeights.equal(7)
+        w = np.ones(7)
         a = bootstrap_se(s1, w, draws=5000, seed=7)
         b = bootstrap_se(s2, w, draws=5000, seed=7)
         assert b / a == pytest.approx(2.0, rel=0.1)
@@ -178,13 +162,13 @@ class TestBootstrap:
             np.full(5, 1e-12),
             harmonized=True,
         )
-        se = bootstrap_se(s, MedianWeights.equal(5), draws=200, seed=1)
+        se = bootstrap_se(s, np.ones(5), draws=200, seed=1)
         assert se < 1e-9
 
     def test_draw_count_validated(self):
         s = ratio_set([0.1, 0.2, 0.3])
         with pytest.raises(ValueError):
-            bootstrap_se(s, MedianWeights.equal(3), draws=1)
+            bootstrap_se(s, np.ones(3), draws=1)
 
 
 class TestEstimators:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
+from ivrobust.estimators import ALL_METHODS
 from ivrobust.simulation import (
     ScenarioSpec,
     RawStudy,
@@ -218,6 +219,21 @@ class TestRunStudy:
             assert math.isnan(row.mean_se)
             assert np.isfinite(row.mean)
         assert report.row("ivw").na_count == 0
+
+    def test_failing_methods_are_na_and_the_rest_still_run(self):
+        # at j = 2 every intercept method fails its precondition in every
+        # replicate; each failure is one NA row, the other methods are unaffected
+        spec = ScenarioSpec(scenario=1, n=600, j=2, n_sim=3, seed=17)
+        report = run_study(spec, ALL_METHODS, bootstrap_draws=40)
+        for name in ("egger", "robust_egger", "penalized_egger", "penalized_robust_egger"):
+            row = report.row(name)
+            assert row.na_count == spec.n_sim
+            assert math.isnan(row.mean) and math.isnan(row.sd) and math.isnan(row.mean_se)
+            assert row.power_pct == 0.0
+        for name in ("ivw", "robust_ivw", "penalized_ivw", "penalized_robust_ivw",
+                     "simple_median", "weighted_median", "penalized_weighted_median"):
+            assert math.isfinite(report.row(name).mean)
+        assert report.egger_intercept_rejection_pct == 0.0
 
     def test_diagnostics_presence_follows_methods(self):
         spec = ScenarioSpec(scenario=1, n=600, j=4, n_sim=2, seed=6)
