@@ -25,7 +25,7 @@ from .median_methods import (
     weighted_median_estimate,
 )
 from .penalization import cochran_q_egger, cochran_q_ivw, penalize_weights
-from .robust_mm import BisquareParams, RobustFit, mm_regress
+from .robust_mm import RobustFit, mm_regress
 from .simulation import (
     ScenarioSpec,
     SimulationReport,
@@ -47,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_METHODS",
-    "BisquareParams",
     "CsvParseError",
     "DegenerateInstrumentError",
     "Estimate",

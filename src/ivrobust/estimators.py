@@ -15,6 +15,7 @@ Results are keyed by method id in request order.
 from __future__ import annotations
 
 import dataclasses
+from functools import cache
 from typing import Iterator
 
 import numpy as np
@@ -27,9 +28,9 @@ from .median_methods import (
     weighted_median_estimate,
 )
 from .penalization import cochran_q_egger, cochran_q_ivw, penalize_weights
-from .robust_mm import BisquareParams, mm_regress
+from .robust_mm import mm_regress
 from .summary_data import SummarySet, harmonize
-from .wls import Estimate, egger, inverse_variance_weights, ivw
+from .wls import Estimate, WeightVector, egger, inverse_variance_weights, ivw
 
 # id: (intercept, robust, penalized)
 _REGRESSIONS = {
@@ -71,14 +72,15 @@ def _stream(root: np.random.SeedSequence, name: str) -> np.random.SeedSequence:
 
 
 def _fit_each(s: SummarySet, methods, *, effects: str = "multiplicative_random",
-              bootstrap_draws: int = 1000, seed=None,
-              params: BisquareParams | None = None
+              bootstrap_draws: int = 1000, seed=None
               ) -> Iterator[tuple[str, Estimate | EstimationError]]:
     """Yield ``(method, Estimate or the EstimationError it raised)`` in request order.
 
-    Each reference fit and penalized weight vector is computed when a method
-    first needs it; one that raised is recomputed by the next method needing
-    it, which is deterministic because reference fits draw no random numbers.
+    The inverse-variance weights, each reference fit and each penalized weight
+    vector are computed when a method first needs them, so their errors are
+    those of the methods that use them; one that raised is recomputed by the
+    next method needing it, which is deterministic because none of them draws
+    random numbers.
     """
     methods = tuple(methods)
     unknown = [m for m in methods if m not in ALL_METHODS]
@@ -87,25 +89,22 @@ def _fit_each(s: SummarySet, methods, *, effects: str = "multiplicative_random",
     if len(set(methods)) != len(methods):
         raise ValueError("duplicate method ids requested")
     hs = s if s.harmonized else harmonize(s)
-    base_w = inverse_variance_weights(hs)
     root = as_seed_sequence(seed)
-    refs = {}
-    penalized_w = {}
 
+    @cache
+    def base() -> WeightVector:
+        return inverse_variance_weights(hs)
+
+    @cache
     def reference(intercept: bool) -> Estimate:
-        if intercept not in refs:
-            refs[intercept] = egger(hs, base_w) if intercept else ivw(hs, base_w, effects=effects)
-        return refs[intercept]
+        return egger(hs, base()) if intercept else ivw(hs, base(), effects=effects)
 
-    def weights(intercept: bool, penalized: bool):
-        if not penalized:
-            return base_w
-        if intercept not in penalized_w:
-            ref = reference(intercept)
-            report = (cochran_q_egger(hs, ref.intercept, ref.theta) if intercept
-                      else cochran_q_ivw(hs, ref.theta))
-            penalized_w[intercept] = penalize_weights(base_w, report)
-        return penalized_w[intercept]
+    @cache
+    def penalized_weights(intercept: bool) -> WeightVector:
+        ref = reference(intercept)
+        report = (cochran_q_egger(hs, ref.intercept, ref.theta) if intercept
+                  else cochran_q_ivw(hs, ref.theta))
+        return penalize_weights(base(), report)
 
     def fit(name: str) -> Estimate:
         if name in _MEDIANS:
@@ -113,10 +112,9 @@ def _fit_each(s: SummarySet, methods, *, effects: str = "multiplicative_random",
         intercept, robust, penalized = _REGRESSIONS[name]
         if not (robust or penalized):
             return reference(intercept)
-        w = weights(intercept, penalized)
+        w = penalized_weights(intercept) if penalized else base()
         if robust:
-            return mm_regress(hs, w, intercept=intercept, params=params,
-                              seed=_stream(root, name), method=name,
+            return mm_regress(hs, w, intercept=intercept, seed=_stream(root, name), method=name,
                               effects="multiplicative_random" if intercept else effects)[1]
         est = egger(hs, w) if intercept else ivw(hs, w, effects=effects)
         return dataclasses.replace(est, method=name)
@@ -130,19 +128,22 @@ def _fit_each(s: SummarySet, methods, *, effects: str = "multiplicative_random",
 
 def run_methods(s: SummarySet, methods=ALL_METHODS, *,
                 effects: str = "multiplicative_random",
-                bootstrap_draws: int = 1000, seed=None,
-                params: BisquareParams | None = None) -> dict[str, Estimate]:
+                bootstrap_draws: int = 1000, seed=None) -> dict[str, Estimate]:
     """Run the requested estimators on one summary set.
 
     The set is harmonized once up front (a no-op when already harmonized);
-    every estimator sees the same orientation. ``seed`` feeds fixed-index
-    substreams per stochastic method, so results for a method do not depend
-    on which other methods were requested. The first method in request order
-    that fails raises its :class:`EstimationError`, and no later method runs.
+    every estimator sees the same orientation. ``effects`` sets the SE model
+    of the no-intercept methods; ``seed`` feeds fixed-index substreams per
+    stochastic method, so results for a method do not depend on which other
+    methods were requested. Robust fits use the fixed tuning of
+    :mod:`ivrobust.robust_mm`. Every method either returns an
+    :class:`Estimate`, with or without SE, or raises an
+    :class:`EstimationError`: the first method in request order that fails
+    raises its error, and no later method runs.
     """
     results: dict[str, Estimate] = {}
     for name, fit in _fit_each(s, methods, effects=effects, bootstrap_draws=bootstrap_draws,
-                               seed=seed, params=params):
+                               seed=seed):
         if isinstance(fit, EstimationError):
             raise fit
         results[name] = fit

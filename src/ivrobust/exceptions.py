@@ -7,7 +7,11 @@ class EstimationError(ValueError):
 
 
 class DegenerateInstrumentError(EstimationError):
-    """An exposure association needed for a ratio or fit is exactly zero."""
+    """An exposure association needed for a ratio or fit is exactly zero.
+
+    Also raised when a variant's values are so large or small that an
+    estimate, ratio, weight or variance overflows or underflows.
+    """
 
 
 class SingularDesignError(EstimationError):

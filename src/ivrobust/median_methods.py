@@ -10,18 +10,13 @@ distributions while holding the weights fixed.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ._util import as_seed_sequence
-from .distributions import normal_quantile, normal_sf
-from .exceptions import InsufficientInstrumentsError
+from .exceptions import DegenerateInstrumentError, InsufficientInstrumentsError
 from .penalization import cochran_q_ivw
 from .summary_data import SummarySet, ratio_estimates
-from .wls import Estimate, WeightVector
-
-_Z975 = normal_quantile(0.975)
+from .wls import Estimate, WeightVector, _estimate
 
 
 def _normalized(weights, n: int) -> np.ndarray:
@@ -119,18 +114,12 @@ def bootstrap_se(s: SummarySet, weights, draws: int = 1000, seed=None) -> float:
 def _median_estimate(s: SummarySet, weights: np.ndarray, method: str,
                      draws: int, seed) -> Estimate:
     theta = weighted_median(ratio_estimates(s).theta, weights)
-    se = bootstrap_se(s, weights, draws=draws, seed=seed)
-    ci_low = theta - _Z975 * se
-    ci_high = theta + _Z975 * se
-    # an SE that is tiny next to the estimate rounds the interval onto it
-    if not (math.isfinite(se) and ci_low < theta < ci_high):
-        return Estimate(method=method, theta=theta, se_reported=False,
-                        warnings=("standard error unavailable", "interval collapsed"))
-    return Estimate(method=method, theta=theta, se=se, ci_low=ci_low, ci_high=ci_high,
-                    p_value=2.0 * normal_sf(abs(theta) / se))
+    return _estimate(method, theta, bootstrap_se(s, weights, draws=draws, seed=seed))
 
 
 def _estimator_weights(raw: np.ndarray, method: str) -> np.ndarray:
+    if not np.all(np.isfinite(raw)):
+        raise DegenerateInstrumentError(f"{method}: a weight overflows or is undefined")
     # weights that all underflow to zero leave no variant to take a median of
     if not np.any(raw > 0.0):
         raise InsufficientInstrumentsError(f"{method}: every weight is zero")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InsufficientInstrumentsError
+from .exceptions import DegenerateInstrumentError, InsufficientInstrumentsError
 from .summary_data import SummarySet, ratio_estimates
 from .wls import WeightVector
 
@@ -50,6 +50,11 @@ class PenaltyReport:
 
 
 def _factors(q_j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    undefined = np.flatnonzero(np.isnan(q_j))
+    if undefined.size:
+        raise DegenerateInstrumentError(
+            f"the heterogeneity statistic at position {undefined[0] + 1} overflows to NaN"
+        )
     p_j = np.array([math.erfc(math.sqrt(0.5 * q)) for q in q_j.tolist()])
     return p_j, np.minimum(1.0, PENALTY_SLOPE * p_j)
 

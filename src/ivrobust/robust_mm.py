@@ -3,8 +3,8 @@
 The fit happens on weight-transformed observations (response beta_y * sqrt(w),
 regressor beta_x * sqrt(w), intercept column sqrt(w)). A high-breakdown
 S-stage searches random exact-fit candidates for the smallest M-scale of the
-residuals under a bisquare loss tuned for 50% breakdown (c = 1.548); an
-efficiency-tuned M-stage (c = 4.685) then iterates reweighted least squares
+residuals under a bisquare loss tuned for 50% breakdown (C_S = 1.548); an
+efficiency-tuned M-stage (C_M = 4.685) then iterates reweighted least squares
 at that fixed scale. M-scales are solved by safeguarded Newton steps inside a
 bracket (bisection only for rows the step cap does not settle). After the
 last refinement step only candidates that can still hold the smallest scale
@@ -17,21 +17,24 @@ sandwich, post-processed the same way as the weighted least-squares fits
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from ._util import as_seed_sequence
-from .distributions import normal_quantile, normal_sf, t_cdf, t_quantile
+from .distributions import normal_sf
 from .exceptions import (
     DegenerateInstrumentError,
     InsufficientInstrumentsError,
     SingularDesignError,
 )
 from .summary_data import SummarySet
-from .wls import EFFECTS_MODELS, Estimate, WeightVector, _resolve_weights
+from .wls import EFFECTS_MODELS, Estimate, WeightVector, _estimate, _resolve_weights
 
+C_S = 1.548  # scale (S) stage: 50% breakdown
+C_M = 4.685  # efficiency (M) stage: 95% efficiency under normal errors
+BREAKDOWN = 0.5  # right-hand side of the M-scale equation
 N_CANDIDATES = 500
 REFINE_STEPS = 2
 M_STEP_TOL = 1e-10
@@ -41,26 +44,6 @@ _NEWTON_MAX_ITER = 16
 _BISECT_STEPS = 64
 _EPS = float(np.finfo(float).eps)
 _PRUNE_MARGIN = 1e-9
-_Z975 = normal_quantile(0.975)
-
-
-@dataclass(frozen=True)
-class BisquareParams:
-    """Tuning constants for the bisquare loss.
-
-    ``c_s`` drives the scale (S) stage, ``c_m`` the efficiency (M) stage;
-    ``breakdown`` is the target right-hand side of the M-scale equation.
-    """
-
-    c_s: float = 1.548
-    c_m: float = 4.685
-    breakdown: float = 0.5
-
-    def __post_init__(self):
-        if not (self.c_s > 0.0 and self.c_m > 0.0):
-            raise ValueError("tuning constants must be positive")
-        if not 0.0 < self.breakdown < 1.0:
-            raise ValueError(f"breakdown must lie in (0, 1), got {self.breakdown!r}")
 
 
 @dataclass(frozen=True)
@@ -76,7 +59,7 @@ class RobustFit:
     exact_fit: bool = False
 
 
-def rho_bisquare(r, c: float = 1.548):
+def rho_bisquare(r, c: float = C_S):
     """Bisquare loss: (c^2/6) * (1 - (1 - (r/c)^2)^3), capped at c^2/6."""
     _check_tuning(c)
     r = np.asarray(r, dtype=float)
@@ -85,7 +68,7 @@ def rho_bisquare(r, c: float = 1.548):
     return out if out.ndim else float(out)
 
 
-def psi_bisquare(r, c: float = 4.685):
+def psi_bisquare(r, c: float = C_M):
     """Bisquare score r * (1 - (r/c)^2)^2, zero outside |r| <= c."""
     _check_tuning(c)
     r = np.asarray(r, dtype=float)
@@ -94,7 +77,7 @@ def psi_bisquare(r, c: float = 4.685):
     return out if out.ndim else float(out)
 
 
-def weight_bisquare(r, c: float = 4.685):
+def weight_bisquare(r, c: float = C_M):
     """IRLS weight psi(r)/r = (1 - (r/c)^2)^2, zero outside |r| <= c."""
     _check_tuning(c)
     r = np.asarray(r, dtype=float)
@@ -198,7 +181,7 @@ def _m_scale_batch(resid: np.ndarray, c: float, breakdown: float):
     return np.where(exact, 0.0, s), exact
 
 
-def m_scale(residuals, c: float = 1.548, breakdown: float = 0.5) -> tuple[float, bool]:
+def m_scale(residuals, c: float = C_S, breakdown: float = BREAKDOWN) -> tuple[float, bool]:
     """M-estimate of scale under the bisquare loss.
 
     Solves mean(rho(r_i / s, c)) / (c^2 / 6) = breakdown for s by Newton
@@ -310,56 +293,58 @@ def _contending_scales(resid: np.ndarray, c: float, breakdown: float,
     return scales, exact
 
 
-def _s_stage(s: SummarySet, design, response, params: BisquareParams, rng,
-             n_candidates: int, refine_steps: int):
-    """Random-subset search for the smallest M-scale; first minimum wins."""
+def _s_stage(s: SummarySet, design, response, rng):
+    """Random-subset search for the smallest M-scale; first minimum wins.
+
+    A subset that is singular, or whose exact fit or residuals overflow, is
+    redrawn, so only finite residuals reach the scale solves.
+    """
     j = s.j
     p = design.shape[1]
     x = s.beta_x
     y = s.beta_y
-    idx = rng.integers(0, j, size=(n_candidates, p))
+    idx = rng.integers(0, j, size=(N_CANDIDATES, p))
     for _ in range(_SUBSET_RETRY_ROUNDS):
-        if p == 1:
-            bad = design[idx[:, 0], 0] == 0.0
-        else:
-            sq0 = design[idx[:, 0], 0]
-            sq1 = design[idx[:, 1], 0]
-            bad = (idx[:, 0] == idx[:, 1]) | (sq0 == 0.0) | (sq1 == 0.0) \
-                | (x[idx[:, 0]] == x[idx[:, 1]])
+        i0 = idx[:, 0]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            if p == 1:
+                bad = design[i0, 0] == 0.0
+                coefs = (y[i0] / x[i0])[:, None]
+            else:
+                i1 = idx[:, 1]
+                bad = (i0 == i1) | (design[i0, 0] == 0.0) | (design[i1, 0] == 0.0) \
+                    | (x[i0] == x[i1])
+                slope = (y[i1] - y[i0]) / (x[i1] - x[i0])
+                coefs = np.column_stack([y[i0] - slope * x[i0], slope])
+            resid = _candidate_residuals(design, response, coefs)
+        # candidates interpolate their own subset points; zero those residuals
+        # explicitly so rounding dust cannot mask an exact fit
+        resid[np.arange(N_CANDIDATES)[:, None], idx] = 0.0
+        bad |= ~(np.isfinite(coefs).all(axis=1) & np.isfinite(resid).all(axis=1))
         if not np.any(bad):
             break
         idx[bad] = rng.integers(0, j, size=(int(np.sum(bad)), p))
     else:
         raise SingularDesignError(
-            "no non-singular random subsets found; exposure associations are too degenerate"
+            "no random subset gives a non-singular, finite exact fit; exposure "
+            "associations are too degenerate or too extreme"
         )
-    if p == 1:
-        coefs = (y[idx[:, 0]] / x[idx[:, 0]])[:, None]
-    else:
-        slope = (y[idx[:, 1]] - y[idx[:, 0]]) / (x[idx[:, 1]] - x[idx[:, 0]])
-        inter = y[idx[:, 0]] - slope * x[idx[:, 0]]
-        coefs = np.column_stack([inter, slope])
-    resid = _candidate_residuals(design, response, coefs)
-    # candidates interpolate their own subset points; zero those residuals
-    # explicitly so rounding dust cannot mask an exact fit
-    resid[np.arange(idx.shape[0])[:, None], idx] = 0.0
-    scales, exact = _m_scale_batch(resid, params.c_s, params.breakdown)
-    for step in range(refine_steps):
+    scales, exact = _m_scale_batch(resid, C_S, BREAKDOWN)
+    for step in range(REFINE_STEPS):
         active = ~exact
         if not np.any(active):
             break
         safe = np.where(scales > 0.0, scales, 1.0)
-        irls_w = weight_bisquare(resid / safe[:, None], params.c_s)
+        irls_w = weight_bisquare(resid / safe[:, None], C_S)
         irls_w[exact] = 0.0
         updated = _weighted_solve_rows(design, response, irls_w, coefs)
         coefs = np.where(active[:, None], updated, coefs)
         resid = _candidate_residuals(design, response, coefs)
-        if step + 1 < refine_steps:
-            new_scales, new_exact = _m_scale_batch(resid, params.c_s, params.breakdown)
+        if step + 1 < REFINE_STEPS:
+            new_scales, new_exact = _m_scale_batch(resid, C_S, BREAKDOWN)
         else:
             # only the argmin of the last solve is used
-            new_scales, new_exact = _contending_scales(
-                resid, params.c_s, params.breakdown, scales, active)
+            new_scales, new_exact = _contending_scales(resid, C_S, BREAKDOWN, scales, active)
         scales = np.where(active, new_scales, scales)
         exact = exact | new_exact
         scales = np.where(exact, 0.0, scales)
@@ -367,13 +352,59 @@ def _s_stage(s: SummarySet, design, response, params: BisquareParams, rng,
     return coefs[best].copy(), float(scales[best]), bool(exact[best])
 
 
+def _m_stage(design, response, beta, s_star: float):
+    """IRLS under the C_M loss at the fixed S-scale, then the sandwich SEs.
+
+    Returns (coefficients, converged, iterations, raw SEs in coefficient
+    order); the SEs are None when the sandwich is singular, a variance is not
+    positive and finite, or the squared scale overflows.
+    """
+    converged = False
+    iterations = 0
+    for iterations in range(1, M_STEP_MAX_ITER + 1):
+        resid = response - design @ beta
+        irls_w = weight_bisquare(resid / s_star, C_M)
+        a_mat = (design * irls_w[:, None]).T @ design
+        rhs = design.T @ (irls_w * response)
+        try:
+            beta_new = np.linalg.solve(a_mat, rhs)
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(beta_new)):
+            break
+        delta = float(np.max(np.abs(beta_new - beta)))
+        beta = beta_new
+        if delta <= M_STEP_TOL * max(1.0, float(np.max(np.abs(beta)))):
+            converged = True
+            break
+
+    u = (response - design @ beta) / s_star
+    psi = psi_bisquare(u, C_M)
+    dpsi = _psi_prime_bisquare(u, C_M)
+    bread = (design * dpsi[:, None]).T @ design
+    meat = (design * (psi * psi)[:, None]).T @ design
+    ses = None
+    if np.all(np.isfinite(bread)) and np.linalg.cond(bread) < 1e12:
+        bread_inv = np.linalg.inv(bread)
+        try:
+            variances = np.diag((s_star ** 2) * bread_inv @ meat @ bread_inv).tolist()
+        except OverflowError:  # the squared scale is not representable
+            variances = [math.nan]
+        if all(0.0 < v < math.inf for v in variances):
+            ses = [math.sqrt(v) for v in variances]
+    return beta, converged, iterations, ses
+
+
 def mm_regress(s: SummarySet, weights: WeightVector | None = None,
-               intercept: bool = False, params: BisquareParams | None = None,
-               seed=None, effects: str = "multiplicative_random",
-               n_candidates: int = N_CANDIDATES, refine_steps: int = REFINE_STEPS,
-               tol: float = M_STEP_TOL, max_iter: int = M_STEP_MAX_ITER,
+               intercept: bool = False, seed=None, effects: str = "multiplicative_random",
                method: str | None = None) -> tuple[RobustFit, Estimate]:
     """Bounded-influence regression of outcome on exposure associations.
+
+    The S-stage refines N_CANDIDATES random exact-fit subsets by REFINE_STEPS
+    reweighting steps under the C_S loss and keeps the one with the smallest
+    M-scale; the M-stage iterates reweighted least squares under the C_M loss
+    at that scale until the largest coefficient change is at most M_STEP_TOL
+    relative, or M_STEP_MAX_ITER times.
 
     Parameters
     ----------
@@ -385,31 +416,25 @@ def mm_regress(s: SummarySet, weights: WeightVector | None = None,
         each observation by sqrt(w).
     intercept : bool
         Fit a free intercept (needs J >= 3; J >= 2 without).
-    params : BisquareParams
-        Loss tuning; defaults to 50% breakdown scale loss and the
-        95%-efficiency M loss.
     seed : int, SeedSequence, optional
         Drives the random subset search; identical seeds give bit-identical
         fits regardless of thread count.
     effects : {"fixed", "multiplicative_random"}
         Standard-error post-processing, matching the least-squares fits.
-    n_candidates, refine_steps, tol, max_iter : int, int, float, int
-        Search width of the S-stage, IRLS refinement steps per candidate,
-        relative coefficient tolerance and iteration cap of the M-stage.
     method : str, optional
         Label recorded on the returned Estimate.
 
     Returns
     -------
     (RobustFit, Estimate)
-        Solver outcome and the inference-level summary. A singular sandwich
-        leaves ``se_available`` False (the estimate is still returned).
+        Solver outcome and the inference-level summary. An exact fit, a
+        singular sandwich, a squared scale that overflows or a collapsed
+        interval leaves ``se_available`` False and the estimate without SE
+        (the estimate is still returned); an M-stage that did not converge
+        adds the warning "M-step did not converge".
     """
-    params = params or BisquareParams()
     if effects not in EFFECTS_MODELS:
         raise ValueError(f"effects must be one of {EFFECTS_MODELS}, got {effects!r}")
-    if n_candidates < 1 or refine_steps < 0 or max_iter < 1 or not tol > 0.0:
-        raise ValueError("n_candidates/max_iter must be >= 1, refine_steps >= 0, tol > 0")
     minimum = 3 if intercept else 2
     if s.j < minimum:
         raise InsufficientInstrumentsError(
@@ -430,126 +455,25 @@ def mm_regress(s: SummarySet, weights: WeightVector | None = None,
         raise DegenerateInstrumentError(
             "every positively weighted exposure association is zero"
         )
-    label = method or ("robust_egger" if intercept else "robust_ivw")
     design, response = _design(s, w, intercept)
     rng = np.random.Generator(np.random.Philox(as_seed_sequence(seed)))
-    beta, s_star, exact = _s_stage(s, design, response, params, rng,
-                                   n_candidates, refine_steps)
-    if exact or s_star == 0.0:
-        fit = RobustFit(
-            slope=float(beta[-1]),
-            intercept=float(beta[0]) if intercept else None,
-            scale=0.0,
-            converged=True,
-            se_available=False,
-            iterations=0,
-            exact_fit=True,
-        )
-        return fit, _robust_estimate(fit, label, effects, s.j, sigma=0.0)
-
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        resid = response - design @ beta
-        irls_w = weight_bisquare(resid / s_star, params.c_m)
-        a_mat = (design * irls_w[:, None]).T @ design
-        rhs = design.T @ (irls_w * response)
-        try:
-            beta_new = np.linalg.solve(a_mat, rhs)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(beta_new)):
-            break
-        delta = float(np.max(np.abs(beta_new - beta)))
-        beta = beta_new
-        if delta <= tol * max(1.0, float(np.max(np.abs(beta)))):
-            converged = True
-            break
-
-    u = (response - design @ beta) / s_star
-    psi = psi_bisquare(u, params.c_m)
-    dpsi = _psi_prime_bisquare(u, params.c_m)
-    bread = (design * dpsi[:, None]).T @ design
-    meat = (design * (psi * psi)[:, None]).T @ design
-    se_available = True
-    var_slope = var_int = math.nan
-    if np.all(np.isfinite(bread)) and np.linalg.cond(bread) < 1e12:
-        bread_inv = np.linalg.inv(bread)
-        cov = (s_star ** 2) * bread_inv @ meat @ bread_inv
-        var_slope = float(cov[-1, -1])
-        if intercept:
-            var_int = float(cov[0, 0])
-        if not (var_slope > 0.0 and math.isfinite(var_slope)):
-            se_available = False
-        elif intercept and not (var_int > 0.0 and math.isfinite(var_int)):
-            se_available = False
-    else:
-        se_available = False
-
-    sigma = s_star / _normal_consistency(params.c_s, params.breakdown)
-    fit = RobustFit(
-        slope=float(beta[-1]),
-        intercept=float(beta[0]) if intercept else None,
-        scale=s_star,
-        converged=converged,
-        se_available=se_available,
-        iterations=iterations,
+    beta, s_star, exact = _s_stage(s, design, response, rng)
+    exact = exact or s_star == 0.0
+    converged, iterations, sigma = True, 0, 0.0
+    ses = [None] * design.shape[1]
+    if not exact:
+        beta, converged, iterations, raw = _m_stage(design, response, beta, s_star)
+        sigma = s_star / _normal_consistency(C_S, BREAKDOWN)
+        if raw is not None:
+            correction = sigma if effects == "fixed" else min(sigma, 1.0)
+            ses = [v / correction for v in raw]
+    est = _estimate(
+        method or ("robust_egger" if intercept else "robust_ivw"), float(beta[-1]), ses[-1],
+        df=s.j - 2 if intercept else None, intercept=float(beta[0]) if intercept else None,
+        intercept_se=ses[0] if intercept else None, effects_model=effects, residual_scale=sigma,
+        warnings=("exact fit",) * exact + ("M-step did not converge",) * (not converged),
     )
-    est = _robust_estimate(
-        fit, label, effects, s.j, sigma=sigma,
-        se_slope_raw=math.sqrt(var_slope) if se_available else None,
-        se_int_raw=math.sqrt(var_int) if se_available and intercept else None,
-    )
-    # a collapsed interval leaves the fit without a usable SE as well
-    return replace(fit, se_available=est.se_reported), est
-
-
-def _robust_estimate(fit: RobustFit, label: str, effects: str, j: int,
-                     sigma: float, se_slope_raw: float | None = None,
-                     se_int_raw: float | None = None) -> Estimate:
-    collapsed = ()
-    if fit.se_available and se_slope_raw is not None:
-        correction = sigma if effects == "fixed" else min(sigma, 1.0)
-        se = se_slope_raw / correction
-        if fit.intercept is None:
-            ci_low = fit.slope - _Z975 * se
-            ci_high = fit.slope + _Z975 * se
-            p_value = 2.0 * normal_sf(abs(fit.slope) / se)
-            df = None
-            intercept_se = intercept_p = None
-        else:
-            df = j - 2
-            q975 = t_quantile(0.975, df)
-            ci_low = fit.slope - q975 * se
-            ci_high = fit.slope + q975 * se
-            p_value = 2.0 * (1.0 - t_cdf(abs(fit.slope) / se, df))
-            intercept_se = se_int_raw / correction
-            intercept_p = 2.0 * (1.0 - t_cdf(abs(fit.intercept) / intercept_se, df))
-        # an SE that is tiny next to the slope rounds the interval onto it
-        if math.isfinite(se) and ci_low < fit.slope < ci_high:
-            return Estimate(
-                method=label,
-                theta=fit.slope,
-                se=se,
-                ci_low=ci_low,
-                ci_high=ci_high,
-                p_value=p_value,
-                effects_model=effects,
-                df=df,
-                intercept=fit.intercept,
-                intercept_se=intercept_se,
-                intercept_p=intercept_p,
-                residual_scale=sigma,
-                warnings=() if fit.converged else ("M-step did not converge",),
-            )
-        collapsed = ("interval collapsed",)
-    return Estimate(
-        method=label,
-        theta=fit.slope,
-        se_reported=False,
-        effects_model=effects,
-        intercept=fit.intercept,
-        residual_scale=sigma,
-        warnings=("standard error unavailable",) + collapsed
-        + (("exact fit",) if fit.exact_fit else ()),
-    )
+    fit = RobustFit(slope=est.theta, intercept=est.intercept, scale=0.0 if exact else s_star,
+                    converged=converged, se_available=est.se_reported,
+                    iterations=iterations, exact_fit=exact)
+    return fit, est

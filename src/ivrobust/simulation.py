@@ -34,7 +34,7 @@ from typing import IO
 import numpy as np
 
 from .estimators import ALL_METHODS, _fit_each
-from .robust_mm import BisquareParams
+from .exceptions import EstimationError
 from .summary_data import SummarySet, harmonize
 from .wls import Estimate, i_squared_instrument_strength
 
@@ -239,10 +239,7 @@ def extract_summary(raw: RawStudy, design: str) -> GeneratedStudy:
 
 @dataclass(frozen=True)
 class _ReplicateRecord:
-    estimates: dict
-    ses: dict
-    rejects: dict
-    intercept_reject: bool
+    fits: dict  # method -> Estimate, or the EstimationError it raised
     i_squared: float
     r_squared: float
     f_statistic: float
@@ -251,7 +248,7 @@ class _ReplicateRecord:
 
 
 def _replicate(spec: ScenarioSpec, rep: int, methods: tuple[str, ...],
-               bootstrap_draws: int, params: BisquareParams | None) -> _ReplicateRecord:
+               bootstrap_draws: int) -> _ReplicateRecord:
     data_rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(spec.seed, spawn_key=(rep, 0)))
     )
@@ -270,32 +267,10 @@ def _replicate(spec: ScenarioSpec, rep: int, methods: tuple[str, ...],
         )
     hs = harmonize(study.summary)
     method_seed = np.random.SeedSequence(spec.seed, spawn_key=(rep, 1))
-    results = dict(_fit_each(hs, methods, seed=method_seed,
-                             bootstrap_draws=bootstrap_draws, params=params))
-    estimates = {}
-    ses = {}
-    rejects = {}
-    for name, est in results.items():
-        if isinstance(est, Estimate):
-            estimates[name] = est.theta
-            ses[name] = est.se if est.se_reported else math.nan
-            rejects[name] = est.rejects_null(0.0)
-        else:
-            estimates[name] = math.nan
-            ses[name] = math.nan
-            rejects[name] = False
-    egger_est = results.get("egger")
-    intercept_reject = bool(
-        isinstance(egger_est, Estimate)
-        and egger_est.intercept_p is not None
-        and egger_est.intercept_p < 0.05
-    )
+    fits = dict(_fit_each(hs, methods, seed=method_seed, bootstrap_draws=bootstrap_draws))
     i2 = i_squared_instrument_strength(hs) if hs.j >= 2 else math.nan
     return _ReplicateRecord(
-        estimates=estimates,
-        ses=ses,
-        rejects=rejects,
-        intercept_reject=intercept_reject,
+        fits=fits,
         i_squared=i2,
         r_squared=study.r_squared,
         f_statistic=study.f_statistic,
@@ -306,6 +281,14 @@ def _replicate(spec: ScenarioSpec, rep: int, methods: tuple[str, ...],
 
 def _replicate_args(args) -> _ReplicateRecord:
     return _replicate(*args)
+
+
+def _outcome(fit: Estimate | EstimationError) -> tuple[float, float, bool]:
+    # (estimate, SE, rejects zero): a failed fit is NA in all three, an
+    # estimate without SE only in its SE; neither rejects
+    if isinstance(fit, EstimationError):
+        return math.nan, math.nan, False
+    return fit.theta, fit.se if fit.se_reported else math.nan, fit.rejects_null(0.0)
 
 
 @dataclass(frozen=True)
@@ -419,15 +402,18 @@ def _fmt_col(v: float, width: int) -> str:
 
 
 def run_study(spec: ScenarioSpec, methods=ALL_METHODS, *, threads: int = 1,
-              bootstrap_draws: int = 1000,
-              params: BisquareParams | None = None) -> SimulationReport:
+              bootstrap_draws: int = 1000) -> SimulationReport:
     """Run the full study and aggregate per-method performance.
 
-    Power counts replicates whose 95% interval excludes zero; replicates
-    without a standard error never reject and are excluded from the mean-SE
-    column only (na_count tallies them). Replicates are independent work
-    units; with ``threads > 1`` they run in a process pool and the report is
-    identical to the single-threaded one for a fixed seed.
+    Each replicate keeps, per method, the Estimate or the EstimationError the
+    fit raised; every column is derived from those. Power counts replicates
+    whose 95% interval excludes zero. A replicate whose fit failed is left
+    out of the mean and SD; failed fits and estimates without a standard
+    error never reject, are left out of the mean-SE column, and are tallied
+    in na_count. The Egger intercept test rejects when the intercept's
+    p-value is below 0.05. Replicates are independent work units; with
+    ``threads > 1`` they run in a process pool and the report is identical
+    to the single-threaded one for a fixed seed.
     """
     methods = tuple(methods)
     unknown = [m for m in methods if m not in ALL_METHODS]
@@ -437,18 +423,17 @@ def run_study(spec: ScenarioSpec, methods=ALL_METHODS, *, threads: int = 1,
         raise ValueError("at least one method is required")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    tasks = [(spec, rep, methods, bootstrap_draws, params) for rep in range(spec.n_sim)]
+    tasks = [(spec, rep, methods, bootstrap_draws) for rep in range(spec.n_sim)]
     if threads == 1 or spec.n_sim == 1:
         records = [_replicate_args(t) for t in tasks]
     else:
         chunk = max(1, spec.n_sim // (threads * 8))
         with ProcessPoolExecutor(max_workers=threads) as pool:
             records = list(pool.map(_replicate_args, tasks, chunksize=chunk))
+    outcomes = {name: [_outcome(r.fits[name]) for r in records] for name in methods}
     rows = []
     for name in methods:
-        est = np.array([r.estimates[name] for r in records])
-        se = np.array([r.ses[name] for r in records])
-        rej = np.array([r.rejects[name] for r in records])
+        est, se, rej = (np.array(col) for col in zip(*outcomes[name]))
         good = np.isfinite(est)
         se_good = np.isfinite(se)
         rows.append(MethodSummary(
@@ -461,11 +446,14 @@ def run_study(spec: ScenarioSpec, methods=ALL_METHODS, *, threads: int = 1,
         ))
     joint = None
     if "simple_median" in methods and "robust_ivw" in methods:
-        both = [r.rejects["simple_median"] and r.rejects["robust_ivw"] for r in records]
+        both = [a[2] and b[2] for a, b in zip(outcomes["simple_median"], outcomes["robust_ivw"])]
         joint = 100.0 * float(np.mean(both))
     intercept_pct = None
     if "egger" in methods:
-        intercept_pct = 100.0 * float(np.mean([r.intercept_reject for r in records]))
+        intercept_pct = 100.0 * float(np.mean([
+            isinstance(fit, Estimate) and fit.intercept_p is not None and fit.intercept_p < 0.05
+            for fit in (r.fits["egger"] for r in records)
+        ]))
     return SimulationReport(
         spec=spec,
         methods=methods,

@@ -193,8 +193,9 @@ def ratio_estimates(s: SummarySet) -> RatioEstimates:
 
     The variance is the first-order delta-method value se_y**2 / beta_x**2,
     which ignores uncertainty in the exposure association. A variant with
-    ``beta_x == 0``, or so close to zero that its ratio overflows, has no
-    ratio and raises :class:`DegenerateInstrumentError`.
+    ``beta_x == 0``, or so close to zero that its ratio overflows, or so large
+    next to ``se_y`` that its variance underflows to zero, has no ratio and
+    raises :class:`DegenerateInstrumentError`.
     """
     beta_x, _, beta_y, se_y = s._cols
     zero = np.flatnonzero(beta_x == 0.0)
@@ -210,7 +211,14 @@ def ratio_estimates(s: SummarySet) -> RatioEstimates:
             f"variant {s.ids[overflow[0]]!r}: ratio estimate overflows; the exposure "
             "association is too close to zero"
         )
-    return RatioEstimates(theta, (se_y / beta_x) ** 2)
+    variance = (se_y / beta_x) ** 2
+    underflow = np.flatnonzero(variance == 0.0)
+    if underflow.size:
+        raise DegenerateInstrumentError(
+            f"variant {s.ids[underflow[0]]!r}: ratio variance underflows to zero; the "
+            "exposure association is too large next to se_y"
+        )
+    return RatioEstimates(theta, variance)
 
 
 def read_csv(source: str | Path | IO[str]) -> SummarySet:

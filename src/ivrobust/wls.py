@@ -90,6 +90,48 @@ class Estimate:
         return self.ci_low > null or self.ci_high < null
 
 
+def _estimate(method: str, theta: float, se: float | None, *, df: int | None = None,
+              ci: tuple[float, float] | None = None, intercept: float | None = None,
+              intercept_se: float | None = None, warnings: tuple[str, ...] = (),
+              **fields) -> Estimate:
+    """The one place where a point estimate and its standard error become an Estimate.
+
+    The reference distribution is normal when ``df`` is None and t(df)
+    otherwise; it gives the 95% interval theta -/+ q * se, unless ``ci`` is
+    passed, and the two-sided p-values. A missing, non-finite or non-positive
+    SE, or an interval that does not strictly bracket theta (an SE tiny next
+    to theta rounds it onto theta), yields an estimate without SE whose
+    warnings start with "standard error unavailable", plus "interval
+    collapsed" when the SE itself was finite. The intercept's SE and p are
+    set only when both the intercept and its SE are finite and the SE is
+    positive. ``fields`` (effects_model, residual_scale) pass through.
+    """
+    if not math.isfinite(theta):
+        raise DegenerateInstrumentError(f"{method}: estimate is not finite ({theta!r})")
+    if se is not None and 0.0 < se < math.inf:
+        if ci is None:
+            q975 = _Z975 if df is None else t_quantile(0.975, df)
+            ci = (theta - q975 * se, theta + q975 * se)
+        if ci[0] < theta < ci[1]:
+            intercept_p = None
+            if intercept_se is not None and 0.0 < intercept_se < math.inf \
+                    and math.isfinite(intercept):
+                intercept_p = _two_sided_p(abs(intercept) / intercept_se, df)
+            else:
+                intercept_se = None
+            return Estimate(method=method, theta=theta, se=se, ci_low=ci[0], ci_high=ci[1],
+                            p_value=_two_sided_p(abs(theta) / se, df), df=df,
+                            intercept=intercept, intercept_se=intercept_se,
+                            intercept_p=intercept_p, warnings=warnings, **fields)
+    collapsed = ("interval collapsed",) if se is not None and math.isfinite(se) else ()
+    return Estimate(method=method, theta=theta, se_reported=False, intercept=intercept,
+                    warnings=("standard error unavailable", *collapsed, *warnings), **fields)
+
+
+def _two_sided_p(z: float, df: int | None) -> float:
+    return 2.0 * normal_sf(z) if df is None else 2.0 * (1.0 - t_cdf(z, df))
+
+
 @dataclass(frozen=True)
 class EggerDiagnostics:
     """Heterogeneity summary of the weighted exposure associations."""
@@ -101,7 +143,14 @@ class EggerDiagnostics:
 
 def inverse_variance_weights(s: SummarySet) -> WeightVector:
     """Weights proportional to the inverse outcome-association variances."""
-    return WeightVector(s.se_y ** -2.0)
+    with np.errstate(over="ignore"):
+        w = s.se_y ** -2.0
+    overflow = np.flatnonzero(np.isinf(w))
+    if overflow.size:
+        raise DegenerateInstrumentError(
+            f"variant {s.ids[overflow[0]]!r}: se_y is so small that its weight overflows"
+        )
+    return WeightVector(w)
 
 
 def _resolve_weights(s: SummarySet, weights: WeightVector | None) -> np.ndarray:
@@ -163,19 +212,8 @@ def ivw(s: SummarySet, weights: WeightVector | None = None,
         resid = y - theta * x
         sigma = math.sqrt(float(np.sum(w * resid * resid)) / (s.j - 1))
         se = se_fixed if effects == "fixed" else se_fixed * max(sigma, 1.0)
-    if not (math.isfinite(theta) and math.isfinite(se) and se > 0.0):
-        raise ArithmeticError("ivw produced a non-finite estimate or standard error")
-    return Estimate(
-        method="ivw",
-        theta=theta,
-        se=se,
-        ci_low=theta - _Z975 * se,
-        ci_high=theta + _Z975 * se,
-        p_value=2.0 * normal_sf(abs(theta) / se),
-        effects_model=effects,
-        residual_scale=sigma,
-        warnings=warnings,
-    )
+    return _estimate("ivw", theta, se, effects_model=effects, residual_scale=sigma,
+                     warnings=warnings)
 
 
 def egger(s: SummarySet, weights: WeightVector | None = None) -> Estimate:
@@ -203,8 +241,9 @@ def egger(s: SummarySet, weights: WeightVector | None = None) -> Estimate:
     sw = float(np.sum(w))
     sx = float(np.sum(w * x))
     sxx = float(np.sum(w * x * x))
-    det = sw * sxx - sx * sx
-    if det <= 1e-12 * sw * sxx:
+    # det / (sw * sxx) of the weighted Gram matrix, formed so that it cannot
+    # overflow; a NaN from overflowed sums fails the test
+    if not (sxx > 0.0 and 1.0 - (sx / sw) * (sx / sxx) > 1e-12):
         raise SingularDesignError(
             "exposure associations are identical under the positive weights; "
             "intercept and slope are not separable"
@@ -212,43 +251,31 @@ def egger(s: SummarySet, weights: WeightVector | None = None) -> Estimate:
     sqw = np.sqrt(w)
     design = np.column_stack([sqw, sqw * x])
     response = sqw * y
-    coef, *_ = np.linalg.lstsq(design, response, rcond=None)
+    try:
+        coef, *_ = np.linalg.lstsq(design, response, rcond=None)
+        xtx_inv = np.linalg.inv(design.T @ design)
+    except np.linalg.LinAlgError:
+        raise SingularDesignError("the weighted design has no least-squares solution") from None
+    if not (xtx_inv[0, 0] > 0.0 and xtx_inv[1, 1] > 0.0):
+        raise SingularDesignError("the weighted design's inverse Gram matrix is not positive")
     intercept, slope = float(coef[0]), float(coef[1])
     resid = response - design @ coef
     df = s.j - 2
     sigma = math.sqrt(float(resid @ resid) / df)
-    xtx_inv = np.linalg.inv(design.T @ design)
     # sigma-free SEs; the random-effects correction multiplies by max(sigma, 1)
     se_slope_unit = math.sqrt(xtx_inv[1, 1])
-    se_int_unit = math.sqrt(xtx_inv[0, 0])
     se_slope = se_slope_unit * max(sigma, 1.0)
-    se_int = se_int_unit * max(sigma, 1.0)
-    q975 = t_quantile(0.975, df)
-    ci_low = slope - q975 * se_slope
-    ci_high = slope + q975 * se_slope
+    se_int = math.sqrt(xtx_inv[0, 0]) * max(sigma, 1.0)
+    ci = None
     if sigma < 1.0:
         # raw-SE t interval vs normal interval on the corrected SE: keep wider
+        q975 = t_quantile(0.975, df)
         se_raw = se_slope_unit * sigma
-        ci_low = min(slope - _Z975 * se_slope, slope - q975 * se_raw)
-        ci_high = max(slope + _Z975 * se_slope, slope + q975 * se_raw)
-    p_slope = 2.0 * (1.0 - t_cdf(abs(slope) / se_slope, df))
-    p_int = 2.0 * (1.0 - t_cdf(abs(intercept) / se_int, df))
-    if not all(map(math.isfinite, (slope, intercept, se_slope, se_int, sigma))):
-        raise ArithmeticError("egger produced a non-finite coefficient or standard error")
-    return Estimate(
-        method="egger",
-        theta=slope,
-        se=se_slope,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        p_value=p_slope,
-        effects_model="multiplicative_random",
-        df=df,
-        intercept=intercept,
-        intercept_se=se_int,
-        intercept_p=p_int,
-        residual_scale=sigma,
-    )
+        ci = (min(slope - _Z975 * se_slope, slope - q975 * se_raw),
+              max(slope + _Z975 * se_slope, slope + q975 * se_raw))
+    return _estimate("egger", slope, se_slope, df=df, ci=ci, intercept=intercept,
+                     intercept_se=se_int, effects_model="multiplicative_random",
+                     residual_scale=sigma)
 
 
 def ivw_bias_term(s: SummarySet, weights: WeightVector | None, alpha) -> float:
@@ -307,7 +334,10 @@ def instrument_strength(s: SummarySet) -> EggerDiagnostics:
         raise InsufficientInstrumentsError("instrument strength needs at least 2 variants")
     v = s.beta_x / s.se_y
     prec = (s.se_y / s.se_x) ** 2.0
-    v_bar = float(np.sum(prec * v)) / float(np.sum(prec))
+    total = float(np.sum(prec))
+    if not 0.0 < total < math.inf:
+        raise DegenerateInstrumentError("instrument strength: the precisions over- or underflow")
+    v_bar = float(np.sum(prec * v)) / total
     q = float(np.sum(prec * (v - v_bar) ** 2.0))
     i2 = 0.0 if q <= 0.0 else max(0.0, (q - (s.j - 1)) / q)
     return EggerDiagnostics(i_squared=i2, q_statistic=q, df=s.j - 1)

@@ -10,9 +10,10 @@ from ivrobust.exceptions import (
     DegenerateInstrumentError,
     EstimationError,
     InsufficientInstrumentsError,
+    SingularDesignError,
 )
 from ivrobust.penalization import cochran_q_egger, cochran_q_ivw, penalize_weights
-from ivrobust.summary_data import harmonize
+from ivrobust.summary_data import SummarySet, harmonize
 from ivrobust.wls import egger, inverse_variance_weights, ivw
 
 from _helpers import make_set
@@ -183,3 +184,81 @@ class TestOverflowingRatio:
         s = make_set([1e-310, 0.1, 0.2], [0.01] * 3, [1.0, 0.01, 0.02], [0.05] * 3)
         got = run_methods(s, ("ivw", "robust_ivw"), seed=1)
         assert all(np.isfinite(est.theta) for est in got.values())
+
+
+REGRESSIONS = ALL_METHODS[:8]
+
+
+class TestExtremeFiniteValues:
+    """Finite values so large or small that a fit over- or underflows: an EstimationError
+    or an estimate without SE, never a bare ValueError or ArithmeticError."""
+
+    @pytest.mark.parametrize("method", ["ivw", "penalized_ivw"])
+    def test_interval_rounding_onto_estimate_reports_no_se(self, method):
+        s = SummarySet.from_arrays([1, 1.5, 2], [0.01] * 3, [1e8, 1.5e8, 2e8], [1e-10] * 3)
+        est = run_methods(s, (method,), seed=1)[method]
+        assert est.theta == 1e8
+        assert not est.se_reported and est.se is None and est.p_value is None
+        assert est.warnings == ("standard error unavailable", "interval collapsed")
+
+    def test_overflowing_moments(self):
+        s = SummarySet.from_arrays([1e200, 2e200, 3e200], [1.0] * 3,
+                                   [1e200, 2e200, 3e200], [1.0] * 3)
+        with pytest.raises(DegenerateInstrumentError, match="ivw: estimate is not finite"):
+            run_methods(s, ("ivw",), seed=1)
+        with pytest.raises(SingularDesignError, match="inverse Gram matrix"):
+            run_methods(s, ("egger",), seed=1)
+        with pytest.raises(DegenerateInstrumentError, match="ratio variance underflows"):
+            run_methods(s, ("simple_median",), seed=1, bootstrap_draws=50)
+
+    def test_overflowing_inverse_variance_weights(self):
+        s = make_set([0.1, 0.2, 0.3], [0.01] * 3, [0.01, 0.02, 0.03], [1e-160] * 3)
+        for method in REGRESSIONS:
+            with pytest.raises(DegenerateInstrumentError, match="'v1': se_y is so small"):
+                run_methods(s, (method,), seed=1)
+        for method in ("weighted_median", "penalized_weighted_median"):
+            with pytest.raises(DegenerateInstrumentError, match="weight overflows"):
+                run_methods(s, (method,), seed=1, bootstrap_draws=50)
+        # the equal-weight median needs no inverse-variance weights
+        est = run_methods(s, ("simple_median",), seed=1, bootstrap_draws=50)["simple_median"]
+        assert est.theta == pytest.approx(0.1)
+
+    def test_undefined_heterogeneity_statistic(self):
+        # ratios near 1e160 with infinite delta-method variances: Q_j = inf / inf
+        s = make_set([1e-160, 2e-160, 3e-160], [0.01] * 3, [1.0, 2.0, 3.5], [1.0] * 3)
+        assert np.isfinite(run_methods(s, ("ivw",), seed=1)["ivw"].theta)
+        for method in ("penalized_ivw", "penalized_robust_ivw"):
+            with pytest.raises(DegenerateInstrumentError, match="overflows to NaN"):
+                run_methods(s, (method,), seed=1)
+
+    def test_egger_intercept_se_overflow_leaves_it_unset(self):
+        s = SummarySet.from_arrays(
+            [-1.2e180, 3.4e180, 5.0e180, -2.1e180, -3.6e180, -2.7e180], [1e-187] * 6,
+            [-2.5e-96, 6.9e-96, 1.0e-95, -4.3e-96, -7.3e-96, -5.6e-96],
+            [1.1e158, 3.7e157, 1.6e157, 7.7e157, 9.2e157, 2.6e157])
+        est = run_methods(s, ("egger",), seed=1)["egger"]
+        assert est.se_reported and est.intercept is not None
+        assert est.intercept_se is None and est.intercept_p is None
+
+    def test_egger_determinant_free_of_overflow(self):
+        # sw * sxx overflows, yet the design is well separated
+        s = make_set([6.2e-65, 2.7e-65, 4.1e-65, 2.0e-65, -8.7e-66, 3.1e-65, 5.5e-65], [1e-66] * 7,
+                     [-7.2e-216, -3.2e-216, -4.7e-216, -2.4e-216, 1.0e-216, -3.6e-216, -6.4e-216],
+                     [5.9e-110, 1.6e-109, 2.1e-109, 1.3e-109, 1.5e-109, 2.2e-109, 6.2e-110])
+        assert run_methods(s, ("egger",), seed=1)["egger"].se_reported
+
+    def test_egger_lstsq_failure_is_singular_design(self, summary, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "lstsq", fail)
+        with pytest.raises(SingularDesignError, match="no least-squares solution"):
+            run_methods(summary, ("egger",), seed=1)
+
+    def test_median_without_finite_bootstrap_se(self):
+        # draws of beta_x near zero overflow beta_y / beta_x: the bootstrap SE is NaN
+        s = make_set([1.0, 1.1, 0.9], [1.0] * 3, [1e308, 1.1e308, 0.9e308], [1.0] * 3)
+        for method in ("simple_median", "weighted_median"):
+            est = run_methods(s, (method,), seed=1, bootstrap_draws=50)[method]
+            assert est.theta == 1e308
+            assert est.warnings == ("standard error unavailable",)

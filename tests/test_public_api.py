@@ -9,7 +9,6 @@ import ivrobust
 
 AGREED = [
     "ALL_METHODS",
-    "BisquareParams",
     "CsvParseError",
     "DegenerateInstrumentError",
     "Estimate",

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from ivrobust.exceptions import (
     InsufficientInstrumentsError,
 )
 from ivrobust.robust_mm import (
-    BisquareParams,
     _design,
     _m_scale_batch,
     _normal_consistency,
@@ -91,10 +91,6 @@ class TestBisquareLoss:
     def test_tuning_validated(self):
         with pytest.raises(ValueError):
             rho_bisquare(1.0, 0.0)
-        with pytest.raises(ValueError):
-            BisquareParams(c_s=-1.0)
-        with pytest.raises(ValueError):
-            BisquareParams(breakdown=1.0)
 
 
 class TestMScale:
@@ -274,7 +270,6 @@ def s_stage_case(seed):
 
 class TestSStagePruning:
     def test_same_winner_as_solving_every_candidate(self, monkeypatch):
-        params = BisquareParams()
         sizes = []
         real_batch = robust_mm._m_scale_batch
 
@@ -290,14 +285,14 @@ class TestSStagePruning:
                 with monkeypatch.context() as m:
                     m.setattr(robust_mm, "_m_scale_batch", counting_batch)
                     sizes.clear()
-                    pruned = _s_stage(s, design, response, params,
-                                      np.random.Generator(np.random.Philox(seed)), 500, 2)
+                    pruned = _s_stage(s, design, response,
+                                      np.random.Generator(np.random.Philox(seed)))
                     solved_last = sum(sizes[2:])
                 with monkeypatch.context() as m:
                     m.setattr(robust_mm, "_contending_scales",
                               lambda resid, c, bd, prev, active: _m_scale_batch(resid, c, bd))
-                    full = _s_stage(s, design, response, params,
-                                    np.random.Generator(np.random.Philox(seed)), 500, 2)
+                    full = _s_stage(s, design, response,
+                                    np.random.Generator(np.random.Philox(seed)))
                 np.testing.assert_array_equal(pruned[0], full[0])
                 assert pruned[1:] == full[1:]
                 if seed % 3 != 2:
@@ -323,6 +318,37 @@ class TestCollapsedInterval:
                           ("penalized_robust_ivw",), seed=4)["penalized_robust_ivw"]
         assert not est.se_reported
         assert "interval collapsed" in est.warnings
+
+
+class TestOverflowingFits:
+    # residuals near 1e155: the S-scale's square overflows the sandwich
+    SET = dict(beta_x=[1.0, 2.0, 3.0, 4.0, 5.0], se_x=[0.01] * 5,
+               beta_y=[3e155, -2e155, 1e155, 5e155, -4e155], se_y=[1.0] * 5)
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_squared_scale_overflow_reports_no_se(self, intercept):
+        fit, est = mm_regress(make_set(**self.SET, harmonized=True), intercept=intercept, seed=1)
+        assert fit.converged and not fit.se_available
+        assert math.isfinite(est.theta) and not est.se_reported
+        assert est.warnings == ("standard error unavailable",)
+
+    def test_no_se_keeps_nonconvergence_warning(self, monkeypatch):
+        monkeypatch.setattr(robust_mm, "M_STEP_MAX_ITER", 1)
+        est = run_methods(make_set(**self.SET), ("robust_ivw",), seed=1)["robust_ivw"]
+        assert est.warnings == ("standard error unavailable", "M-step did not converge")
+
+    def test_overflowing_candidates_are_redrawn(self):
+        # y / x overflows for the subnormal beta_x; such subsets must never
+        # reach the scale solves, which would warn on inf and NaN residuals
+        s = make_set([1e-310, 0.1, 0.2], [0.01] * 3, [1.0, 0.01, 0.02], [0.05] * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ivw_fit = run_methods(s, ("robust_ivw",), seed=1)["robust_ivw"]
+            egger_fit = run_methods(s, ("robust_egger",), seed=1)["robust_egger"]
+        assert ivw_fit.theta == 0.1
+        assert egger_fit.theta == pytest.approx(-4.9, rel=1e-15)
+        for est in (ivw_fit, egger_fit):
+            assert est.warnings == ("standard error unavailable", "exact fit")
 
 
 class TestNormalConsistency:
@@ -490,8 +516,6 @@ class TestMmRegress:
                          harmonized=True)
         with pytest.raises(DegenerateInstrumentError):
             mm_regress(zeros)
-        with pytest.raises(ValueError):
-            mm_regress(line_set(np.array([0.1, 0.2, 0.3]), np.zeros(3)), n_candidates=0)
 
     def test_converges_and_reports_iterations(self):
         rng = np.random.default_rng(181)
