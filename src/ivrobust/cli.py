@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .estimators import ALL_METHODS, run_methods
+from .estimators import ALL_METHODS, _check_methods, run_methods
 from .exceptions import CsvParseError, EstimationError
 from .penalization import cochran_q_ivw
 from .distributions import chisq_sf
@@ -34,12 +34,10 @@ EXIT_PRECONDITION = 3
 def _method_list(text: str) -> tuple[str, ...]:
     if text.strip() == "all":
         return ALL_METHODS
-    names = tuple(part.strip() for part in text.split(",") if part.strip())
-    unknown = [m for m in names if m not in ALL_METHODS]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown method(s) {', '.join(unknown)}; choose from {', '.join(ALL_METHODS)}"
-        )
+    try:
+        names = _check_methods(part.strip() for part in text.split(",") if part.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if not names:
         raise argparse.ArgumentTypeError("no methods given")
     return names
@@ -143,15 +141,22 @@ def _cmd_analyze(args) -> int:
 
 
 def _diagnostics(hs) -> dict:
+    """I^2 and Cochran's Q; one that raises EstimationError is None, its reason in warnings."""
     out: dict = {"n_variants": hs.j}
+    warnings = []
     if hs.j >= 2:
-        strength = instrument_strength(hs)
-        reference = ivw(hs, inverse_variance_weights(hs))
-        q = cochran_q_ivw(hs, reference.theta)
-        out["i_squared"] = strength.i_squared
-        out["q_statistic"] = q.q_total
-        out["q_df"] = q.df_total
-        out["q_p_value"] = chisq_sf(q.q_total, q.df_total) if q.df_total >= 1 else None
+        try:
+            out["i_squared"] = instrument_strength(hs)
+        except EstimationError as exc:
+            out["i_squared"] = None
+            warnings.append(f"I^2 unavailable: {exc}")
+        out.update(q_statistic=None, q_df=hs.j - 1, q_p_value=None)
+        try:
+            q = cochran_q_ivw(hs, ivw(hs, inverse_variance_weights(hs)).theta)
+            out.update(q_statistic=q.q_total, q_p_value=chisq_sf(q.q_total, q.df_total))
+        except EstimationError as exc:
+            warnings.append(f"Q unavailable: {exc}")
+    out["warnings"] = warnings
     return out
 
 
@@ -196,11 +201,15 @@ def _print_table(estimates, diagnostics: dict) -> None:
                    else f"{'':>9}")
         print(f"{est.method:<26} {est.theta:9.4f} {se} {ci} {p} {inter} {inter_p}")
     if "i_squared" in diagnostics:
+        i2, q = diagnostics["i_squared"], diagnostics["q_statistic"]
+        i2_text = "NA" if i2 is None else f"{100 * i2:.1f}%"
+        q_text = ("NA" if q is None else
+                  f"{q:.2f} (df {diagnostics['q_df']}, p {diagnostics['q_p_value']:.3g})")
         print()
         print(f"variants: {diagnostics['n_variants']}   "
-              f"I^2 (instrument strength): {100 * diagnostics['i_squared']:.1f}%   "
-              f"Q: {diagnostics['q_statistic']:.2f} "
-              f"(df {diagnostics['q_df']}, p {diagnostics['q_p_value']:.3g})")
+              f"I^2 (instrument strength): {i2_text}   Q: {q_text}")
+        for reason in diagnostics["warnings"]:
+            print(f"  {reason}")
 
 
 def _cmd_simulate(args) -> int:

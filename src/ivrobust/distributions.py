@@ -184,11 +184,6 @@ def t_cdf(x: float, df: int) -> float:
     return 1.0 - tail if x > 0.0 else tail
 
 
-def t_sf(x: float, df: int) -> float:
-    """P(T > x); symmetric complement of :func:`t_cdf`."""
-    return t_cdf(-x, df)
-
-
 def t_pdf(x: float, df: int) -> float:
     """Student t density."""
     d = _check_df(df)

@@ -62,6 +62,18 @@ _STREAMS = {
 }
 
 
+def _check_methods(methods) -> tuple[str, ...]:
+    """``methods`` as a tuple; ValueError for an unknown or a repeated method id."""
+    methods = tuple(methods)
+    unknown = [m for m in methods if m not in ALL_METHODS]
+    if unknown:
+        raise ValueError(f"unknown method id(s): {', '.join(unknown)}; "
+                         f"choose from {', '.join(ALL_METHODS)}")
+    if len(set(methods)) != len(methods):
+        raise ValueError("duplicate method ids requested")
+    return methods
+
+
 def _stream(root: np.random.SeedSequence, name: str) -> np.random.SeedSequence:
     # stateless child derivation: spawn_key extended by the method's index,
     # so repeated calls with the same root always yield the same stream
@@ -82,12 +94,7 @@ def _fit_each(s: SummarySet, methods, *, effects: str = "multiplicative_random",
     next method needing it, which is deterministic because none of them draws
     random numbers.
     """
-    methods = tuple(methods)
-    unknown = [m for m in methods if m not in ALL_METHODS]
-    if unknown:
-        raise ValueError(f"unknown method id(s): {', '.join(unknown)}")
-    if len(set(methods)) != len(methods):
-        raise ValueError("duplicate method ids requested")
+    methods = _check_methods(methods)
     hs = s if s.harmonized else harmonize(s)
     root = as_seed_sequence(seed)
 

@@ -77,7 +77,9 @@ def _weighted_median_rows(theta: np.ndarray, w: np.ndarray) -> np.ndarray:
     s_hi = s[rows, kc + 1]
     th_lo = th[rows, kc]
     th_hi = th[rows, kc + 1]
-    est = th_lo + (th_hi - th_lo) * ((0.5 - s_lo) / (s_hi - s_lo))
+    # infinite or near-overflow values interpolate to inf or NaN, which the callers reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = th_lo + (th_hi - th_lo) * ((0.5 - s_lo) / (s_hi - s_lo))
     return np.where(k < 0, th[:, 0], est)
 
 
@@ -107,8 +109,9 @@ def bootstrap_se(s: SummarySet, weights, draws: int = 1000, seed=None) -> float:
         scales = np.broadcast_to(se_x, bx.shape)[zero]
         bx[zero] = rng.normal(locs, scales)
         zero = bx == 0.0
-    meds = _weighted_median_rows(by / bx, w)
-    return float(np.std(meds, ddof=1))
+    # an overflowing ratio draw gives a non-finite SE, which _estimate reports as absent
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.std(_weighted_median_rows(by / bx, w), ddof=1))
 
 
 def _median_estimate(s: SummarySet, weights: np.ndarray, method: str,
@@ -117,7 +120,10 @@ def _median_estimate(s: SummarySet, weights: np.ndarray, method: str,
     return _estimate(method, theta, bootstrap_se(s, weights, draws=draws, seed=seed))
 
 
-def _estimator_weights(raw: np.ndarray, method: str) -> np.ndarray:
+def _estimator_weights(s: SummarySet, method: str, factor=1.0) -> np.ndarray:
+    # inverse-variance weights beta_x^2 / se_y^2 times penalty factors
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # rejected below
+        raw = s.beta_x ** 2.0 / s.se_y ** 2.0 * factor
     if not np.all(np.isfinite(raw)):
         raise DegenerateInstrumentError(f"{method}: a weight overflows or is undefined")
     # weights that all underflow to zero leave no variant to take a median of
@@ -141,7 +147,7 @@ def weighted_median_estimate(s: SummarySet, draws: int = 1000, seed=None) -> Est
     delta-method variances of the ratio estimates; consistent when valid
     instruments carry at least half the total weight.
     """
-    weights = _estimator_weights(s.beta_x ** 2.0 / s.se_y ** 2.0, "weighted_median")
+    weights = _estimator_weights(s, "weighted_median")
     return _median_estimate(s, weights, "weighted_median", draws, seed)
 
 
@@ -154,8 +160,6 @@ def penalized_weighted_median(s: SummarySet, draws: int = 1000, seed=None) -> Es
     multiplied by min(1, 20 p_j) before the final median and its bootstrap.
     """
     method = "penalized_weighted_median"
-    raw = s.beta_x ** 2.0 / s.se_y ** 2.0
-    reference = weighted_median(ratio_estimates(s).theta, _estimator_weights(raw, method))
-    report = cochran_q_ivw(s, reference)
-    penalized = _estimator_weights(raw * report.factor_j, method)
+    reference = weighted_median(ratio_estimates(s).theta, _estimator_weights(s, method))
+    penalized = _estimator_weights(s, method, cochran_q_ivw(s, reference).factor_j)
     return _median_estimate(s, penalized, method, draws, seed)

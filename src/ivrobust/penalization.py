@@ -67,7 +67,8 @@ def cochran_q_ivw(s: SummarySet, theta_ref: float) -> PenaltyReport:
     freedom when used as a model-fit diagnostic.
     """
     r = ratio_estimates(s)
-    q_j = (r.theta - float(theta_ref)) ** 2.0 / r.variance
+    with np.errstate(over="ignore", invalid="ignore"):  # _factors rejects a NaN q_j
+        q_j = (r.theta - float(theta_ref)) ** 2.0 / r.variance
     p_j, factor_j = _factors(q_j)
     return PenaltyReport(
         q_total=float(np.sum(q_j)),
@@ -89,8 +90,9 @@ def cochran_q_egger(s: SummarySet, intercept_ref: float, slope_ref: float) -> Pe
         raise InsufficientInstrumentsError(
             f"per-variant fit statistics about an intercept model need J >= 3, got {s.j}"
         )
-    resid = s.beta_y - float(intercept_ref) - float(slope_ref) * s.beta_x
-    q_j = (resid / s.se_y) ** 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # _factors rejects a NaN q_j
+        resid = s.beta_y - float(intercept_ref) - float(slope_ref) * s.beta_x
+        q_j = (resid / s.se_y) ** 2.0
     p_j, factor_j = _factors(q_j)
     return PenaltyReport(
         q_total=float(np.sum(q_j)),

@@ -12,29 +12,33 @@ are solved, in the spirit of Salibian-Barrera & Yohai (2006), "A fast
 algorithm for S-regression estimates"; the winner is the one a solve of every
 candidate would pick. Slope uncertainty comes from the standard M-estimation
 sandwich, post-processed the same way as the weighted least-squares fits
-(multiplicative random effects).
+(multiplicative random effects). Every weighted least-squares step of both
+stages, and the inverse of the sandwich's bread, is the closed form of
+:func:`ivrobust.wls._wls_rows`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from ._util import as_seed_sequence
-from .distributions import normal_sf
 from .exceptions import (
     DegenerateInstrumentError,
     InsufficientInstrumentsError,
     SingularDesignError,
 )
 from .summary_data import SummarySet
-from .wls import EFFECTS_MODELS, Estimate, WeightVector, _estimate, _resolve_weights
+from .wls import (EFFECTS_MODELS, Estimate, WeightVector, _design, _estimate, _intercept_fit,
+                  _resolve_weights, _wls_rows)
 
 C_S = 1.548  # scale (S) stage: 50% breakdown
 C_M = 4.685  # efficiency (M) stage: 95% efficiency under normal errors
 BREAKDOWN = 0.5  # right-hand side of the M-scale equation
+# E[rho_norm(Z / KAPPA, C_S)] = BREAKDOWN for Z ~ N(0, 1): the S-scale of
+# N(0, sigma^2) residuals divided by KAPPA is consistent for sigma
+KAPPA = 0.9997706595143547
 N_CANDIDATES = 500
 REFINE_STEPS = 2
 M_STEP_TOL = 1e-10
@@ -62,35 +66,28 @@ class RobustFit:
 def rho_bisquare(r, c: float = C_S):
     """Bisquare loss: (c^2/6) * (1 - (1 - (r/c)^2)^3), capped at c^2/6."""
     _check_tuning(c)
-    r = np.asarray(r, dtype=float)
-    u2 = np.minimum((r / c) ** 2, 1.0)
-    out = (c * c / 6.0) * (1.0 - (1.0 - u2) ** 3)
+    out = (c * c / 6.0) * _rho_norm(r, c)
     return out if out.ndim else float(out)
 
 
 def psi_bisquare(r, c: float = C_M):
     """Bisquare score r * (1 - (r/c)^2)^2, zero outside |r| <= c."""
     _check_tuning(c)
-    r = np.asarray(r, dtype=float)
-    u2 = (r / c) ** 2
-    out = np.where(u2 < 1.0, r * (1.0 - u2) ** 2, 0.0)
+    out = np.asarray(r, dtype=float) * (1.0 - _u2(r, c)) ** 2
     return out if out.ndim else float(out)
 
 
 def weight_bisquare(r, c: float = C_M):
     """IRLS weight psi(r)/r = (1 - (r/c)^2)^2, zero outside |r| <= c."""
     _check_tuning(c)
-    r = np.asarray(r, dtype=float)
-    u2 = (r / c) ** 2
-    out = np.where(u2 < 1.0, (1.0 - u2) ** 2, 0.0)
+    out = (1.0 - _u2(r, c)) ** 2
     return out if out.ndim else float(out)
 
 
 def _psi_prime_bisquare(r, c: float):
     # d/dr psi = (1 - u^2)(1 - 5 u^2) on the support, u = r/c
-    r = np.asarray(r, dtype=float)
-    u2 = (r / c) ** 2
-    out = np.where(u2 < 1.0, (1.0 - u2) * (1.0 - 5.0 * u2), 0.0)
+    u2 = _u2(r, c)
+    out = (1.0 - u2) * (1.0 - 5.0 * u2)
     return out if out.ndim else float(out)
 
 
@@ -99,10 +96,14 @@ def _check_tuning(c: float) -> None:
         raise ValueError(f"tuning constant must be positive, got {c!r}")
 
 
-def _rho_norm(u: np.ndarray, c: float) -> np.ndarray:
+def _u2(r, c: float) -> np.ndarray:
+    # min((r/c)^2, 1), clipped before the square so that no |r| >= c can overflow
+    return np.minimum(np.abs(np.asarray(r, dtype=float)) / c, 1.0) ** 2
+
+
+def _rho_norm(u, c: float) -> np.ndarray:
     # rho scaled to max 1: 1 - (1 - min(u^2/c^2, 1))^3
-    u2 = np.minimum((u / c) ** 2, 1.0)
-    return 1.0 - (1.0 - u2) ** 3
+    return 1.0 - (1.0 - _u2(u, c)) ** 3
 
 
 def _m_scale_batch(resid: np.ndarray, c: float, breakdown: float):
@@ -143,17 +144,19 @@ def _m_scale_batch(resid: np.ndarray, c: float, breakdown: float):
         g = (1.0 - breakdown) - np.einsum("ij,ij->i", w2, w) / n
         return g, np.einsum("ij,ij->i", w2, u2) / n
 
-    # every nonzero residual sits at or past c at s = lo, so g(lo) >= 0;
-    # expand hi until g(hi) <= 0
-    for _ in range(200):
-        need = solve & (g_and_slope(a, hi)[0] > 0.0)
-        if not np.any(need):
-            break
-        hi = np.where(need, hi * 2.0, hi)
+    # an overflowing c * s or |r| / (c s) gives u^2 = 0 or a clipped u^2 = 1, and a
+    # Newton step that divides by zero or overflows lands outside the bracket
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # every nonzero residual sits at or past c at s = lo, so g(lo) >= 0;
+        # expand hi until g(hi) <= 0
+        for _ in range(200):
+            need = solve & (g_and_slope(a, hi)[0] > 0.0)
+            if not np.any(need):
+                break
+            hi = np.where(need, hi * 2.0, hi)
 
-    s = hi.copy()
-    pending = solve & ~plateau
-    with np.errstate(divide="ignore", invalid="ignore"):
+        s = hi.copy()
+        pending = solve & ~plateau
         for _ in range(_NEWTON_MAX_ITER):
             if not np.any(pending):
                 break
@@ -167,16 +170,16 @@ def _m_scale_batch(resid: np.ndarray, c: float, breakdown: float):
             settled = np.abs(step - s) <= 4.0 * _EPS * step
             np.copyto(s, step, where=pending)
             pending &= ~settled
-    if np.any(pending):
-        rows = a[pending]
-        b_lo = lo[pending]
-        b_hi = hi[pending]
-        for _ in range(_BISECT_STEPS):
-            mid = 0.5 * (b_lo + b_hi)
-            above = g_and_slope(rows, mid)[0] > 0.0
-            b_lo = np.where(above, mid, b_lo)
-            b_hi = np.where(above, b_hi, mid)
-        s[pending] = 0.5 * (b_lo + b_hi)
+        if np.any(pending):
+            rows = a[pending]
+            b_lo = lo[pending]
+            b_hi = hi[pending]
+            for _ in range(_BISECT_STEPS):
+                mid = 0.5 * (b_lo + b_hi)
+                above = g_and_slope(rows, mid)[0] > 0.0
+                b_lo = np.where(above, mid, b_lo)
+                b_hi = np.where(above, b_hi, mid)
+            s[pending] = 0.5 * (b_lo + b_hi)
     s = np.where(plateau, lo, s)
     return np.where(exact, 0.0, s), exact
 
@@ -204,66 +207,6 @@ def m_scale(residuals, c: float = C_S, breakdown: float = BREAKDOWN) -> tuple[fl
     return float(scales[0]), bool(exact[0])
 
 
-@lru_cache(maxsize=None)
-def _normal_consistency(c: float, breakdown: float) -> float:
-    # kappa with E[rho_norm(Z / kappa, c)] = breakdown under Z ~ N(0, 1);
-    # dividing an M-scale of N(0, sigma^2) residuals by kappa recovers sigma.
-    nodes, weights = np.polynomial.legendre.leggauss(128)
-
-    def expectation(kappa: float) -> float:
-        half = 0.5 * c * kappa
-        z = half * (nodes + 1.0)
-        dens = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        inner = 2.0 * half * float(np.sum(weights * dens * _rho_norm(z / kappa, c)))
-        return inner + 2.0 * normal_sf(c * kappa)
-
-    lo, hi = 1e-3, 1e3
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if expectation(mid) > breakdown:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _design(s: SummarySet, w: np.ndarray, intercept: bool):
-    sqw = np.sqrt(w)
-    cols = [sqw, sqw * s.beta_x] if intercept else [sqw * s.beta_x]
-    return np.column_stack(cols), sqw * s.beta_y
-
-
-def _candidate_residuals(design: np.ndarray, response: np.ndarray, coefs: np.ndarray):
-    return response[None, :] - coefs @ design.T
-
-
-def _weighted_solve_rows(design: np.ndarray, response: np.ndarray,
-                         irls_w: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-    """One weighted LS step per candidate row; singular rows keep old coefs."""
-    p = design.shape[1]
-    if p == 1:
-        x = design[:, 0]
-        den = irls_w @ (x * x)
-        num = irls_w @ (x * response)
-        ok = (den > 0.0) & np.isfinite(den) & np.isfinite(num)
-        out = coefs.copy()
-        out[ok, 0] = num[ok] / den[ok]
-        return out
-    x0 = design[:, 0]
-    x1 = design[:, 1]
-    s00 = irls_w @ (x0 * x0)
-    s01 = irls_w @ (x0 * x1)
-    s11 = irls_w @ (x1 * x1)
-    r0 = irls_w @ (x0 * response)
-    r1 = irls_w @ (x1 * response)
-    det = s00 * s11 - s01 * s01
-    ok = (det > 1e-12 * np.maximum(s00 * s11, 1e-300)) & np.isfinite(det)
-    out = coefs.copy()
-    out[ok, 0] = (s11[ok] * r0[ok] - s01[ok] * r1[ok]) / det[ok]
-    out[ok, 1] = (s00[ok] * r1[ok] - s01[ok] * r0[ok]) / det[ok]
-    return out
-
-
 def _contending_scales(resid: np.ndarray, c: float, breakdown: float,
                        prev_scales: np.ndarray, active: np.ndarray):
     """M-scales of the active rows that can hold the smallest one, +inf elsewhere.
@@ -286,7 +229,8 @@ def _contending_scales(resid: np.ndarray, c: float, breakdown: float,
         return scales, exact
     ref = int(np.argmin(np.where(live, prev_scales, np.inf)))
     s_ref = _m_scale_batch(resid[ref:ref + 1], c, breakdown)[0][0]
-    g = _rho_norm(resid / s_ref, c).mean(axis=1) - breakdown
+    with np.errstate(over="ignore"):  # |r| / s_ref = inf scores like any |r| > c s_ref
+        g = _rho_norm(resid / s_ref, c).mean(axis=1) - breakdown
     keep = live & (g <= _PRUNE_MARGIN)
     keep[ref] = True
     scales[keep] = _m_scale_batch(resid[keep], c, breakdown)[0]
@@ -316,7 +260,7 @@ def _s_stage(s: SummarySet, design, response, rng):
                     | (x[i0] == x[i1])
                 slope = (y[i1] - y[i0]) / (x[i1] - x[i0])
                 coefs = np.column_stack([y[i0] - slope * x[i0], slope])
-            resid = _candidate_residuals(design, response, coefs)
+            resid = response - coefs @ design.T
         # candidates interpolate their own subset points; zero those residuals
         # explicitly so rounding dust cannot mask an exact fit
         resid[np.arange(N_CANDIDATES)[:, None], idx] = 0.0
@@ -335,11 +279,16 @@ def _s_stage(s: SummarySet, design, response, rng):
         if not np.any(active):
             break
         safe = np.where(scales > 0.0, scales, 1.0)
-        irls_w = weight_bisquare(resid / safe[:, None], C_S)
+        with np.errstate(over="ignore"):  # an infinite standardized residual weighs 0
+            irls_w = weight_bisquare(resid / safe[:, None], C_S)
         irls_w[exact] = 0.0
-        updated = _weighted_solve_rows(design, response, irls_w, coefs)
-        coefs = np.where(active[:, None], updated, coefs)
-        resid = _candidate_residuals(design, response, coefs)
+        updated, _, ok = _wls_rows(irls_w, design, response)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stepped = response - updated @ design.T
+        # a row whose Gram matrix is singular or whose step overflows keeps its fit
+        take = (active & ok & np.isfinite(stepped).all(axis=1))[:, None]
+        coefs = np.where(take, updated, coefs)
+        resid = np.where(take, stepped, resid)
         if step + 1 < REFINE_STEPS:
             new_scales, new_exact = _m_scale_batch(resid, C_S, BREAKDOWN)
         else:
@@ -356,42 +305,38 @@ def _m_stage(design, response, beta, s_star: float):
     """IRLS under the C_M loss at the fixed S-scale, then the sandwich SEs.
 
     Returns (coefficients, converged, iterations, raw SEs in coefficient
-    order); the SEs are None when the sandwich is singular, a variance is not
-    positive and finite, or the squared scale overflows.
+    order); the SEs are None when the bread is not invertible, a variance is
+    not positive and finite, or the squared scale overflows.
     """
     converged = False
     iterations = 0
-    for iterations in range(1, M_STEP_MAX_ITER + 1):
-        resid = response - design @ beta
-        irls_w = weight_bisquare(resid / s_star, C_M)
-        a_mat = (design * irls_w[:, None]).T @ design
-        rhs = design.T @ (irls_w * response)
-        try:
-            beta_new = np.linalg.solve(a_mat, rhs)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(beta_new)):
-            break
-        delta = float(np.max(np.abs(beta_new - beta)))
-        beta = beta_new
-        if delta <= M_STEP_TOL * max(1.0, float(np.max(np.abs(beta)))):
-            converged = True
-            break
+    # a non-finite step ends the iteration and a non-finite variance leaves the SEs unset
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, M_STEP_MAX_ITER + 1):
+            irls_w = weight_bisquare((response - design @ beta) / s_star, C_M)
+            beta_new, _, ok = _wls_rows(irls_w[None, :], design, response)
+            beta_new = beta_new[0]
+            if not (ok[0] and np.all(np.isfinite(beta_new))):
+                break
+            delta = float(np.max(np.abs(beta_new - beta)))
+            beta = beta_new
+            if delta <= M_STEP_TOL * max(1.0, float(np.max(np.abs(beta)))):
+                converged = True
+                break
 
-    u = (response - design @ beta) / s_star
-    psi = psi_bisquare(u, C_M)
-    dpsi = _psi_prime_bisquare(u, C_M)
-    bread = (design * dpsi[:, None]).T @ design
-    meat = (design * (psi * psi)[:, None]).T @ design
-    ses = None
-    if np.all(np.isfinite(bread)) and np.linalg.cond(bread) < 1e12:
-        bread_inv = np.linalg.inv(bread)
-        try:
-            variances = np.diag((s_star ** 2) * bread_inv @ meat @ bread_inv).tolist()
-        except OverflowError:  # the squared scale is not representable
-            variances = [math.nan]
-        if all(0.0 < v < math.inf for v in variances):
-            ses = [math.sqrt(v) for v in variances]
+        u = (response - design @ beta) / s_star
+        psi = psi_bisquare(u, C_M)
+        # the bread is the Gram matrix of the design under the weights psi'(u)
+        _, bread_inv, ok = _wls_rows(_psi_prime_bisquare(u, C_M)[None, :], design, response)
+        meat = (design * (psi * psi)[:, None]).T @ design
+        ses = None
+        if ok[0]:
+            try:
+                variances = np.diag((s_star ** 2) * bread_inv[0] @ meat @ bread_inv[0]).tolist()
+            except OverflowError:  # the squared scale is not representable
+                variances = [math.nan]
+            if all(0.0 < v < math.inf for v in variances):
+                ses = [math.sqrt(v) for v in variances]
     return beta, converged, iterations, ses
 
 
@@ -442,20 +387,16 @@ def mm_regress(s: SummarySet, weights: WeightVector | None = None,
             f"{'with' if intercept else 'without'} an intercept, got {s.j}"
         )
     w = _resolve_weights(s, weights)
-    x = s.beta_x
-    if intercept:
-        sw = float(np.sum(w))
-        sx = float(np.sum(w * x))
-        sxx = float(np.sum(w * x * x))
-        if sw <= 0.0 or sw * sxx - sx * sx <= 1e-12 * sw * sxx:
-            raise SingularDesignError(
-                "exposure associations are identical under the positive weights"
-            )
-    elif float(np.sum(w * x * x)) <= 0.0:
-        raise DegenerateInstrumentError(
-            "every positively weighted exposure association is zero"
-        )
     design, response = _design(s, w, intercept)
+    if intercept:
+        _intercept_fit(design, response)
+    else:
+        with np.errstate(over="ignore"):  # an overflowing sum is positive
+            sxx = float(np.sum(w * s.beta_x * s.beta_x))
+        if sxx <= 0.0:
+            raise DegenerateInstrumentError(
+                "every positively weighted exposure association is zero"
+            )
     rng = np.random.Generator(np.random.Philox(as_seed_sequence(seed)))
     beta, s_star, exact = _s_stage(s, design, response, rng)
     exact = exact or s_star == 0.0
@@ -463,7 +404,7 @@ def mm_regress(s: SummarySet, weights: WeightVector | None = None,
     ses = [None] * design.shape[1]
     if not exact:
         beta, converged, iterations, raw = _m_stage(design, response, beta, s_star)
-        sigma = s_star / _normal_consistency(C_S, BREAKDOWN)
+        sigma = s_star / KAPPA
         if raw is not None:
             correction = sigma if effects == "fixed" else min(sigma, 1.0)
             ses = [v / correction for v in raw]

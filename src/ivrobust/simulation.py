@@ -33,10 +33,10 @@ from typing import IO
 
 import numpy as np
 
-from .estimators import ALL_METHODS, _fit_each
+from .estimators import ALL_METHODS, _check_methods, _fit_each
 from .exceptions import EstimationError
 from .summary_data import SummarySet, harmonize
-from .wls import Estimate, i_squared_instrument_strength
+from .wls import Estimate, instrument_strength
 
 DESIGNS = ("one_sample", "two_sample")
 _BALANCED_RANGE = (-0.1, 0.1)
@@ -268,7 +268,7 @@ def _replicate(spec: ScenarioSpec, rep: int, methods: tuple[str, ...],
     hs = harmonize(study.summary)
     method_seed = np.random.SeedSequence(spec.seed, spawn_key=(rep, 1))
     fits = dict(_fit_each(hs, methods, seed=method_seed, bootstrap_draws=bootstrap_draws))
-    i2 = i_squared_instrument_strength(hs) if hs.j >= 2 else math.nan
+    i2 = instrument_strength(hs) if hs.j >= 2 else math.nan
     return _ReplicateRecord(
         fits=fits,
         i_squared=i2,
@@ -415,10 +415,7 @@ def run_study(spec: ScenarioSpec, methods=ALL_METHODS, *, threads: int = 1,
     ``threads > 1`` they run in a process pool and the report is identical
     to the single-threaded one for a fixed seed.
     """
-    methods = tuple(methods)
-    unknown = [m for m in methods if m not in ALL_METHODS]
-    if unknown:
-        raise ValueError(f"unknown method id(s): {', '.join(unknown)}")
+    methods = _check_methods(methods)
     if not methods:
         raise ValueError("at least one method is required")
     if threads < 1:

@@ -168,10 +168,6 @@ class RatioEstimates:
         variance.setflags(write=False)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "variance", variance)
-        if theta.shape != variance.shape:
-            raise ValueError("theta and variance must have the same length")
-        if not np.all(np.isfinite(theta)) or not np.all(variance > 0):
-            raise ValueError("ratio estimates must be finite with positive variances")
 
 
 def harmonize(s: SummarySet) -> SummarySet:
@@ -203,15 +199,16 @@ def ratio_estimates(s: SummarySet) -> RatioEstimates:
         raise DegenerateInstrumentError(
             f"variant {s.ids[zero[0]]!r} has a zero exposure association; no ratio estimate exists"
         )
+    # an overflowing ratio raises below; an overflowing variance stays infinite
     with np.errstate(over="ignore"):
         theta = beta_y / beta_x
+        variance = (se_y / beta_x) ** 2
     overflow = np.flatnonzero(~np.isfinite(theta))
     if overflow.size:
         raise DegenerateInstrumentError(
             f"variant {s.ids[overflow[0]]!r}: ratio estimate overflows; the exposure "
             "association is too close to zero"
         )
-    variance = (se_y / beta_x) ** 2
     underflow = np.flatnonzero(variance == 0.0)
     if underflow.size:
         raise DegenerateInstrumentError(

@@ -2,8 +2,13 @@
 
 Covers the inverse-variance weighted (IVW) estimator (zero-intercept weighted
 regression of outcome on exposure associations) and the intercept-augmented
-regression whose intercept captures directional pleiotropy, plus the
-diagnostics used to reason about when each is consistent.
+regression whose intercept captures directional pleiotropy, plus the I^2
+heterogeneity of the scaled exposure associations, which indicates how far
+the intercept model is attenuated by weak instruments.
+
+Every one- and two-coefficient weighted least-squares fit of the package,
+here and in the MM-regression stages of :mod:`ivrobust.robust_mm`, goes
+through one closed-form kernel, batched over rows of weights.
 
 Standard errors follow a multiplicative random-effects model: the raw
 regression standard error is divided by min(sigma_hat, 1), so heterogeneity
@@ -132,15 +137,6 @@ def _two_sided_p(z: float, df: int | None) -> float:
     return 2.0 * normal_sf(z) if df is None else 2.0 * (1.0 - t_cdf(z, df))
 
 
-@dataclass(frozen=True)
-class EggerDiagnostics:
-    """Heterogeneity summary of the weighted exposure associations."""
-
-    i_squared: float
-    q_statistic: float
-    df: int
-
-
 def inverse_variance_weights(s: SummarySet) -> WeightVector:
     """Weights proportional to the inverse outcome-association variances."""
     with np.errstate(over="ignore"):
@@ -159,6 +155,64 @@ def _resolve_weights(s: SummarySet, weights: WeightVector | None) -> np.ndarray:
     if len(weights) != s.j:
         raise ValueError(f"got {len(weights)} weights for {s.j} variants")
     return weights.w
+
+
+def _wls_rows(w: np.ndarray, design: np.ndarray, response: np.ndarray):
+    """Closed-form weighted least squares on one or two design columns.
+
+    One fit per row of ``w`` (fits x J) over the shared ``design`` (J x p,
+    p = 1 or 2) and ``response`` (J,): the coefficients (fits x p), the
+    inverse Gram matrices (fits x p x p) and whether each is invertible.
+    [[s00, s01], [s01, s11]] enters only through s01 / s00, s01 / s11 and
+    q = det / (s00 * s11) = 1 - (s01 / s00) * (s01 / s11), so no product of
+    two sums can overflow. Invertible means finite sums, a nonzero diagonal
+    and q > 1e-12, which a NaN fails. Non-negative weights give 0 <= q <= 1
+    up to rounding, and the test says that the two columns are separable;
+    a row with a negative weight, as in the sandwich's bread, may be
+    indefinite and needs only |q| > 1e-12. Coefficients can still overflow.
+    """
+    a = design[:, 0]
+    with np.errstate(all="ignore"):  # the flag and the callers check the results
+        s00 = w @ (a * a)
+        r0 = w @ (a * response)
+        if design.shape[1] == 1:
+            coefs = (r0 / s00)[:, None]
+            inv = (1.0 / s00)[:, None, None]
+            ok = np.isfinite(s00) & (s00 != 0.0)
+        else:
+            b = design[:, 1]
+            s01 = w @ (a * b)
+            s11 = w @ (b * b)
+            r1 = w @ (b * response)
+            k0, k1, m0, m1 = s01 / s00, s01 / s11, r0 / s00, r1 / s11
+            q = 1.0 - k0 * k1
+            coefs = np.column_stack([(m0 - k0 * m1) / q, (m1 - k1 * m0) / q])
+            i01 = -k0 / (s11 * q)
+            inv = np.array([[1.0 / (s00 * q), i01], [i01, 1.0 / (s11 * q)]]).transpose(2, 0, 1)
+            q_test = np.where(w.min(axis=1) >= 0.0, q, np.abs(q))
+            ok = (np.isfinite(s00) & np.isfinite(s01) & np.isfinite(s11)
+                  & (s00 != 0.0) & (s11 != 0.0) & (q_test > 1e-12))
+    return coefs, inv, ok
+
+
+def _design(s: SummarySet, w: np.ndarray, intercept: bool):
+    """Columns sqrt(w) [, sqrt(w) * beta_x] and response sqrt(w) * beta_y of a weighted fit."""
+    sqw = np.sqrt(w)
+    with np.errstate(over="ignore"):  # an infinite column fails every fit that uses it
+        cols = [sqw, sqw * s.beta_x] if intercept else [sqw * s.beta_x]
+        return np.column_stack(cols), sqw * s.beta_y
+
+
+def _intercept_fit(design: np.ndarray, response: np.ndarray):
+    """(Coefficients, inverse Gram) of an intercept design; raises if it is not invertible."""
+    coefs, inv, ok = _wls_rows(np.ones((1, len(response))), design, response)
+    if not ok[0]:
+        raise SingularDesignError(
+            "intercept and slope are not separable under the positive weights: the exposure "
+            "associations are identical, or the weighted design's inverse Gram matrix over- "
+            "or underflows"
+        )
+    return coefs[0], inv[0]
 
 
 def ivw(s: SummarySet, weights: WeightVector | None = None,
@@ -194,12 +248,15 @@ def ivw(s: SummarySet, weights: WeightVector | None = None,
         raise InsufficientInstrumentsError("ivw needs at least one strictly positive weight")
     x = s.beta_x
     y = s.beta_y
-    sxx = float(np.sum(w * x * x))
+    # overflowing sums give a non-finite theta or SE, which _estimate rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        sxx = float(np.sum(w * x * x))
+        sxy = float(np.sum(w * x * y))
     if sxx <= 0.0:
         raise DegenerateInstrumentError(
             "every positively weighted exposure association is zero"
         )
-    theta = float(np.sum(w * x * y)) / sxx
+    theta = sxy / sxx
     se_fixed = sxx ** -0.5
     warnings: tuple[str, ...] = ()
     if s.j == 1:
@@ -209,8 +266,9 @@ def ivw(s: SummarySet, weights: WeightVector | None = None,
             effects = "fixed"
             warnings = ("single variant: residual scale undefined, fixed-effects fallback",)
     else:
-        resid = y - theta * x
-        sigma = math.sqrt(float(np.sum(w * resid * resid)) / (s.j - 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = y - theta * x
+            sigma = math.sqrt(float(np.sum(w * resid * resid)) / (s.j - 1))
         se = se_fixed if effects == "fixed" else se_fixed * max(sigma, 1.0)
     return _estimate("ivw", theta, se, effects_model=effects, residual_scale=sigma,
                      warnings=warnings)
@@ -236,36 +294,17 @@ def egger(s: SummarySet, weights: WeightVector | None = None) -> Estimate:
     w = _resolve_weights(s, weights)
     if np.count_nonzero(w > 0.0) < 2:
         raise InsufficientInstrumentsError("egger needs at least two strictly positive weights")
-    x = s.beta_x
-    y = s.beta_y
-    sw = float(np.sum(w))
-    sx = float(np.sum(w * x))
-    sxx = float(np.sum(w * x * x))
-    # det / (sw * sxx) of the weighted Gram matrix, formed so that it cannot
-    # overflow; a NaN from overflowed sums fails the test
-    if not (sxx > 0.0 and 1.0 - (sx / sw) * (sx / sxx) > 1e-12):
-        raise SingularDesignError(
-            "exposure associations are identical under the positive weights; "
-            "intercept and slope are not separable"
-        )
-    sqw = np.sqrt(w)
-    design = np.column_stack([sqw, sqw * x])
-    response = sqw * y
-    try:
-        coef, *_ = np.linalg.lstsq(design, response, rcond=None)
-        xtx_inv = np.linalg.inv(design.T @ design)
-    except np.linalg.LinAlgError:
-        raise SingularDesignError("the weighted design has no least-squares solution") from None
-    if not (xtx_inv[0, 0] > 0.0 and xtx_inv[1, 1] > 0.0):
-        raise SingularDesignError("the weighted design's inverse Gram matrix is not positive")
+    design, response = _design(s, w, intercept=True)
+    coef, inv = _intercept_fit(design, response)
     intercept, slope = float(coef[0]), float(coef[1])
-    resid = response - design @ coef
     df = s.j - 2
-    sigma = math.sqrt(float(resid @ resid) / df)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sigma leaves no SE
+        resid = response - design @ coef
+        sigma = math.sqrt(float(resid @ resid) / df)
     # sigma-free SEs; the random-effects correction multiplies by max(sigma, 1)
-    se_slope_unit = math.sqrt(xtx_inv[1, 1])
+    se_slope_unit = math.sqrt(inv[1, 1])
     se_slope = se_slope_unit * max(sigma, 1.0)
-    se_int = math.sqrt(xtx_inv[0, 0]) * max(sigma, 1.0)
+    se_int = math.sqrt(inv[0, 0]) * max(sigma, 1.0)
     ci = None
     if sigma < 1.0:
         # raw-SE t interval vs normal interval on the corrected SE: keep wider
@@ -278,51 +317,8 @@ def egger(s: SummarySet, weights: WeightVector | None = None) -> Estimate:
                      residual_scale=sigma)
 
 
-def ivw_bias_term(s: SummarySet, weights: WeightVector | None, alpha) -> float:
-    """Bias of the zero-intercept estimator under direct effects ``alpha``.
-
-    Equals sum(alpha_j * beta_x_j * w_j) / sum(beta_x_j^2 * w_j): zero when
-    direct effects are balanced about zero and uncorrelated with instrument
-    strength, which is the consistency condition the intercept-free model
-    leans on.
-    """
-    w = _resolve_weights(s, weights)
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (s.j,):
-        raise ValueError(f"alpha must have length {s.j}")
-    x = s.beta_x
-    sxx = float(np.sum(w * x * x))
-    if sxx <= 0.0:
-        raise DegenerateInstrumentError("all weighted exposure associations are zero")
-    return float(np.sum(w * alpha * x)) / sxx
-
-
-def inside_weighted_covariance(alpha, beta_x, weights) -> float:
-    """Weighted covariance between direct effects and exposure associations.
-
-    Uses weighted means and normalizes by the total weight. This is the
-    quantity whose vanishing (independence of instrument strength and direct
-    effects) the intercept-based estimator requires.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    beta_x = np.asarray(beta_x, dtype=float)
-    w = weights.w if isinstance(weights, WeightVector) else np.asarray(weights, dtype=float)
-    if not (alpha.shape == beta_x.shape == w.shape) or alpha.ndim != 1:
-        raise ValueError("alpha, beta_x, and weights must be equal-length 1-d vectors")
-    if not np.all(np.isfinite(alpha)) or not np.all(np.isfinite(beta_x)):
-        raise ValueError("alpha and beta_x must be finite")
-    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite and >= 0")
-    sw = float(np.sum(w))
-    if sw <= 0.0:
-        raise ValueError("total weight must be positive")
-    a_bar = float(np.sum(w * alpha)) / sw
-    x_bar = float(np.sum(w * beta_x)) / sw
-    return float(np.sum(w * (alpha - a_bar) * (beta_x - x_bar))) / sw
-
-
-def instrument_strength(s: SummarySet) -> EggerDiagnostics:
-    """Heterogeneity of the scaled exposure associations.
+def instrument_strength(s: SummarySet) -> float:
+    """I^2 heterogeneity of the scaled exposure associations.
 
     Meta-analyses beta_x_j / se_y_j with standard errors se_x_j / se_y_j and
     returns I^2 = max(0, (Q - (J-1)) / Q) with Q the usual heterogeneity
@@ -332,17 +328,11 @@ def instrument_strength(s: SummarySet) -> EggerDiagnostics:
     """
     if s.j < 2:
         raise InsufficientInstrumentsError("instrument strength needs at least 2 variants")
-    v = s.beta_x / s.se_y
-    prec = (s.se_y / s.se_x) ** 2.0
-    total = float(np.sum(prec))
-    if not 0.0 < total < math.inf:
-        raise DegenerateInstrumentError("instrument strength: the precisions over- or underflow")
-    v_bar = float(np.sum(prec * v)) / total
-    q = float(np.sum(prec * (v - v_bar) ** 2.0))
-    i2 = 0.0 if q <= 0.0 else max(0.0, (q - (s.j - 1)) / q)
-    return EggerDiagnostics(i_squared=i2, q_statistic=q, df=s.j - 1)
-
-
-def i_squared_instrument_strength(s: SummarySet) -> float:
-    """Convenience scalar access to :func:`instrument_strength`."""
-    return instrument_strength(s).i_squared
+    with np.errstate(all="ignore"):  # a total or Q that is not finite raises below
+        v = s.beta_x / s.se_y
+        prec = (s.se_y / s.se_x) ** 2.0
+        total = np.sum(prec)
+        q = float(np.sum(prec * (v - np.sum(prec * v) / total) ** 2.0))
+    if not (0.0 < total < math.inf and math.isfinite(q)):
+        raise DegenerateInstrumentError("instrument strength: precisions or Q over- or underflow")
+    return 0.0 if q <= 0.0 else max(0.0, (q - (s.j - 1)) / q)

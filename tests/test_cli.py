@@ -144,6 +144,42 @@ class TestAnalyze:
         assert code == EXIT_PRECONDITION
         assert "ratio estimate overflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("rows, absent, reason", [
+        # a zero beta_x has no ratio estimate, so Cochran's Q is undefined
+        (["v1,0.0,0.01,0.01,0.05", "v2,0.1,0.01,0.012,0.05", "v3,0.2,0.01,0.019,0.05"],
+         "q_statistic", "Q unavailable: variant 'v1' has a zero exposure association"),
+        # (se_y / se_x)^2 overflows, so I^2 is undefined
+        (["v1,0.1,1e-300,0.01,0.05", "v2,0.2,1e-300,0.02,0.05"],
+         "i_squared", "I^2 unavailable: instrument strength: precisions"),
+    ])
+    def test_failing_diagnostic_reported_absent(self, tmp_path, capsys, fmt, rows, absent,
+                                                reason):
+        path = tmp_path / "set.csv"
+        path.write_text("\n".join(["id,beta_x,se_x,beta_y,se_y", *rows]) + "\n")
+        code = main(["analyze", str(path), "--methods", "ivw", "--seed", "1", "--format", fmt])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        if fmt == "json":
+            diagnostics = json.loads(out)["diagnostics"]
+            assert diagnostics[absent] is None
+            assert len(diagnostics["warnings"]) == 1
+            assert diagnostics["warnings"][0].startswith(reason)
+        elif fmt == "table":
+            summary = out[out.index("variants:"):]
+            label = "I^2 (instrument strength): NA" if absent == "i_squared" else "Q: NA"
+            assert label in summary
+            assert reason in summary
+        else:
+            assert out.splitlines()[1].startswith("ivw,")
+
+    def test_diagnostics_warnings_empty_by_default(self, csv_path, capsys):
+        assert main(["analyze", csv_path, "--methods", "ivw", "--seed", "1",
+                     "--format", "json"]) == EXIT_OK
+        diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert diagnostics["warnings"] == []
+        assert diagnostics["q_statistic"] > 0.0 and 0.0 <= diagnostics["i_squared"] <= 1.0
+
     def test_unknown_method_rejected_by_parser(self, csv_path):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", csv_path, "--methods", "ivw,mode"])

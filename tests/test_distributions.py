@@ -16,7 +16,6 @@ from ivrobust.distributions import (
     t_cdf,
     t_pdf,
     t_quantile,
-    t_sf,
 )
 
 GRID_P = [0.001, 0.025, 0.5, 0.975, 0.999]
@@ -111,9 +110,6 @@ class TestStudentT:
             xs = np.linspace(-30, 30, 1000)
             values = [t_cdf(float(x), df) for x in xs]
             assert all(b >= a for a, b in zip(values, values[1:]))
-
-    def test_sf_complement(self):
-        assert t_sf(1.3, 7) == pytest.approx(1.0 - t_cdf(1.3, 7), abs=1e-14)
 
     def test_df_validation(self):
         for bad in (0, -3, 1.5):

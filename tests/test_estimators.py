@@ -247,13 +247,15 @@ class TestExtremeFiniteValues:
                      [5.9e-110, 1.6e-109, 2.1e-109, 1.3e-109, 1.5e-109, 2.2e-109, 6.2e-110])
         assert run_methods(s, ("egger",), seed=1)["egger"].se_reported
 
-    def test_egger_lstsq_failure_is_singular_design(self, summary, monkeypatch):
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
-
-        monkeypatch.setattr(np.linalg, "lstsq", fail)
-        with pytest.raises(SingularDesignError, match="no least-squares solution"):
-            run_methods(summary, ("egger",), seed=1)
+    def test_dominant_variant_leaves_no_intercept_model(self):
+        # one weight ~1e254 beside others down to ~1e-298: sw * sxx overflows, yet
+        # intercept and slope are not separable, and every intercept model says so
+        s = SummarySet.from_arrays([0.1, 0.2, 0.3, 0.4, 0.5], [0.01] * 5,
+                                   [0.01, 0.05, -0.02, 0.08, 0.02],
+                                   [1e-127, 1e149, 3e148, 5e147, 8e148])
+        for method in ("egger", "robust_egger", "penalized_egger", "penalized_robust_egger"):
+            with pytest.raises(SingularDesignError, match="not separable"):
+                run_methods(s, (method,), seed=1)
 
     def test_median_without_finite_bootstrap_se(self):
         # draws of beta_x near zero overflow beta_y / beta_x: the bootstrap SE is NaN

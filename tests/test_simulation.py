@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
+from ivrobust import simulation
 from ivrobust.estimators import ALL_METHODS
 from ivrobust.simulation import (
     ScenarioSpec,
@@ -279,3 +280,12 @@ class TestRunStudy:
             run_study(spec, ())
         with pytest.raises(ValueError, match="threads"):
             run_study(spec, ("ivw",), threads=0)
+
+    def test_duplicate_method_rejected_before_any_draw(self, monkeypatch):
+        def draw(*args, **kwargs):
+            raise AssertionError("data drawn for an invalid request")
+
+        monkeypatch.setattr(simulation, "generate_individual_data", draw)
+        spec = ScenarioSpec(scenario=1, n=600, j=4, n_sim=1)
+        with pytest.raises(ValueError, match="duplicate method ids requested"):
+            run_study(spec, ("ivw", "egger", "ivw"))
