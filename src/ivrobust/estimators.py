@@ -22,14 +22,10 @@ import numpy as np
 
 from ._util import as_seed_sequence
 from .exceptions import EstimationError
-from .median_methods import (
-    penalized_weighted_median,
-    simple_median,
-    weighted_median_estimate,
-)
+from .median_methods import _bootstrap_rows, _median_fit
 from .penalization import cochran_q_egger, cochran_q_ivw, penalize_weights
 from .robust_mm import mm_regress
-from .summary_data import SummarySet, harmonize
+from .summary_data import SummarySet, harmonize, ratio_estimates
 from .wls import Estimate, WeightVector, egger, inverse_variance_weights, ivw
 
 # id: (intercept, robust, penalized)
@@ -43,22 +39,18 @@ _REGRESSIONS = {
     "penalized_robust_ivw": (False, True, True),
     "penalized_robust_egger": (True, True, True),
 }
-_MEDIANS = {
-    "simple_median": simple_median,
-    "weighted_median": weighted_median_estimate,
-    "penalized_weighted_median": penalized_weighted_median,
-}
+_MEDIANS = ("simple_median", "weighted_median", "penalized_weighted_median")
 ALL_METHODS = (*_REGRESSIONS, *_MEDIANS)
 
-# fixed per-method random streams so a subset request never reshuffles seeds
+# fixed random streams so a subset request never reshuffles seeds; the three
+# medians share the "bootstrap" stream (4-6 were their former own streams and
+# stay unused)
 _STREAMS = {
     "robust_ivw": 0,
     "robust_egger": 1,
     "penalized_robust_ivw": 2,
     "penalized_robust_egger": 3,
-    "simple_median": 4,
-    "weighted_median": 5,
-    "penalized_weighted_median": 6,
+    "bootstrap": 7,
 }
 
 
@@ -88,11 +80,14 @@ def _fit_each(s: SummarySet, methods, *, effects: str = "multiplicative_random",
               ) -> Iterator[tuple[str, Estimate | EstimationError]]:
     """Yield ``(method, Estimate or the EstimationError it raised)`` in request order.
 
-    The inverse-variance weights, each reference fit and each penalized weight
-    vector are computed when a method first needs them, so their errors are
-    those of the methods that use them; one that raised is recomputed by the
-    next method needing it, which is deterministic because none of them draws
-    random numbers.
+    The inverse-variance weights, each reference fit, each penalized weight
+    vector, the ratio estimates and the medians' bootstrap rows are computed
+    when a method first needs them, so their errors are those of the methods
+    that use them; one that raised is recomputed by the next method needing
+    it, which is deterministic because the only random draws, the bootstrap
+    rows, come from their own fixed stream. The three medians share those
+    rows: the bootstrap holds the weights fixed, so each median's standard
+    error is the one it gets alone.
     """
     methods = _check_methods(methods)
     hs = s if s.harmonized else harmonize(s)
@@ -113,9 +108,17 @@ def _fit_each(s: SummarySet, methods, *, effects: str = "multiplicative_random",
                   else cochran_q_ivw(hs, ref.theta))
         return penalize_weights(base(), report)
 
+    @cache
+    def ratios() -> np.ndarray:
+        return ratio_estimates(hs).theta
+
+    @cache
+    def bootstrap() -> tuple[np.ndarray, np.ndarray]:
+        return _bootstrap_rows(hs, bootstrap_draws, _stream(root, "bootstrap"))
+
     def fit(name: str) -> Estimate:
         if name in _MEDIANS:
-            return _MEDIANS[name](hs, draws=bootstrap_draws, seed=_stream(root, name))
+            return _median_fit(hs, name, ratios, bootstrap)
         intercept, robust, penalized = _REGRESSIONS[name]
         if not (robust or penalized):
             return reference(intercept)

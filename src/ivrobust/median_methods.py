@@ -54,17 +54,23 @@ def weighted_median(theta, weights) -> float:
         raise ValueError("theta must be a non-empty 1-d vector")
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta must be finite")
-    return float(_weighted_median_rows(theta[None, :], _normalized(weights, theta.size))[0])
+    return float(_weigh_rows(_sort_rows(theta[None, :]), _normalized(weights, theta.size))[0])
 
 
-def _weighted_median_rows(theta: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # Row-wise weighted medians of theta (rows, J) under one normalized
-    # weight vector w (J,).
-    j = theta.shape[1]
-    if j == 1:
-        return theta[:, 0].copy()
+def _sort_rows(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # sort step of the row-wise weighted median of theta (rows, J): each
+    # row's order and its sorted values, shared by every weight vector
     order = np.argsort(theta, axis=1, kind="stable")
-    th = np.take_along_axis(theta, order, axis=1)
+    return order, np.take_along_axis(theta, order, axis=1)
+
+
+def _weigh_rows(sorted_rows: tuple[np.ndarray, np.ndarray], w: np.ndarray) -> np.ndarray:
+    # weigh step: the row-wise weighted medians of the sorted rows under one
+    # normalized weight vector w (J,)
+    order, th = sorted_rows
+    j = th.shape[1]
+    if j == 1:
+        return th[:, 0].copy()
     ws = w[order]
     cum = np.cumsum(ws, axis=1)
     s = cum - 0.5 * ws
@@ -72,7 +78,7 @@ def _weighted_median_rows(theta: np.ndarray, w: np.ndarray) -> np.ndarray:
     # s[-1] >= 0.5 up to rounding, so k + 1 is in range and s_hi > s_lo;
     # the clip only guards rows that take the k < 0 branch
     kc = np.clip(k, 0, j - 2)
-    rows = np.arange(theta.shape[0])
+    rows = np.arange(th.shape[0])
     s_lo = s[rows, kc]
     s_hi = s[rows, kc + 1]
     th_lo = th[rows, kc]
@@ -83,18 +89,16 @@ def _weighted_median_rows(theta: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.where(k < 0, th[:, 0], est)
 
 
-def bootstrap_se(s: SummarySet, weights, draws: int = 1000, seed=None) -> float:
-    """Parametric-bootstrap standard error of the weighted median.
+def _bootstrap_rows(s: SummarySet, draws: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Sort step of the parametric bootstrap: ``draws`` sorted rows of ratio estimates.
 
-    Each draw resamples every association from a normal centred at its
-    estimate with its reported standard error, recomputes the ratio
-    estimates, and takes their weighted median with the weights held fixed
-    at the values supplied here. Returns the sample standard deviation
-    (denominator ``draws - 1``) of the replicated medians.
+    Each row redraws every association from a normal centred at its
+    estimate with its reported standard error and forms the ratios. The
+    rows do not depend on the weights, so one set serves every weighted
+    median of ``s``.
     """
     if draws < 2:
         raise ValueError(f"bootstrap needs at least 2 draws, got {draws}")
-    w = _normalized(weights, s.j)
     rng = np.random.Generator(np.random.Philox(as_seed_sequence(seed)))
     beta_x = s.beta_x
     se_x = s.se_x
@@ -109,15 +113,27 @@ def bootstrap_se(s: SummarySet, weights, draws: int = 1000, seed=None) -> float:
         scales = np.broadcast_to(se_x, bx.shape)[zero]
         bx[zero] = rng.normal(locs, scales)
         zero = bx == 0.0
-    # an overflowing ratio draw gives a non-finite SE, which _estimate reports as absent
+    with np.errstate(over="ignore"):  # an overflowing ratio gives a non-finite SE
+        return _sort_rows(by / bx)
+
+
+def _bootstrap_sd(sorted_rows: tuple[np.ndarray, np.ndarray], w: np.ndarray) -> float:
+    # weigh step: sample SD of the bootstrap rows' medians under normalized weights w;
+    # a non-finite SE is one that _estimate reports as absent
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.std(_weighted_median_rows(by / bx, w), ddof=1))
+        return float(np.std(_weigh_rows(sorted_rows, w), ddof=1))
 
 
-def _median_estimate(s: SummarySet, weights: np.ndarray, method: str,
-                     draws: int, seed) -> Estimate:
-    theta = weighted_median(ratio_estimates(s).theta, weights)
-    return _estimate(method, theta, bootstrap_se(s, weights, draws=draws, seed=seed))
+def bootstrap_se(s: SummarySet, weights, draws: int = 1000, seed=None) -> float:
+    """Parametric-bootstrap standard error of the weighted median.
+
+    Each draw resamples every association from a normal centred at its
+    estimate with its reported standard error, recomputes the ratio
+    estimates, and takes their weighted median with the weights held fixed
+    at the values supplied here. Returns the sample standard deviation
+    (denominator ``draws - 1``) of the replicated medians.
+    """
+    return _bootstrap_sd(_bootstrap_rows(s, draws, seed), _normalized(weights, s.j))
 
 
 def _estimator_weights(s: SummarySet, method: str, factor=1.0) -> np.ndarray:
@@ -132,12 +148,43 @@ def _estimator_weights(s: SummarySet, method: str, factor=1.0) -> np.ndarray:
     return raw
 
 
+def _penalized_weights(s: SummarySet, ratios) -> np.ndarray:
+    method = "penalized_weighted_median"
+    reference = weighted_median(ratios(), _estimator_weights(s, method))
+    return _estimator_weights(s, method, cochran_q_ivw(s, reference).factor_j)
+
+
+# each median's weights from its summary set and a thunk for its ratio estimates
+_WEIGHTS = {
+    "simple_median": lambda s, ratios: np.ones(s.j),
+    "weighted_median": lambda s, ratios: _estimator_weights(s, "weighted_median"),
+    "penalized_weighted_median": _penalized_weights,
+}
+
+
+def _median_fit(s: SummarySet, method: str, ratios, bootstrap) -> Estimate:
+    """One median method: the weighted median of the ratio estimates and its bootstrap SE.
+
+    ``ratios`` and ``bootstrap`` are thunks for the ratio estimates and the
+    sorted bootstrap rows of ``s``, so that a caller can share both between
+    the three medians and draw the rows only once the weights stand.
+    """
+    weights = _WEIGHTS[method](s, ratios)
+    estimate = weighted_median(ratios(), weights)
+    return _estimate(method, estimate, _bootstrap_sd(bootstrap(), _normalized(weights, s.j)))
+
+
+def _standalone_fit(s: SummarySet, method: str, draws: int, seed) -> Estimate:
+    return _median_fit(s, method, lambda: ratio_estimates(s).theta,
+                       lambda: _bootstrap_rows(s, draws, seed))
+
+
 def simple_median(s: SummarySet, draws: int = 1000, seed=None) -> Estimate:
     """Equal-weight median of the ratio estimates with bootstrap SE.
 
     Consistent when at least half the variants are valid instruments.
     """
-    return _median_estimate(s, np.ones(s.j), "simple_median", draws, seed)
+    return _standalone_fit(s, "simple_median", draws, seed)
 
 
 def weighted_median_estimate(s: SummarySet, draws: int = 1000, seed=None) -> Estimate:
@@ -147,8 +194,7 @@ def weighted_median_estimate(s: SummarySet, draws: int = 1000, seed=None) -> Est
     delta-method variances of the ratio estimates; consistent when valid
     instruments carry at least half the total weight.
     """
-    weights = _estimator_weights(s, "weighted_median")
-    return _median_estimate(s, weights, "weighted_median", draws, seed)
+    return _standalone_fit(s, "weighted_median", draws, seed)
 
 
 def penalized_weighted_median(s: SummarySet, draws: int = 1000, seed=None) -> Estimate:
@@ -159,7 +205,4 @@ def penalized_weighted_median(s: SummarySet, draws: int = 1000, seed=None) -> Es
     one-degree-of-freedom heterogeneity statistic and the weights are
     multiplied by min(1, 20 p_j) before the final median and its bootstrap.
     """
-    method = "penalized_weighted_median"
-    reference = weighted_median(ratio_estimates(s).theta, _estimator_weights(s, method))
-    penalized = _estimator_weights(s, method, cochran_q_ivw(s, reference).factor_j)
-    return _median_estimate(s, penalized, method, draws, seed)
+    return _standalone_fit(s, "penalized_weighted_median", draws, seed)

@@ -31,7 +31,7 @@ from .exceptions import (
 )
 from .summary_data import SummarySet
 from .wls import (EFFECTS_MODELS, Estimate, WeightVector, _design, _estimate, _intercept_fit,
-                  _resolve_weights, _wls_rows)
+                  _resolve_weights, _wls_products, _wls_rows, _wls_solve)
 
 C_S = 1.548  # scale (S) stage: 50% breakdown
 C_M = 4.685  # efficiency (M) stage: 95% efficiency under normal errors
@@ -48,6 +48,7 @@ _NEWTON_MAX_ITER = 16
 _BISECT_STEPS = 64
 _EPS = float(np.finfo(float).eps)
 _PRUNE_MARGIN = 1e-9
+_DUST = 4.0 * _EPS  # residuals within 4 ulps of the fit's magnitude are zero
 
 
 @dataclass(frozen=True)
@@ -237,6 +238,21 @@ def _contending_scales(resid: np.ndarray, c: float, breakdown: float,
     return scales, exact
 
 
+def _residuals(coefs: np.ndarray, design: np.ndarray, response: np.ndarray) -> np.ndarray:
+    """Residuals of each row of ``coefs``, with rounding dust set to exactly zero.
+
+    A finite residual within a few ulps of |response| + |fitted| is what
+    rounding leaves of a point on the fitted line; counting it as zero lets
+    the M-scale see an exact fit of more than half the points.
+    """
+    fitted = coefs @ design.T
+    resid = response - fitted
+    # scaled before the sum, so the bound overflows only with an infinite fit
+    bound = _DUST * np.abs(response) + _DUST * np.abs(fitted)
+    resid[(np.abs(resid) <= bound) & np.isfinite(resid)] = 0.0
+    return resid
+
+
 def _s_stage(s: SummarySet, design, response, rng):
     """Random-subset search for the smallest M-scale; first minimum wins.
 
@@ -260,7 +276,7 @@ def _s_stage(s: SummarySet, design, response, rng):
                     | (x[i0] == x[i1])
                 slope = (y[i1] - y[i0]) / (x[i1] - x[i0])
                 coefs = np.column_stack([y[i0] - slope * x[i0], slope])
-            resid = response - coefs @ design.T
+            resid = _residuals(coefs, design, response)
         # candidates interpolate their own subset points; zero those residuals
         # explicitly so rounding dust cannot mask an exact fit
         resid[np.arange(N_CANDIDATES)[:, None], idx] = 0.0
@@ -284,7 +300,7 @@ def _s_stage(s: SummarySet, design, response, rng):
         irls_w[exact] = 0.0
         updated, _, ok = _wls_rows(irls_w, design, response)
         with np.errstate(over="ignore", invalid="ignore"):
-            stepped = response - updated @ design.T
+            stepped = _residuals(updated, design, response)
         # a row whose Gram matrix is singular or whose step overflows keeps its fit
         take = (active & ok & np.isfinite(stepped).all(axis=1))[:, None]
         coefs = np.where(take, updated, coefs)
@@ -311,16 +327,18 @@ def _m_stage(design, response, beta, s_star: float):
     converged = False
     iterations = 0
     # a non-finite step ends the iteration and a non-finite variance leaves the SEs unset
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # each step is one weighted sum per normal-equation entry, solved in closed
+        # form on numpy scalars: the arithmetic of _wls_rows without its batch overhead
+        products = _wls_products(design, response)
         for iterations in range(1, M_STEP_MAX_ITER + 1):
             irls_w = weight_bisquare((response - design @ beta) / s_star, C_M)
-            beta_new, _, ok = _wls_rows(irls_w[None, :], design, response)
-            beta_new = beta_new[0]
-            if not (ok[0] and np.all(np.isfinite(beta_new))):
+            beta_new, _, ok = _wls_solve([irls_w @ col for col in products], np.True_)
+            if not (ok and all(map(math.isfinite, beta_new))):
                 break
-            delta = float(np.max(np.abs(beta_new - beta)))
-            beta = beta_new
-            if delta <= M_STEP_TOL * max(1.0, float(np.max(np.abs(beta)))):
+            delta = max(abs(b1 - b0) for b1, b0 in zip(beta_new, beta))
+            beta = np.array(beta_new)
+            if delta <= M_STEP_TOL * max(1.0, *map(abs, beta_new)):
                 converged = True
                 break
 

@@ -1,7 +1,7 @@
-"""Monte Carlo study of the estimator family on individual-level data.
+"""Monte Carlo study of the estimator family on simulated genetic association data.
 
-Each replicate simulates genotypes and phenotypes, computes per-variant
-summary associations by ordinary least squares (from non-overlapping halves
+Each replicate simulates an individual-level study, summarizes it into
+per-variant ordinary least-squares associations (from non-overlapping halves
 of the sample in the two-sample design, from the full sample otherwise), and
 runs the requested estimators on the summarized data. The data-generating
 model is
@@ -19,9 +19,30 @@ confounded effects phi_j) are assigned by scenario:
 3. directional pleiotropy, alpha_j ~ U(0, 0.1);
 4. pleiotropy via the confounder, phi_j ~ U(-0.1, 0.1).
 
-Randomness is counter-based: each replicate draws from streams keyed by
-(seed, replicate, stream), so results are reproducible and independent of
-thread count.
+Substituting U, a phenotype is G b + e with b_X = gamma + phi and
+b_Y = alpha + theta (gamma + phi) + phi, and errors e_X = e_U + e_X of
+variance 2 and e_Y = (1 + theta) e_U + theta e_X + e_Y of variance
+(1 + theta)^2 + theta^2 + 1, correlated with covariance 1 + 2 theta.
+
+The phenotypes themselves are never drawn. Given a sample's genotypes G
+(m individuals, J variants, columns centred to G_c), every per-variant
+slope, its standard error and the multivariable R^2 depend on an error
+vector e ~ N(0, sigma^2 I) only through G_c'e and e_c'e_c, whose
+conditional law is exact: with L L' = G_c'G_c,
+
+    G_c'e = sigma L z,    e_c'e_c = sigma^2 (z'z + chi^2_{m-1-J}),
+
+for z ~ N(0, I_J) and an independent chi-square. A replicate therefore
+draws each sample's genotypes (by inverse CDF, one sample at a time), forms
+the Cholesky factor of their centred Gram matrix, and draws J normals and
+one chi-square per phenotype. In the one-sample design the exposure and
+outcome errors are drawn jointly: z is J x 2, mixed by the Cholesky factor
+of their 2 x 2 covariance, and the chi-square becomes a Bartlett-decomposed
+2 x 2 Wishart.
+
+Each replicate draws from generators seeded by ``SeedSequence`` keys
+(seed, replicate, stream), so results are reproducible, the replicates'
+streams are independent, and the report does not depend on thread count.
 """
 from __future__ import annotations
 
@@ -43,10 +64,11 @@ _BALANCED_RANGE = (-0.1, 0.1)
 _DIRECTIONAL_RANGE = (0.0, 0.1)
 _CONFOUNDED_RANGE = (-0.1, 0.1)
 _MAX_REGENERATIONS = 100
+_GENOTYPE_BLOCK = 2048
 
 
 class _DegenerateGenotype(Exception):
-    """A simulated variant was monomorphic; the dataset must be redrawn."""
+    """A sample's genotypes are rank-deficient, as with a monomorphic variant; redraw."""
 
 
 @dataclass(frozen=True)
@@ -103,12 +125,25 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class RawStudy:
-    """One simulated individual-level dataset with its generating truth."""
+    """Sufficient statistics of one simulated dataset, with its generating truth.
 
-    g: np.ndarray
-    u: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
+    For the exposure (``_x``) and the outcome (``_y``) association sample,
+    each of ``n_sample`` individuals: ``chol`` is the lower Cholesky factor L
+    of the centred genotype Gram matrix G_c'G_c, ``score`` is L^-1 G_c'e for
+    the phenotype's error vector e, and ``rss`` is the residual sum of
+    squares of the phenotype's regression on all variants, so that
+    G_c'e = L score and e_c'e_c = score'score + rss. In the one-sample
+    design both phenotypes share one sample and one ``chol``.
+    """
+
+    design: str
+    n_sample: int
+    chol_x: np.ndarray
+    chol_y: np.ndarray
+    score_x: np.ndarray
+    score_y: np.ndarray
+    rss_x: float
+    rss_y: float
     gamma: np.ndarray
     alpha: np.ndarray
     phi: np.ndarray
@@ -134,9 +169,11 @@ class GeneratedStudy:
 def generate_individual_data(spec: ScenarioSpec, rng: np.random.Generator) -> RawStudy:
     """Draw one dataset under ``spec``.
 
-    Draw order is fixed (invalid flags, gamma, scenario effects, genotypes,
-    then the three error vectors) so a given generator state always yields
-    the same dataset.
+    Draw order is fixed (invalid flags, gamma, scenario effects, then per
+    association sample its genotypes and its error statistics) so a given
+    generator state always yields the same dataset. Raises
+    ``_DegenerateGenotype`` when a sample's centred genotype Gram matrix is
+    not positive definite, as for a monomorphic variant.
     """
     j = spec.j
     if spec.fixed_invalid_count:
@@ -153,76 +190,99 @@ def generate_individual_data(spec: ScenarioSpec, rng: np.random.Generator) -> Ra
         alpha = np.where(invalid, rng.uniform(lo, hi, j), 0.0)
     elif spec.scenario == 4:
         phi = np.where(invalid, rng.uniform(*_CONFOUNDED_RANGE, j), 0.0)
-    g = rng.binomial(2, spec.maf, size=(spec.n, j)).astype(np.float64)
-    eps_u = rng.standard_normal(spec.n)
-    eps_x = rng.standard_normal(spec.n)
-    eps_y = rng.standard_normal(spec.n)
-    u = g @ phi + eps_u
-    x = g @ gamma + u + eps_x
-    y = g @ alpha + spec.theta * x + u + eps_y
-    return RawStudy(g=g, u=u, x=x, y=y, gamma=gamma, alpha=alpha, phi=phi,
-                    invalid=invalid, theta=spec.theta)
+    var_x = 2.0
+    var_y = (1.0 + spec.theta) ** 2 + spec.theta ** 2 + 1.0
+    if spec.design == "two_sample":
+        m = spec.n // 2
+        chol_x, (score_x,), (rss_x,) = _draw_sample(rng, m, j, spec.maf, np.array([[var_x]]))
+        chol_y, (score_y,), (rss_y,) = _draw_sample(rng, m, j, spec.maf, np.array([[var_y]]))
+    else:
+        m = spec.n
+        cov = 1.0 + 2.0 * spec.theta
+        chol_x, (score_x, score_y), (rss_x, rss_y) = _draw_sample(
+            rng, m, j, spec.maf, np.array([[var_x, cov], [cov, var_y]]))
+        chol_y = chol_x
+    return RawStudy(design=spec.design, n_sample=m, chol_x=chol_x, chol_y=chol_y,
+                    score_x=score_x, score_y=score_y, rss_x=float(rss_x), rss_y=float(rss_y),
+                    gamma=gamma, alpha=alpha, phi=phi, invalid=invalid, theta=spec.theta)
 
 
-def _univariable(g: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Per-column simple OLS slope and SE via centered sums.
-    n = y.size
-    g_mean = g.mean(axis=0)
-    yc = y - y.mean()
-    sgg = np.einsum("ij,ij->j", g, g) - n * g_mean ** 2
-    if np.any(sgg <= 0.0):
-        raise _DegenerateGenotype
-    sgy = g.T @ yc
-    slope = sgy / sgg
-    rss = float(yc @ yc) - slope * sgy
-    if np.any(rss <= 0.0):
-        raise _DegenerateGenotype
-    se = np.sqrt(rss / (n - 2) / sgg)
-    return slope, se
+def _genotype_blocks(rng: np.random.Generator, m: int, j: int, maf: float):
+    """m x j Binomial(2, maf) genotypes by inverse CDF, one uniform per cell.
+
+    Yielded in blocks of _GENOTYPE_BLOCK rows, whose uniforms stay in cache;
+    the blocks are the rows of one m x j draw.
+    """
+    for start in range(0, m, _GENOTYPE_BLOCK):
+        u = rng.random((min(_GENOTYPE_BLOCK, m - start), j))
+        g = (u > (1.0 - maf) ** 2).astype(np.float64)
+        g += u > 1.0 - maf ** 2
+        yield g
 
 
-def _multivariable(g: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    # R^2 and overall F of y on all columns of g plus an intercept.
-    n, k = g.shape
-    gc = g - g.mean(axis=0)
-    yc = y - y.mean()
-    gram = gc.T @ gc
-    rhs = gc.T @ yc
+def _draw_sample(rng: np.random.Generator, m: int, j: int, maf: float, cov: np.ndarray):
+    """Exact sufficient statistics of one association sample of m individuals.
+
+    ``cov`` is the k x k covariance of the k phenotypes' errors. Returns the
+    Cholesky factor L of the centred genotype Gram matrix, the scores
+    L^-1 G_c'e (k x J) and the multivariable residual sums of squares (k,).
+    """
+    gram = np.zeros((j, j))
+    sums = np.zeros(j)
+    for g in _genotype_blocks(rng, m, j, maf):
+        gram += g.T @ g
+        sums += g.sum(axis=0)
+    # G'G and s s' hold integers, so m G'G - s s' is exact and the centred Gram
+    # matrix is rounded once
+    gram = (m * gram - np.outer(sums, sums)) / m
     try:
-        coef = np.linalg.solve(gram, rhs)
+        chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         raise _DegenerateGenotype from None
-    tss = float(yc @ yc)
-    rss = tss - float(rhs @ coef)
-    if tss <= 0.0 or rss <= 0.0:
+    k = cov.shape[0]
+    mix = np.linalg.cholesky(cov)
+    score = mix @ rng.standard_normal((k, j))
+    # Bartlett factor of a k x k Wishart with m - 1 - j degrees of freedom
+    bartlett = np.diag(np.sqrt(2.0 * rng.standard_gamma((m - 1 - j - np.arange(k)) / 2.0)))
+    bartlett[np.tril_indices(k, -1)] = rng.standard_normal(k * (k - 1) // 2)
+    return chol, score, np.sum((mix @ bartlett) ** 2, axis=1)
+
+
+def _associations(chol: np.ndarray, effect: np.ndarray, score: np.ndarray, rss: float,
+                  m: int) -> tuple[np.ndarray, np.ndarray, float]:
+    # per-variant simple OLS slopes and SEs, and the multivariable R^2, of one
+    # phenotype G effect + e from its sample's sufficient statistics
+    whitened = chol.T @ effect + score  # L^-1 G_c'y
+    sgy = chol @ whitened
+    sgg = np.einsum("ij,ij->i", chol, chol)
+    tss = float(whitened @ whitened) + rss
+    slope = sgy / sgg
+    resid = tss - slope * sgy
+    if not rss > 0.0 or np.any(resid <= 0.0):
         raise _DegenerateGenotype
-    r2 = 1.0 - rss / tss
-    f = (r2 / k) / ((1.0 - r2) / (n - k - 1))
-    return r2, f
+    return slope, np.sqrt(resid / (m - 2) / sgg), 1.0 - rss / tss
 
 
 def extract_summary(raw: RawStudy, design: str) -> GeneratedStudy:
     """Summarize a raw dataset into per-variant associations.
 
-    The two-sample design uses the first half of the individuals for the
-    exposure associations and the second half for the outcome associations;
-    the one-sample design uses everyone for both. Instrument-strength
-    diagnostics always come from the exposure sample.
+    The two-sample design takes the exposure associations from one half of
+    the individuals and the outcome associations from the other; the
+    one-sample design uses everyone for both. Instrument-strength
+    diagnostics always come from the exposure sample. ``design`` must be
+    the one the dataset was drawn for.
     """
-    if design not in DESIGNS:
-        raise ValueError(f"design must be one of {DESIGNS}, got {design!r}")
-    n = raw.x.size
-    if design == "two_sample":
-        half = n // 2
-        exposure = slice(0, half)
-        outcome = slice(half, n)
-    else:
-        exposure = outcome = slice(0, n)
-    beta_x, se_x = _univariable(raw.g[exposure], raw.x[exposure])
-    beta_y, se_y = _univariable(raw.g[outcome], raw.y[outcome])
-    r2, f_overall = _multivariable(raw.g[exposure], raw.x[exposure])
+    if design != raw.design:
+        raise ValueError(f"dataset was drawn for the {raw.design} design, not {design!r}")
+    m = raw.n_sample
+    k = raw.gamma.size
+    effect_x = raw.gamma + raw.phi
+    effect_y = raw.alpha + raw.theta * effect_x + raw.phi
+    beta_x, se_x, r2 = _associations(raw.chol_x, effect_x, raw.score_x, raw.rss_x, m)
+    beta_y, se_y, _ = _associations(raw.chol_y, effect_y, raw.score_y, raw.rss_y, m)
+    f_overall = (r2 / k) / ((1.0 - r2) / (m - k - 1))
     f_uni = float(np.mean((beta_x / se_x) ** 2))
-    ids = [f"g{k + 1}" for k in range(raw.g.shape[1])]
+    ids = [f"g{i + 1}" for i in range(k)]
     summary = SummarySet.from_arrays(beta_x, se_x, beta_y, se_y, ids=ids)
     return GeneratedStudy(
         summary=summary,
@@ -250,14 +310,13 @@ class _ReplicateRecord:
 def _replicate(spec: ScenarioSpec, rep: int, methods: tuple[str, ...],
                bootstrap_draws: int) -> _ReplicateRecord:
     data_rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(spec.seed, spawn_key=(rep, 0)))
+        np.random.PCG64(np.random.SeedSequence(spec.seed, spawn_key=(rep, 0)))
     )
     regenerated = 0
     study = None
     for _ in range(_MAX_REGENERATIONS):
-        raw = generate_individual_data(spec, data_rng)
         try:
-            study = extract_summary(raw, spec.design)
+            study = extract_summary(generate_individual_data(spec, data_rng), spec.design)
             break
         except _DegenerateGenotype:
             regenerated += 1

@@ -171,28 +171,49 @@ def _wls_rows(w: np.ndarray, design: np.ndarray, response: np.ndarray):
     a row with a negative weight, as in the sandwich's bread, may be
     indefinite and needs only |q| > 1e-12. Coefficients can still overflow.
     """
-    a = design[:, 0]
     with np.errstate(all="ignore"):  # the flag and the callers check the results
-        s00 = w @ (a * a)
-        r0 = w @ (a * response)
-        if design.shape[1] == 1:
-            coefs = (r0 / s00)[:, None]
+        sums = [w @ col for col in _wls_products(design, response)]
+        coefs, q, ok = _wls_solve(sums, w.min(axis=1) >= 0.0)
+        s00 = sums[0]
+        if q is None:
             inv = (1.0 / s00)[:, None, None]
-            ok = np.isfinite(s00) & (s00 != 0.0)
         else:
-            b = design[:, 1]
-            s01 = w @ (a * b)
-            s11 = w @ (b * b)
-            r1 = w @ (b * response)
-            k0, k1, m0, m1 = s01 / s00, s01 / s11, r0 / s00, r1 / s11
-            q = 1.0 - k0 * k1
-            coefs = np.column_stack([(m0 - k0 * m1) / q, (m1 - k1 * m0) / q])
-            i01 = -k0 / (s11 * q)
+            s11 = sums[3]
+            i01 = -(sums[2] / s00) / (s11 * q)
             inv = np.array([[1.0 / (s00 * q), i01], [i01, 1.0 / (s11 * q)]]).transpose(2, 0, 1)
-            q_test = np.where(w.min(axis=1) >= 0.0, q, np.abs(q))
-            ok = (np.isfinite(s00) & np.isfinite(s01) & np.isfinite(s11)
-                  & (s00 != 0.0) & (s11 != 0.0) & (q_test > 1e-12))
-    return coefs, inv, ok
+    return np.column_stack(coefs), inv, ok
+
+
+def _wls_products(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-variant products whose weighted sums are the normal equations' entries.
+
+    s00 and r0 for one design column a; s00, r0, s01, s11 and r1 for two
+    columns a, b (s01 = sum w a b, r1 = sum w b response). A caller that
+    refits one design under many weights forms them once.
+    """
+    a = design[:, 0]
+    if design.shape[1] == 1:
+        return a * a, a * response
+    b = design[:, 1]
+    return a * a, a * response, a * b, b * b, b * response
+
+
+def _wls_solve(sums, nonnegative):
+    """Coefficients, q (None for one column) and invertibility from the normal sums.
+
+    Elementwise, so the sums may be arrays, one fit per entry, or numpy
+    scalars for a single fit; ``nonnegative`` (numpy booleans) says whose
+    weights are all >= 0. See :func:`_wls_rows` for the rules.
+    """
+    s00, r0 = sums[0], sums[1]
+    if len(sums) == 2:
+        return (r0 / s00,), None, np.isfinite(s00) & (s00 != 0.0)
+    s01, s11, r1 = sums[2:]
+    k0, k1, m0, m1 = s01 / s00, s01 / s11, r0 / s00, r1 / s11
+    q = 1.0 - k0 * k1
+    ok = (np.isfinite(s00) & np.isfinite(s01) & np.isfinite(s11) & (s00 != 0.0) & (s11 != 0.0)
+          & ((q > 1e-12) | (~nonnegative & (q < -1e-12))))
+    return ((m0 - k0 * m1) / q, (m1 - k1 * m0) / q), q, ok
 
 
 def _design(s: SummarySet, w: np.ndarray, intercept: bool):

@@ -1,11 +1,14 @@
 """The method registry: id validation, seed isolation, and penalized wiring."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from ivrobust import estimators
 from ivrobust.estimators import ALL_METHODS, run_methods
+from ivrobust.median_methods import bootstrap_se, penalized_weighted_median
 from ivrobust.exceptions import (
     DegenerateInstrumentError,
     EstimationError,
@@ -17,6 +20,8 @@ from ivrobust.summary_data import SummarySet, harmonize
 from ivrobust.wls import egger, inverse_variance_weights, ivw
 
 from _helpers import make_set
+
+MEDIANS = ("simple_median", "weighted_median", "penalized_weighted_median")
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +61,7 @@ class TestRegistry:
         assert a == b
 
     def test_subset_leaves_method_results_unchanged(self, summary):
-        # stochastic methods read fixed per-method streams, so dropping other
+        # stochastic methods read fixed streams, so dropping other
         # methods from the request cannot shift anyone's draws
         full = run_methods(summary, seed=11, bootstrap_draws=200)
         for subset in (
@@ -67,6 +72,56 @@ class TestRegistry:
             got = run_methods(summary, subset, seed=11, bootstrap_draws=200)
             for name in subset:
                 assert got[name] == full[name]
+
+    def test_medians_alone_or_in_any_subset(self, summary):
+        # the three medians share one set of bootstrap draws from a fixed stream,
+        # so each one's Estimate is the same alone and in every combination
+        alone = {m: run_methods(summary, (m,), seed=11, bootstrap_draws=200)[m]
+                 for m in MEDIANS}
+        for size in (1, 2, 3):
+            for subset in itertools.combinations(MEDIANS, size):
+                request = ("ivw", *subset, "penalized_egger")
+                got = run_methods(summary, request, seed=11, bootstrap_draws=200)
+                for name in subset:
+                    assert got[name] == alone[name]
+
+    def test_median_se_is_bootstrap_se_on_the_shared_stream(self, summary):
+        hs = harmonize(summary)
+        stream = estimators._stream(np.random.SeedSequence(11), "bootstrap")
+        got = run_methods(hs, MEDIANS, seed=11, bootstrap_draws=200)
+        assert got["simple_median"].se == bootstrap_se(hs, np.ones(hs.j), draws=200, seed=stream)
+        assert got["weighted_median"].se == bootstrap_se(
+            hs, hs.beta_x ** 2 / hs.se_y ** 2, draws=200, seed=stream)
+        assert got["penalized_weighted_median"] == penalized_weighted_median(
+            hs, draws=200, seed=stream)
+
+    def test_exact_zero_draw_redrawn_once_and_shared(self, summary, monkeypatch):
+        real = np.random.Generator
+        shapes = []
+
+        class ZeroFirstDraw:
+            # the first exposure draw hits beta_x = 0 exactly in one cell
+            def __init__(self, bit_generator):
+                self._rng = real(bit_generator)
+
+            def normal(self, loc, scale, size=None):
+                out = self._rng.normal(loc, scale, size)
+                shapes.append(out.shape)
+                if len(shapes) == 1:
+                    out[3, 5] = 0.0
+                return out
+
+        monkeypatch.setattr(np.random, "Generator", ZeroFirstDraw)
+        alone = {}
+        for m in MEDIANS:
+            shapes.clear()
+            alone[m] = run_methods(summary, (m,), seed=3, bootstrap_draws=50)[m]
+            assert shapes == [(50, 12), (50, 12), (1,)]
+        shapes.clear()
+        joint = run_methods(summary, MEDIANS, seed=3, bootstrap_draws=50)
+        assert shapes == [(50, 12), (50, 12), (1,)]
+        assert joint == alone
+        assert all(est.se_reported for est in joint.values())
 
     def test_raises_error_of_first_failing_method(self):
         # egger fails for want of variants, simple_median on the zero beta_x;
@@ -79,8 +134,14 @@ class TestRegistry:
         # reference fits are computed on demand, so the median requested first
         # reports its own error even though the egger reference would also fail
         calls = []
-        monkeypatch.setitem(estimators._MEDIANS, "weighted_median",
-                            lambda *a, **k: calls.append("weighted_median"))
+        real = estimators._median_fit
+
+        def median_fit(s, method, *args):
+            if method == "weighted_median":
+                calls.append(method)
+            return real(s, method, *args)
+
+        monkeypatch.setattr(estimators, "_median_fit", median_fit)
         s = make_set([0.0, 0.1], [0.01] * 2, [0.01, 0.02], [0.05] * 2)
         with pytest.raises(DegenerateInstrumentError, match="zero exposure association"):
             run_methods(s, ("ivw", "simple_median", "egger", "weighted_median"), seed=1)

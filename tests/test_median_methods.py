@@ -11,9 +11,9 @@ from ivrobust.median_methods import (
     weighted_median,
     weighted_median_estimate,
 )
-from ivrobust.summary_data import ratio_estimates
+from ivrobust.summary_data import harmonize, ratio_estimates
 
-from _helpers import make_set
+from _helpers import make_set, random_summary
 
 
 def median_oracle(theta, w):
@@ -164,6 +164,18 @@ class TestBootstrap:
         )
         se = bootstrap_se(s, np.ones(5), draws=200, seed=1)
         assert se < 1e-9
+
+    def test_pinned_values(self):
+        # seeded bootstrap SEs are fixed: the sort/weigh split must not move them
+        pinned = {1: (0.16612912460562032, 0.10031936271824086),
+                  2: (0.1416347368113388, 0.1318414531228744),
+                  3: (0.1818222827278439, 0.1474584878777233)}
+        for seed, (weighted, equal) in pinned.items():
+            s = harmonize(random_summary(np.random.default_rng(seed), j=12))
+            w = np.random.default_rng(seed + 10).uniform(0.1, 1.0, 12)
+            assert bootstrap_se(s, w, draws=1000, seed=seed) == weighted
+            stream = np.random.SeedSequence(seed, spawn_key=(4, 1))
+            assert bootstrap_se(s, np.ones(12), draws=300, seed=stream) == equal
 
     def test_draw_count_validated(self):
         s = ratio_set([0.1, 0.2, 0.3])

@@ -325,10 +325,9 @@ def lapack_m_stage(design, response, beta, s_star):
 class TestMStageLapackOracle:
     @pytest.mark.parametrize("intercept", [False, True])
     def test_matches_linalg_solves(self, intercept, monkeypatch):
-        # clean and contaminated sets; on an exact line (seed % 3 == 2) the S-scale is
-        # rounding dust, which the SEs amplify under either solver
+        # clean, contaminated and exact-line sets; the last are exact fits with no M-stage
         fitted = 0
-        for seed in (k for k in range(60) if k % 3 != 2):
+        for seed in range(60):
             s = s_stage_case(seed)
             fit, est = mm_regress(s, intercept=intercept, seed=seed)
             with monkeypatch.context() as m:
@@ -345,6 +344,20 @@ class TestMStageLapackOracle:
                 if ref.intercept_se is not None:
                     assert est.intercept_se == pytest.approx(ref.intercept_se, rel=1e-10)
         assert fitted >= 30
+
+
+class TestRoundingDust:
+    def test_exact_line_majority_is_an_exact_fit(self):
+        # J/2 + 2 variants lie on y = 0.1 x; under a candidate through two of them the
+        # others' residuals are ~1e-17, not 0. Counted as nonzero they gave an S-scale
+        # of rounding dust and, for seed 23, an SE of 0.081 built from it
+        for seed in range(2, 60, 3):
+            s = s_stage_case(seed)
+            for intercept in (False, True):
+                fit, est = mm_regress(s, intercept=intercept, seed=seed)
+                assert fit.exact_fit and fit.scale == 0.0
+                assert est.warnings == ("standard error unavailable", "exact fit")
+                assert est.theta == pytest.approx(0.1, rel=1e-13)
 
 
 class TestCollapsedInterval:
@@ -393,7 +406,8 @@ class TestOverflowingFits:
             warnings.simplefilter("error", RuntimeWarning)
             ivw_fit = run_methods(s, ("robust_ivw",), seed=1)["robust_ivw"]
             egger_fit = run_methods(s, ("robust_egger",), seed=1)["robust_egger"]
-        assert ivw_fit.theta == 0.1
+        # the last two variants lie on y = 0.1 x: either one's ratio is an exact fit
+        assert ivw_fit.theta == pytest.approx(0.1, rel=1e-15)
         assert egger_fit.theta == pytest.approx(-4.9, rel=1e-15)
         for est in (ivw_fit, egger_fit):
             assert est.warnings == ("standard error unavailable", "exact fit")

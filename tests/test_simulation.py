@@ -1,4 +1,4 @@
-"""Data generation moments, summary extraction oracles, and study aggregation."""
+"""Data generation: the exact sufficient-statistic law, extraction oracles, study aggregation."""
 from __future__ import annotations
 
 import io
@@ -25,28 +25,60 @@ def rng_for(seed=0):
     return np.random.Generator(np.random.Philox(seed))
 
 
-class TestScenarioSpec:
-    def test_defaults_are_valid(self):
-        spec = ScenarioSpec(scenario=1)
-        assert spec.n == 40_000 and spec.j == 25 and spec.design == "two_sample"
+def truth(j, rng, theta=0.1):
+    """Generating truth with every effect term nonzero."""
+    return dict(gamma=rng.uniform(0.03, 0.1, j), alpha=rng.uniform(-0.1, 0.1, j),
+                phi=rng.uniform(-0.1, 0.1, j), invalid=np.ones(j, dtype=bool), theta=theta)
 
-    def test_validation(self):
-        with pytest.raises(ValueError, match="scenario"):
-            ScenarioSpec(scenario=5)
-        with pytest.raises(ValueError, match="prop_invalid"):
-            ScenarioSpec(scenario=2, prop_invalid=1.5)
-        with pytest.raises(ValueError, match="scenario 1"):
-            ScenarioSpec(scenario=1, prop_invalid=0.3)
-        with pytest.raises(ValueError, match="even"):
-            ScenarioSpec(scenario=1, n=40_001)
-        with pytest.raises(ValueError, match="too small"):
-            ScenarioSpec(scenario=1, n=40, j=25)
-        with pytest.raises(ValueError, match="maf"):
-            ScenarioSpec(scenario=1, maf=0.0)
-        with pytest.raises(ValueError, match="n_sim"):
-            ScenarioSpec(scenario=1, n_sim=0)
-        with pytest.raises(ValueError, match="design"):
-            ScenarioSpec(scenario=1, design="three_sample")
+
+def phenotypes(g, t, eps_x, eps_y):
+    """Exposure and outcome of individuals with genotypes g under the structural model."""
+    effect_x = t["gamma"] + t["phi"]
+    return (g @ effect_x + eps_x,
+            g @ (t["alpha"] + t["theta"] * effect_x + t["phi"]) + eps_y)
+
+
+def sufficient(g, eps):
+    """(chol, score, rss) of explicit genotypes and an n-length error vector."""
+    gc = g - g.mean(axis=0)
+    chol = np.linalg.cholesky(gc.T @ gc)
+    score = np.linalg.solve(chol, gc.T @ eps)
+    ec = eps - eps.mean()
+    return chol, score, float(ec @ ec - score @ score)
+
+
+def raw_from_individuals(design, t, g_x, eps_x, g_y, eps_y):
+    """The RawStudy whose statistics are those of explicit individual-level data.
+
+    In the one-sample design g_y is g_x: both phenotypes come from one sample.
+    """
+    chol_x, score_x, rss_x = sufficient(g_x, eps_x)
+    chol_y, score_y, rss_y = sufficient(g_y, eps_y)
+    return RawStudy(design=design, n_sample=g_x.shape[0], chol_x=chol_x, chol_y=chol_y,
+                    score_x=score_x, score_y=score_y, rss_x=rss_x, rss_y=rss_y, **t)
+
+
+def brute_force_summary(spec, t, rng):
+    """Associations by the individual-level path: binomial genotypes, n-length errors, OLS."""
+    n, j = spec.n, spec.j
+    g = rng.binomial(2, spec.maf, size=(n, j)).astype(float)
+    eps_u, eps_x, eps_y = rng.standard_normal((3, n))
+    u = g @ t["phi"] + eps_u
+    x = g @ t["gamma"] + u + eps_x
+    y = g @ t["alpha"] + t["theta"] * x + u + eps_y
+    half = n // 2 if spec.design == "two_sample" else 0
+    out = slice(half, n)
+    exp = slice(0, half) if half else out
+
+    def ols(gs, v):
+        gc = gs - gs.mean(axis=0)
+        vc = v - v.mean()
+        sgg = np.einsum("ij,ij->j", gc, gc)
+        sgy = gc.T @ vc
+        slope = sgy / sgg
+        return slope, np.sqrt((vc @ vc - slope * sgy) / (len(v) - 2) / sgg)
+
+    return (*ols(g[exp], x[exp]), *ols(g[out], y[out]))
 
 
 class TestGenerate:
@@ -56,16 +88,39 @@ class TestGenerate:
         assert not raw.invalid.any()
         assert np.all(raw.alpha == 0.0)
         assert np.all(raw.phi == 0.0)
-        assert raw.g.shape == (400, 6)
-        assert set(np.unique(raw.g)) <= {0.0, 1.0, 2.0}
+        assert raw.design == "two_sample" and raw.n_sample == 200
+        for chol in (raw.chol_x, raw.chol_y):
+            assert chol.shape == (6, 6)
+            assert np.all(np.triu(chol, 1) == 0.0) and np.all(np.diag(chol) > 0.0)
+        assert raw.score_x.shape == raw.score_y.shape == (6,)
 
     def test_genotype_moments(self):
-        spec = ScenarioSpec(scenario=1, n=100_000, j=4, maf=0.3, n_sim=1)
-        raw = generate_individual_data(spec, rng_for(2))
+        g = np.vstack(list(simulation._genotype_blocks(rng_for(2), 100_000, 4, 0.3)))
+        assert set(np.unique(g)) <= {0.0, 1.0, 2.0}
         se_mean = math.sqrt(2 * 0.3 * 0.7 / 100_000)
         for col in range(4):
-            assert abs(raw.g[:, col].mean() - 0.6) < 4 * se_mean
-            assert raw.g[:, col].var() == pytest.approx(2 * 0.3 * 0.7, rel=0.05)
+            assert abs(g[:, col].mean() - 0.6) < 4 * se_mean
+            assert g[:, col].var() == pytest.approx(2 * 0.3 * 0.7, rel=0.05)
+            # Hardy-Weinberg proportions of the inverse-CDF draw
+            assert np.mean(g[:, col] == 2.0) == pytest.approx(0.09, abs=0.005)
+
+    def test_genotype_blocks_are_one_draw(self):
+        m = 2 * simulation._GENOTYPE_BLOCK + 17
+        g = np.vstack(list(simulation._genotype_blocks(rng_for(2), m, 3, 0.3)))
+        u = rng_for(2).random((m, 3))
+        np.testing.assert_array_equal(g, (u > 0.7 ** 2) + (u > 1.0 - 0.3 ** 2).astype(float))
+
+    def test_gram_factor_matches_genotypes(self):
+        # the stored factor is that of the centred Gram matrix of the drawn genotypes
+        spec = ScenarioSpec(scenario=1, n=400, j=5, n_sim=1)
+        rng_a, rng_b = rng_for(3), rng_for(3)
+        raw = generate_individual_data(spec, rng_a)
+        rng_b.random(5)  # the invalid flags ...
+        rng_b.uniform(0.03, 0.1, 5)  # ... and gamma precede the genotypes
+        g = np.vstack(list(simulation._genotype_blocks(rng_b, 200, 5, spec.maf)))
+        gc = g - g.mean(axis=0)
+        np.testing.assert_allclose(raw.chol_x @ raw.chol_x.T, gc.T @ gc, rtol=1e-12,
+                                   atol=1e-12 * np.abs(gc.T @ gc).max())
 
     def test_gamma_range_respected(self):
         spec = ScenarioSpec(scenario=1, n=400, j=50, n_sim=1)
@@ -105,84 +160,137 @@ class TestGenerate:
         se = math.sqrt(200 * 0.3 * 0.7 / 50)
         assert abs(np.mean(counts) - 60.0) < 4 * se
 
-    def test_structural_equations_hold(self):
-        # the generated columns satisfy the generating equations exactly given
-        # the drawn coefficients and the implied error terms
-        spec = ScenarioSpec(scenario=4, prop_invalid=0.4, theta=0.2, n=600, j=8, n_sim=1)
-        raw = generate_individual_data(spec, rng_for(6))
-        eps_x = raw.x - raw.g @ raw.gamma - raw.u
-        eps_y = raw.y - raw.g @ raw.alpha - 0.2 * raw.x - raw.u
-        # errors are standard normal draws: mean ~ 0, sd ~ 1
-        for eps in (eps_x, eps_y):
-            assert abs(eps.mean()) < 5 / math.sqrt(600)
-            assert eps.std() == pytest.approx(1.0, rel=0.15)
+    @pytest.mark.parametrize("design", ["two_sample", "one_sample"])
+    def test_error_statistics_follow_the_structural_equations(self, design):
+        # the errors of X = G(gamma + phi) + e_U + e_X and of
+        # Y = G(alpha + theta (gamma + phi) + phi) + (1 + theta) e_U + theta e_X + e_Y:
+        # scores ~ N(0, var I), rss ~ var chi^2_{m-1-J}, and in one sample the two
+        # phenotypes' scores correlate as their errors do
+        theta, draws, j = 0.5, 2000, 4
+        spec = ScenarioSpec(scenario=4, prop_invalid=0.5, theta=theta, n=400, j=j,
+                            design=design, n_sim=1)
+        rng = rng_for(6)
+        raws = [generate_individual_data(spec, rng) for _ in range(draws)]
+        m = raws[0].n_sample
+        var_y = (1 + theta) ** 2 + theta ** 2 + 1
+        score_x = np.concatenate([r.score_x for r in raws])
+        score_y = np.concatenate([r.score_y for r in raws])
+        for score, rss, var in ((score_x, [r.rss_x for r in raws], 2.0),
+                                (score_y, [r.rss_y for r in raws], var_y)):
+            assert abs(score.mean()) < 4 * math.sqrt(var / score.size)
+            assert score.var() == pytest.approx(var, rel=4 * math.sqrt(2 / score.size))
+            df = m - 1 - j
+            assert np.mean(rss) / df == pytest.approx(var, rel=4 * math.sqrt(2 / (df * draws)))
+        corr = np.corrcoef(score_x, score_y)[0, 1]
+        expected = (1 + 2 * theta) / math.sqrt(2 * var_y) if design == "one_sample" else 0.0
+        assert abs(corr - expected) < 4 / math.sqrt(score.size)
 
 
 class TestExtractSummary:
-    def test_one_sample_matches_linregress(self):
-        spec = ScenarioSpec(scenario=1, theta=0.1, n=60, j=3, design="one_sample", n_sim=1)
-        raw = generate_individual_data(spec, rng_for(7))
-        study = extract_summary(raw, "one_sample")
+    @pytest.mark.parametrize("design", ["one_sample", "two_sample"])
+    def test_matches_linregress_and_lstsq(self, design):
+        # the algebra oracle: statistics formed from explicit n-length errors give
+        # exactly the per-variant OLS fits and the multivariable R^2 and F
+        rng = rng_for(7)
+        m, j = 60, 3
+        t = truth(j, rng)
+        g_x = rng.binomial(2, 0.3, size=(m, j)).astype(float)
+        g_y = g_x if design == "one_sample" else rng.binomial(2, 0.3, size=(m, j)).astype(float)
+        eps_x, eps_y = 1.5 * rng.standard_normal((2, m))
+        x, _ = phenotypes(g_x, t, eps_x, eps_y)
+        _, y = phenotypes(g_y, t, eps_x, eps_y)
+        study = extract_summary(raw_from_individuals(design, t, g_x, eps_x, g_y, eps_y), design)
         s = study.summary
         assert s.ids == ("g1", "g2", "g3")
-        for col in range(3):
-            lx = st.linregress(raw.g[:, col], raw.x)
-            ly = st.linregress(raw.g[:, col], raw.y)
+        for col in range(j):
+            lx = st.linregress(g_x[:, col], x)
+            ly = st.linregress(g_y[:, col], y)
             assert s.beta_x[col] == pytest.approx(lx.slope, rel=1e-10)
             assert s.se_x[col] == pytest.approx(lx.stderr, rel=1e-10)
             assert s.beta_y[col] == pytest.approx(ly.slope, rel=1e-10)
             assert s.se_y[col] == pytest.approx(ly.stderr, rel=1e-10)
-
-    def test_two_sample_uses_disjoint_halves(self):
-        spec = ScenarioSpec(scenario=1, theta=0.1, n=80, j=3, n_sim=1)
-        raw = generate_individual_data(spec, rng_for(8))
-        study = extract_summary(raw, "two_sample")
-        s = study.summary
-        half = 40
-        for col in range(3):
-            lx = st.linregress(raw.g[:half, col], raw.x[:half])
-            ly = st.linregress(raw.g[half:, col], raw.y[half:])
-            assert s.beta_x[col] == pytest.approx(lx.slope, rel=1e-10)
-            assert s.beta_y[col] == pytest.approx(ly.slope, rel=1e-10)
-
-    def test_multivariable_f_and_r2_oracle(self):
-        spec = ScenarioSpec(scenario=1, theta=0.0, n=120, j=4, design="one_sample", n_sim=1)
-        raw = generate_individual_data(spec, rng_for(9))
-        study = extract_summary(raw, "one_sample")
-        n, k = 120, 4
-        design = np.column_stack([np.ones(n), raw.g])
-        coef, rss_arr, *_ = np.linalg.lstsq(design, raw.x, rcond=None)
-        rss = float(rss_arr[0])
-        tss = float(np.sum((raw.x - raw.x.mean()) ** 2))
-        r2 = 1.0 - rss / tss
-        f = (r2 / k) / ((1.0 - r2) / (n - k - 1))
+        coef, rss_arr, *_ = np.linalg.lstsq(np.column_stack([np.ones(m), g_x]), x, rcond=None)
+        r2 = 1.0 - float(rss_arr[0]) / float(np.sum((x - x.mean()) ** 2))
         assert study.r_squared == pytest.approx(r2, rel=1e-10)
-        assert study.f_statistic == pytest.approx(f, rel=1e-10)
+        assert study.f_statistic == pytest.approx((r2 / j) / ((1.0 - r2) / (m - j - 1)),
+                                                  rel=1e-10)
         assert study.f_univariable_mean == pytest.approx(
-            float(np.mean((study.summary.beta_x / study.summary.se_x) ** 2)), rel=1e-12
+            float(np.mean((s.beta_x / s.se_x) ** 2)), rel=1e-12
         )
 
     def test_near_noiseless_instrument(self):
         rng = rng_for(10)
         n = 100
         g = rng.binomial(2, 0.3, size=(n, 1)).astype(float)
-        x = 0.05 * g[:, 0] + 1e-8 * rng.standard_normal(n)
-        y = 0.1 * x + 1e-8 * rng.standard_normal(n)
-        raw = RawStudy(
-            g=g, u=np.zeros(n), x=x, y=y,
-            gamma=np.array([0.05]), alpha=np.zeros(1), phi=np.zeros(1),
-            invalid=np.zeros(1, dtype=bool), theta=0.1,
-        )
+        t = dict(gamma=np.array([0.05]), alpha=np.zeros(1), phi=np.zeros(1),
+                 invalid=np.zeros(1, dtype=bool), theta=0.1)
+        eps_x = 1e-8 * rng.standard_normal(n)
+        eps_y = 0.1 * eps_x + 1e-8 * rng.standard_normal(n)
+        raw = raw_from_individuals("one_sample", t, g, eps_x, g, eps_y)
         study = extract_summary(raw, "one_sample")
         assert study.summary.beta_x[0] == pytest.approx(0.05, abs=1e-7)
         assert study.summary.se_x[0] < 1e-7
         assert study.summary.beta_y[0] == pytest.approx(0.005, abs=1e-7)
 
-    def test_unknown_design_rejected(self):
+    def test_unknown_or_other_design_rejected(self):
         spec = ScenarioSpec(scenario=1, n=60, j=2, design="one_sample", n_sim=1)
         raw = generate_individual_data(spec, rng_for(11))
         with pytest.raises(ValueError):
             extract_summary(raw, "cross")
+        with pytest.raises(ValueError, match="drawn for the one_sample design"):
+            extract_summary(raw, "two_sample")
+
+
+class TestExactLaw:
+    @pytest.mark.parametrize("design", ["two_sample", "one_sample"])
+    def test_matches_brute_force_in_distribution(self, design):
+        # 3,000 datasets at n = 2,000 through each path, under the same truths:
+        # slope errors, their SD and the mean SE agree within Monte Carlo error
+        draws, j = 3000, 4
+        spec = ScenarioSpec(scenario=4, prop_invalid=0.5, theta=0.3, n=2000, j=j,
+                            design=design, n_sim=1)
+        rng_new, rng_old = rng_for(12), np.random.default_rng(13)
+        new, old = [], []
+        for _ in range(draws):
+            raw = generate_individual_data(spec, rng_new)
+            s = extract_summary(raw, design).summary
+            t = dict(gamma=raw.gamma, alpha=raw.alpha, phi=raw.phi, theta=raw.theta)
+            effect_x = raw.gamma + raw.phi
+            effect_y = raw.alpha + raw.theta * effect_x + raw.phi
+            new.append((s.beta_x - effect_x, s.se_x, s.beta_y - effect_y, s.se_y))
+            bx, sx, by, sy = brute_force_summary(spec, t, rng_old)
+            old.append((bx - effect_x, sx, by - effect_y, sy))
+        new = np.array(new).transpose(1, 0, 2)  # statistic x draw x variant
+        old = np.array(old).transpose(1, 0, 2)
+        for k in range(4):  # error of beta_x, se_x, error of beta_y, se_y
+            # draws are independent, a draw's variants share its errors: the
+            # per-draw means are the independent units of the mean's test
+            a, b = new[k].mean(axis=1), old[k].mean(axis=1)
+            assert abs(a.mean() - b.mean()) < 4.5 * math.sqrt((a.var() + b.var()) / draws)
+            if k % 2 == 0:
+                a, b = new[k].ravel(), old[k].ravel()
+                sd_se = math.sqrt((a.var() + b.var()) / (2 * a.size))
+                assert abs(a.std() - b.std()) < 4.5 * sd_se
+        # one sample: the exposure and outcome errors correlate the same way
+        corr_new = np.corrcoef(new[0].ravel(), new[2].ravel())[0, 1]
+        corr_old = np.corrcoef(old[0].ravel(), old[2].ravel())[0, 1]
+        assert abs(corr_new - corr_old) < 4.5 * math.sqrt(2 / new[0].size)
+
+    def test_monomorphic_variant_regenerates(self):
+        # at maf = 0.03 a variant is monomorphic in a 40-person half about one time in
+        # eleven: the dataset is redrawn and counted, never summarized
+        spec = ScenarioSpec(scenario=1, n=80, j=4, maf=0.03, n_sim=10, seed=3)
+        report = run_study(spec, ("ivw",))
+        assert report.regenerated_datasets > 0
+        assert report.regenerated_datasets == run_study(spec, ("ivw",)).regenerated_datasets
+        monomorphic = ScenarioSpec(scenario=1, n=80, j=4, maf=1e-12, n_sim=1)
+        with pytest.raises(simulation._DegenerateGenotype):
+            generate_individual_data(monomorphic, rng_for(14))
+
+    def test_every_draw_degenerate_raises(self):
+        spec = ScenarioSpec(scenario=1, n=80, j=4, maf=1e-12, n_sim=1, seed=3)
+        with pytest.raises(RuntimeError, match="no informative dataset"):
+            run_study(spec, ("ivw",))
 
 
 class TestRunStudy:
