@@ -81,6 +81,30 @@ def brute_force_summary(spec, t, rng):
     return (*ols(g[exp], x[exp]), *ols(g[out], y[out]))
 
 
+class TestScenarioSpec:
+    def test_defaults_are_valid(self):
+        spec = ScenarioSpec(scenario=1)
+        assert spec.n == 40_000 and spec.j == 25 and spec.design == "two_sample"
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="scenario"):
+            ScenarioSpec(scenario=5)
+        with pytest.raises(ValueError, match="prop_invalid"):
+            ScenarioSpec(scenario=2, prop_invalid=1.5)
+        with pytest.raises(ValueError, match="scenario 1"):
+            ScenarioSpec(scenario=1, prop_invalid=0.3)
+        with pytest.raises(ValueError, match="even"):
+            ScenarioSpec(scenario=1, n=40_001)
+        with pytest.raises(ValueError, match="too small"):
+            ScenarioSpec(scenario=1, n=40, j=25)
+        with pytest.raises(ValueError, match="maf"):
+            ScenarioSpec(scenario=1, maf=0.0)
+        with pytest.raises(ValueError, match="n_sim"):
+            ScenarioSpec(scenario=1, n_sim=0)
+        with pytest.raises(ValueError, match="design"):
+            ScenarioSpec(scenario=1, design="three_sample")
+
+
 class TestGenerate:
     def test_scenario1_has_no_direct_effects(self):
         spec = ScenarioSpec(scenario=1, n=400, j=6, n_sim=1)
