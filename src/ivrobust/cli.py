@@ -20,7 +20,7 @@ import numpy as np
 
 from .estimators import ALL_METHODS, _check_methods, run_methods
 from .exceptions import CsvParseError, EstimationError
-from .penalization import cochran_q_ivw
+from .penalization import _ivw_q
 from .distributions import chisq_sf
 from .simulation import ScenarioSpec, run_study
 from .summary_data import harmonize, read_csv
@@ -43,6 +43,16 @@ def _method_list(text: str) -> tuple[str, ...]:
     return names
 
 
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ivrobust",
@@ -61,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="SE model for the no-intercept methods")
     analyze.add_argument("--bootstrap-draws", type=int, default=1000, metavar="N",
                          help="parametric bootstrap draws for the median methods")
-    analyze.add_argument("--seed", type=int, default=None,
+    analyze.add_argument("--seed", type=_seed, default=None,
                          help="RNG seed; generated and echoed when omitted")
     analyze.add_argument("--format", choices=["table", "csv", "json"], default="table",
                          help="output format (default table)")
@@ -82,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="estimate both association sets from the full sample")
     simulate.add_argument("--n-sim", type=int, default=1000,
                           help="number of replicates (default 1000)")
-    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument("--seed", type=_seed, default=0)
     simulate.add_argument("--methods", type=_method_list, default=ALL_METHODS,
                           metavar="LIST", help="comma-separated method ids or 'all'")
     simulate.add_argument("--bootstrap-draws", type=int, default=1000, metavar="N")
@@ -152,8 +162,8 @@ def _diagnostics(hs) -> dict:
             warnings.append(f"I^2 unavailable: {exc}")
         out.update(q_statistic=None, q_df=hs.j - 1, q_p_value=None)
         try:
-            q = cochran_q_ivw(hs, ivw(hs, inverse_variance_weights(hs)).theta)
-            out.update(q_statistic=q.q_total, q_p_value=chisq_sf(q.q_total, q.df_total))
+            q = float(np.sum(_ivw_q(hs, ivw(hs, inverse_variance_weights(hs)).theta)))
+            out.update(q_statistic=q, q_p_value=chisq_sf(q, hs.j - 1))
         except EstimationError as exc:
             warnings.append(f"Q unavailable: {exc}")
     out["warnings"] = warnings

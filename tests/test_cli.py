@@ -186,6 +186,18 @@ class TestAnalyze:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [["analyze", "set.csv"], ["simulate", "--scenario", "1"]])
+@pytest.mark.parametrize("seed, message", [
+    ("-1", "argument --seed: must be a non-negative integer, got -1"),
+    ("x", "argument --seed: invalid int value: 'x'"),
+])
+def test_bad_seed_rejected_by_parser(command, seed, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--seed", seed])
+    assert exc.value.code == EXIT_PARSE
+    assert message in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_smoke_run_with_csv_out(self, tmp_path, capsys):
         out = tmp_path / "report.csv"

@@ -3,16 +3,20 @@ from __future__ import annotations
 
 import io
 import string
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ivrobust import summary_data
 from ivrobust.exceptions import CsvParseError, DegenerateInstrumentError
 from ivrobust.summary_data import (
     SummarySet,
     VariantAssociation,
+    _parse_csv,
+    _read_blocks,
     harmonize,
     ratio_estimates,
     read_csv,
@@ -278,3 +282,139 @@ class TestCsvRowNumbers:
             SummarySet.from_arrays([-0.1], [0.01], [0.0], [0.05], harmonized=True)
         with pytest.raises(ValueError, match="2 ids for 1 variants"):
             SummarySet.from_arrays([0.1], [0.01], [0.0], [0.05], ids=["a", "b"])
+
+
+# cells of a generated CSV: the valid forms (padding, "1_0", unicode ids), the
+# forms only the row walker reads (quotes; "\r\n" line ends below) and, in
+# texts that may be invalid, the faults the walker reports
+_VALID_VALUE = st.floats(-5.0, 5.0).map(repr) | st.sampled_from(
+    ["0.1", " 0.25 ", "-3e-2", "1_0", "+.5", "0", "-0.0"])
+_VALID_SE = st.floats(1e-6, 1.0).map(repr) | st.sampled_from(["0.05", " 0.02", "2_5e-3"])
+_VALID_ID = st.sampled_from(["rs{}", " rs{} ", "r\u00e9s{}", "{}"])
+_QUOTED_VALUE = _VALID_VALUE | st.just('"0.5"')
+_QUOTED_ID = _VALID_ID | st.sampled_from(['"rs,{}"', '"rs""{}"'])
+_VALUE = _QUOTED_VALUE | st.sampled_from(["nan", "inf", "-inf", "x", "", "1e400"])
+_SE = _VALID_SE | st.sampled_from(["0", "-0.01", "nan", "inf", "se", '"0.03"'])
+_ID = st.integers(1, 60).map("rs{}".format) | st.sampled_from(
+    ["rs1", " rs7 ", "", "  ", '"rs,8"', '"rs""9"', "rs\t10", '"rs12"', "13", "0.5"])
+_HEADER = HEADER.rstrip("\n")
+
+
+@st.composite
+def csv_texts(draw):
+    # half the texts have valid rows by construction, the rest may hold any fault
+    valid = draw(st.booleans())
+    quoted = draw(st.booleans())
+    header = draw(st.sampled_from(
+        [_HEADER] * 6 + [" id , beta_x,se_x,beta_y,se_y ", '"id",beta_x,se_x,beta_y,se_y',
+                         "id,beta_x,se_y,beta_y,se_x", "", "id,beta_x"]))
+    lines = [header]
+    kinds = ["row"] * 8 + ["blank"] + ([] if valid else ["space", "short", "long"])
+    for k in range(draw(st.integers(1 if valid else 0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append("  ")
+        elif valid:
+            vid = draw(_QUOTED_ID if quoted else _VALID_ID).format(k)
+            value = _QUOTED_VALUE if quoted else _VALID_VALUE
+            lines.append(",".join([vid, draw(value), draw(_VALID_SE), draw(value),
+                                   draw(_VALID_SE)]))
+        else:
+            cells = [draw(_ID), draw(_VALUE), draw(_SE), draw(_VALUE), draw(_SE)]
+            if kind == "short":
+                cells.pop(draw(st.integers(0, 4)))
+            elif kind == "long":
+                cells.append(draw(_VALUE))
+            lines.append(",".join(cells))
+    if valid and not any(lines[1:]):
+        lines.append("rs0,0.1,0.01,0.02,0.05")
+    if draw(st.integers(0, 5)) == 0:  # 4 then 6 numeric fields: 10 in all, wrongly split
+        at = draw(st.integers(1, len(lines)))
+        lines[at:at] = ["900,0.1,0.01,0.02", "901,0.1,0.01,0.02,0.05,0.3"]
+    endings = ["\n"] * 9 + ["\r\n"] if draw(st.booleans()) else ["\n"]
+    text = "".join(line + draw(st.sampled_from(endings)) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except CsvParseError as exc:
+        return str(exc)
+
+
+def _walk(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return _parse_csv(fh)
+
+
+def _blocks(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return _read_blocks(fh)
+
+
+def _large_rows(j):
+    rng = np.random.default_rng(j)
+    return [f"rs{i},{rng.normal()!r},{rng.uniform(0.01, 0.1)!r},{rng.normal()!r},"
+            f"{rng.uniform(0.01, 0.1)!r}" for i in range(j)]
+
+
+class TestCsvFastPath:
+    """The block reader against the row walker: same set, or the same error."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fast") / "set.csv"
+
+    @pytest.mark.parametrize("block", [7, 64, summary_data._BLOCK_CHARS])
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_texts())
+    def test_same_outcome_as_walker(self, path, block, text):
+        path.write_text(text, encoding="utf-8", newline="")
+        with mock.patch.object(summary_data, "_BLOCK_CHARS", block):
+            expected = _outcome(_walk, path)
+            assert _outcome(read_csv, path) == expected
+            fast = _blocks(path)
+        # the block reader covers every valid file without quotes or "\r", and nothing else
+        plain = isinstance(expected, SummarySet) and '"' not in text and "\r" not in text
+        assert (fast is not None) == plain
+        if plain:
+            assert fast == expected
+
+    def test_existing_cases_through_a_path(self, path):
+        rows = "rs1,0.1,0.01,0.02,0.05\n\nrs2,0.2,0.01,0.02,0\nrs3,0.3,0.01,0.02,0.05\n"
+        for text in (CSV_TEXT, HEADER + rows, HEADER + "rs1,0.1,0.01,0.02\n", HEADER,
+                     HEADER + "rs1,0.1,0.01,zz,0.05\n", "", "id,beta_x,se_x,beta_y\n"):
+            path.write_text(text, encoding="utf-8", newline="")
+            assert _outcome(read_csv, path) == _outcome(_walk, path)
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("bad,0.1,0.01,0.02,0", "se_y must be > 0, got 0.0"),
+        ("bad,0.1,0.01,oops,0.05", "non-numeric value 'oops' for beta_y"),
+        ("bad,0.1,0.01,0.02", "expected 5 fields, got 4"),
+        ("rs1,0.1,0.01,0.02,0.05", "duplicate variant id 'rs1'"),
+    ])
+    def test_fault_in_second_block_reports_its_row(self, path, bad_row, message):
+        rows = _large_rows(6_000)
+        at = 4_500  # past the first block of a default-sized read
+        assert len("\n".join(rows[:at])) > summary_data._BLOCK_CHARS
+        rows[at] = bad_row
+        path.write_text(HEADER + "\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(CsvParseError) as exc:
+            read_csv(path)
+        row = at + 2  # the header is row 1
+        assert str(exc.value).startswith(f"row {row}: ")
+        assert message in str(exc.value)
+        assert str(exc.value) == _outcome(_walk, path)
+
+    def test_large_file_round_trips(self, path):
+        path.write_text(HEADER + "\n".join(_large_rows(8_000)) + "\n", encoding="utf-8")
+        assert path.stat().st_size > 2 * summary_data._BLOCK_CHARS
+        s = _blocks(path)
+        assert s is not None and s == _walk(path) and s.j == 8_000
+        copy = path.with_name("copy.csv")
+        write_csv(s, copy)
+        assert read_csv(copy) == s
+        assert copy.read_text(encoding="utf-8") == path.read_text(encoding="utf-8")
