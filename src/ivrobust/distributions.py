@@ -7,6 +7,7 @@ bisection fallback.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 _SQRT2 = math.sqrt(2.0)
@@ -231,8 +232,13 @@ def normal_quantile(p: float) -> float:
     return _invert_cdf(normal_cdf, normal_pdf, p, -40.0, 40.0, _normal_start(p))
 
 
+@functools.cache
 def t_quantile(p: float, df: int) -> float:
-    """Inverse of :func:`t_cdf` on (0, 1)."""
+    """Inverse of :func:`t_cdf` on (0, 1).
+
+    Memoized: it is a pure function of (p, df), and every Egger-type fit asks
+    for the same 0.975 quantile. Invalid arguments raise on every call.
+    """
     p = _check_prob(p)
     d = _check_df(df)
     if p == 0.5:

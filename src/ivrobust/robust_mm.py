@@ -15,6 +15,14 @@ sandwich, post-processed the same way as the weighted least-squares fits
 (multiplicative random effects). Every weighted least-squares step of both
 stages, and the inverse of the sandwich's bread, is the closed form of
 :func:`ivrobust.wls._wls_rows`.
+
+The random draws repeat elemental subsets: through the origin a subset is one
+variant, so 500 draws at J = 25 are at most 25 distinct fits. Each distinct
+subset is refined and solved once, in the order of its first draw. Every
+step of the search is row-wise (a candidate's residuals, reweighted fit and
+M-scale depend on its own subset alone), so the deduplicated search picks
+the winner, and returns the fit, of a search over all draws bit for bit
+(past J = 8,192 with the one caveat of :func:`_m_scale_batch`).
 """
 from __future__ import annotations
 
@@ -115,7 +123,9 @@ def _m_scale_batch(resid: np.ndarray, c: float, breakdown: float):
     with g(lo) >= 0 >= g(hi); a step that leaves the bracket, or is not
     finite, is replaced by the bracket midpoint. Rows that the iteration cap
     does not settle finish by bisection of their bracket. Every operation is
-    row-wise, so a row's scale does not depend on the other rows of the batch.
+    row-wise, so a row's scale does not depend on the other rows of the batch,
+    except that past J = 8,192 numpy's einsum sums a batch of one row in
+    another order, which can move that row's scale by a few ulps.
     """
     a = np.abs(resid)
     n = a.shape[1]
@@ -243,9 +253,13 @@ def _residuals(coefs: np.ndarray, design: np.ndarray, response: np.ndarray) -> n
 
     A finite residual within a few ulps of |response| + |fitted| is what
     rounding leaves of a point on the fitted line; counting it as zero lets
-    the M-scale see an exact fit of more than half the points.
+    the M-scale see an exact fit of more than half the points. The fitted
+    values are formed column by column: a BLAS ``coefs @ design.T`` rounds a
+    row differently depending on the other rows of its batch at large J.
     """
-    fitted = coefs @ design.T
+    fitted = coefs[:, :1] * design[:, 0]
+    if design.shape[1] == 2:
+        fitted += coefs[:, 1:] * design[:, 1]
     resid = response - fitted
     # scaled before the sum, so the bound overflows only with an infinite fit
     bound = _DUST * np.abs(response) + _DUST * np.abs(fitted)
@@ -257,7 +271,11 @@ def _s_stage(s: SummarySet, design, response, rng):
     """Random-subset search for the smallest M-scale; first minimum wins.
 
     A subset that is singular, or whose exact fit or residuals overflow, is
-    redrawn, so only finite residuals reach the scale solves.
+    redrawn, so only finite residuals reach the scale solves. The pair
+    (b, a) of an intercept fit is taken as (a, b), a < b: both give the same
+    line. Each distinct subset is then refined and solved once, in the order
+    of its first draw, so the first minimum is the one a solve of every draw
+    finds.
     """
     j = s.j
     p = design.shape[1]
@@ -265,6 +283,7 @@ def _s_stage(s: SummarySet, design, response, rng):
     y = s.beta_y
     idx = rng.integers(0, j, size=(N_CANDIDATES, p))
     for _ in range(_SUBSET_RETRY_ROUNDS):
+        idx.sort(axis=1)
         i0 = idx[:, 0]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             if p == 1:
@@ -289,6 +308,10 @@ def _s_stage(s: SummarySet, design, response, rng):
             "no random subset gives a non-singular, finite exact fit; exposure "
             "associations are too degenerate or too extreme"
         )
+    # one integer key per subset; np.unique(idx, axis=0) costs more than it saves
+    first = np.unique(idx[:, 0] * j + idx[:, -1], return_index=True)[1]
+    first.sort()
+    coefs, resid = coefs[first], resid[first]
     scales, exact = _m_scale_batch(resid, C_S, BREAKDOWN)
     for step in range(REFINE_STEPS):
         active = ~exact
@@ -363,11 +386,11 @@ def mm_regress(s: SummarySet, weights: WeightVector | None = None,
                method: str | None = None) -> tuple[RobustFit, Estimate]:
     """Bounded-influence regression of outcome on exposure associations.
 
-    The S-stage refines N_CANDIDATES random exact-fit subsets by REFINE_STEPS
-    reweighting steps under the C_S loss and keeps the one with the smallest
-    M-scale; the M-stage iterates reweighted least squares under the C_M loss
-    at that scale until the largest coefficient change is at most M_STEP_TOL
-    relative, or M_STEP_MAX_ITER times.
+    The S-stage refines N_CANDIDATES random exact-fit subsets (each distinct
+    one once) by REFINE_STEPS reweighting steps under the C_S loss and keeps
+    the one with the smallest M-scale; the M-stage iterates reweighted least
+    squares under the C_M loss at that scale until the largest coefficient
+    change is at most M_STEP_TOL relative, or M_STEP_MAX_ITER times.
 
     Parameters
     ----------

@@ -64,6 +64,9 @@ _BALANCED_RANGE = (-0.1, 0.1)
 _DIRECTIONAL_RANGE = (0.0, 0.1)
 _CONFOUNDED_RANGE = (-0.1, 0.1)
 _MAX_REGENERATIONS = 100
+# genotype blocks are float32: a block's G'G entries and column sums are
+# integers of at most 4 * _GENOTYPE_BLOCK = 8,192, far below 2^24, so every
+# partial sum is exact and the float64 totals equal a float64 accumulation
 _GENOTYPE_BLOCK = 2048
 
 
@@ -210,15 +213,15 @@ def generate_individual_data(spec: ScenarioSpec, rng: np.random.Generator) -> Ra
 def _genotype_blocks(rng: np.random.Generator, m: int, j: int, maf: float):
     """m x j Binomial(2, maf) genotypes by inverse CDF, one uniform per cell.
 
-    Yielded in blocks of _GENOTYPE_BLOCK rows, the rows of one m x j draw.
-    Against one m x j draw per sample, blocks of 2,048 rows cut a
+    Yielded as float32 blocks of _GENOTYPE_BLOCK rows, the rows of one m x j
+    draw. Against one m x j draw per sample, blocks of 2,048 rows cut a
     study_nonrobust replicate's op_cost from 8.2 to 4.8 ref and its peak RSS
     from 48.6 to 42.1 MB; 512 to 4,096 rows time the same
     (BENCH_sufficient_stats.json, "genotype_block").
     """
     for start in range(0, m, _GENOTYPE_BLOCK):
         u = rng.random((min(_GENOTYPE_BLOCK, m - start), j))
-        g = (u > (1.0 - maf) ** 2).astype(np.float64)
+        g = (u > (1.0 - maf) ** 2).astype(np.float32)
         g += u > 1.0 - maf ** 2
         yield g
 

@@ -296,10 +296,13 @@ def _line_blocks(fh: IO[str]):
 
 def _parse_csv(fh: IO[str]) -> SummarySet:
     reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CsvParseError("empty input: header row is missing") from None
+    ids: list[str] = []
+    lines: list[int] = []
+    cols: tuple[list[float], ...] = ([], [], [], [])
+    rows = _rows(reader, ids, cols, lines)
+    header = next(rows, None)
+    if header is None:
+        raise CsvParseError("empty input: header row is missing")
     header = [col.strip() for col in header]
     if header != list(CSV_COLUMNS):
         missing = [c for c in CSV_COLUMNS if c not in header]
@@ -311,10 +314,7 @@ def _parse_csv(fh: IO[str]) -> SummarySet:
         raise CsvParseError(
             f"row 1: columns must appear in the order {','.join(CSV_COLUMNS)}"
         )
-    ids: list[str] = []
-    lines: list[int] = []
-    cols: tuple[list[float], ...] = ([], [], [], [])
-    for row in reader:
+    for row in rows:
         row_num = reader.line_num
         if not row:
             continue
@@ -337,6 +337,20 @@ def _parse_csv(fh: IO[str]) -> SummarySet:
     cols = tuple(np.array(col) for col in cols)
     _check_rows(ids, cols, lines)
     return object.__new__(SummarySet)._store(tuple(ids), cols, False, check=False)
+
+
+def _rows(reader, ids, cols, lines):
+    # the reader's rows; a csv.Error (a field longer than csv.field_size_limit())
+    # becomes a CsvParseError for its row, after any fault in the rows before it
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            _check_rows(ids, cols, lines)
+            raise CsvParseError(f"row {reader.line_num}: {exc}") from None
+        yield row
 
 
 def _check_rows(ids, cols, lines) -> None:

@@ -170,9 +170,14 @@ def _wls_rows(w: np.ndarray, design: np.ndarray, response: np.ndarray):
     up to rounding, and the test says that the two columns are separable;
     a row with a negative weight, as in the sandwich's bread, may be
     indefinite and needs only |q| > 1e-12. Coefficients can still overflow.
+
+    Each row's sums are its own dot products (``np.vecdot``), so a row's fit
+    does not depend on the other rows of the batch; a BLAS ``w @ col`` rounds
+    a row differently in different batches. With one row both agree bit for
+    bit.
     """
     with np.errstate(all="ignore"):  # the flag and the callers check the results
-        sums = [w @ col for col in _wls_products(design, response)]
+        sums = [np.vecdot(w, col) for col in _wls_products(design, response)]
         coefs, q, ok = _wls_solve(sums, w.min(axis=1) >= 0.0)
         s00 = sums[0]
         if q is None:

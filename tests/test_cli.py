@@ -82,6 +82,14 @@ class TestAnalyze:
         assert code == EXIT_PARSE
         assert "error:" in capsys.readouterr().err
 
+    def test_overlong_field_exit_code(self, tmp_path, capsys):
+        # a field past csv.field_size_limit() is a parse error, not a traceback
+        long = tmp_path / "long.csv"
+        long.write_text("id,beta_x,se_x,beta_y,se_y\n" + "r" * 200_000 + ",0.1,0.01,0.02,0.05\n")
+        code = main(["analyze", str(long)])
+        assert code == EXIT_PARSE
+        assert "row 2: field larger than field limit" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         code = main(["analyze", str(tmp_path / "absent.csv")])
         assert code == EXIT_PARSE

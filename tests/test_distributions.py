@@ -100,6 +100,15 @@ class TestStudentT:
         for x in (-2.0, -0.5, 1.3):
             assert t_cdf(x, 10_000) == pytest.approx(normal_cdf(x), abs=1e-4)
 
+    def test_quantile_memoized_and_validated_on_every_call(self):
+        for df in GRID_DF:
+            assert t_quantile(0.975, df) == t_quantile.__wrapped__(0.975, df)
+        for _ in range(2):  # an exception is not cached
+            with pytest.raises(ValueError):
+                t_quantile(0.975, 0)
+            with pytest.raises(ValueError):
+                t_quantile(1.5, 3)
+
     def test_inverse_consistency_grid(self):
         for df in GRID_DF:
             for p in GRID_P:

@@ -299,6 +299,105 @@ class TestSStagePruning:
                     assert solved_last < 250
 
 
+def full_s_stage(s, design, response, rng):
+    """Reference S-stage without dedup: all N_CANDIDATES draws refined and solved.
+
+    The same draws, redraws and ordered pairs as the program's search, every
+    scale solved by _m_scale_batch over the whole batch; first minimum wins.
+    """
+    j, p = s.j, design.shape[1]
+    x, y = s.beta_x, s.beta_y
+    n = robust_mm.N_CANDIDATES
+    idx = rng.integers(0, j, size=(n, p))
+    while True:
+        idx.sort(axis=1)
+        i0, i1 = idx[:, 0], idx[:, -1]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            if p == 1:
+                bad = design[i0, 0] == 0.0
+                coefs = (y[i0] / x[i0])[:, None]
+            else:
+                bad = (i0 == i1) | (design[i0, 0] == 0.0) | (design[i1, 0] == 0.0) \
+                    | (x[i0] == x[i1])
+                slope = (y[i1] - y[i0]) / (x[i1] - x[i0])
+                coefs = np.column_stack([y[i0] - slope * x[i0], slope])
+            resid = robust_mm._residuals(coefs, design, response)
+        resid[np.arange(n)[:, None], idx] = 0.0
+        bad |= ~(np.isfinite(coefs).all(axis=1) & np.isfinite(resid).all(axis=1))
+        if not bad.any():
+            break
+        idx[bad] = rng.integers(0, j, size=(int(bad.sum()), p))
+    scales, exact = _m_scale_batch(resid, 1.548, 0.5)
+    for _ in range(robust_mm.REFINE_STEPS):
+        active = ~exact
+        if not active.any():
+            break
+        safe = np.where(scales > 0.0, scales, 1.0)
+        with np.errstate(over="ignore"):
+            irls_w = weight_bisquare(resid / safe[:, None], 1.548)
+        irls_w[exact] = 0.0
+        updated, _, ok = robust_mm._wls_rows(irls_w, design, response)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stepped = robust_mm._residuals(updated, design, response)
+        take = (active & ok & np.isfinite(stepped).all(axis=1))[:, None]
+        coefs = np.where(take, updated, coefs)
+        resid = np.where(take, stepped, resid)
+        new_scales, new_exact = _m_scale_batch(resid, 1.548, 0.5)
+        scales = np.where(active, new_scales, scales)
+        exact = exact | new_exact
+        scales = np.where(exact, 0.0, scales)
+    best = int(np.argmin(scales))
+    return coefs[best], float(scales[best]), bool(exact[best])
+
+
+class TestDistinctSubsets:
+    """Each distinct elemental subset is solved once, and the search is the full one."""
+
+    def test_first_round_solves_each_subset_once(self, monkeypatch):
+        sizes = []
+        real_batch = robust_mm._m_scale_batch
+
+        def counting_batch(resid, c, breakdown):
+            sizes.append(resid.shape[0])
+            return real_batch(resid, c, breakdown)
+
+        monkeypatch.setattr(robust_mm, "_m_scale_batch", counting_batch)
+        for seed in range(50):
+            s = s_stage_case(seed)
+            w = inverse_variance_weights(s).w
+            for intercept, bound in ((False, s.j), (True, s.j * (s.j - 1) // 2)):
+                design, response = _design(s, w, intercept)
+                sizes.clear()
+                _s_stage(s, design, response, np.random.Generator(np.random.Philox(seed)))
+                assert sizes[0] <= bound
+
+    @pytest.mark.parametrize("j, rows", [(25, 500), (300, 500), (25_000, 20)])
+    def test_residual_rows_independent_of_batch(self, j, rows):
+        # a BLAS coefs @ design.T rounded two-column rows by their batch at J = 300
+        rng = np.random.default_rng(j)
+        for p in (1, 2):
+            design = rng.normal(size=(j, p))
+            response = rng.normal(size=j)
+            coefs = rng.normal(size=(rows, p)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(rows, 1))
+            full = robust_mm._residuals(coefs, design, response)
+            for k in (1, 2, rows // 3, rows - 1):
+                sub = np.sort(rng.choice(rows, size=k, replace=False))
+                np.testing.assert_array_equal(robust_mm._residuals(coefs[sub], design, response),
+                                              full[sub])
+
+    def test_same_result_as_solving_every_draw(self):
+        for seed in range(50):
+            s = s_stage_case(seed)
+            w = inverse_variance_weights(s).w
+            for intercept in (False, True):
+                design, response = _design(s, w, intercept)
+                got = _s_stage(s, design, response, np.random.Generator(np.random.Philox(seed)))
+                ref = full_s_stage(s, design, response,
+                                   np.random.Generator(np.random.Philox(seed)))
+                np.testing.assert_array_equal(got[0], ref[0])
+                assert got[1:] == ref[1:]
+
+
 def lapack_m_stage(design, response, beta, s_star):
     """The M-stage by LAPACK: np.linalg.solve per IRLS step, cond and inv for the sandwich."""
     converged = False

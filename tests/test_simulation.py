@@ -142,6 +142,7 @@ class TestGenerate:
         rng_b.random(5)  # the invalid flags ...
         rng_b.uniform(0.03, 0.1, 5)  # ... and gamma precede the genotypes
         g = np.vstack(list(simulation._genotype_blocks(rng_b, 200, 5, spec.maf)))
+        g = g.astype(np.float64)
         gc = g - g.mean(axis=0)
         np.testing.assert_allclose(raw.chol_x @ raw.chol_x.T, gc.T @ gc, rtol=1e-12,
                                    atol=1e-12 * np.abs(gc.T @ gc).max())

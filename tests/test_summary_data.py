@@ -173,6 +173,26 @@ class TestCsv:
         with pytest.raises(CsvParseError, match="header"):
             read_csv(io.StringIO(""))
 
+    @pytest.mark.parametrize("source", ["path", "stream"])
+    def test_field_past_size_limit_reports_row(self, tmp_path, source):
+        # csv.reader raises _csv.Error on a field longer than csv.field_size_limit()
+        text = ("id,beta_x,se_x,beta_y,se_y\nrs1,0.1,0.01,0.02,0.05\n"
+                + "r" * 200_000 + ",0.2,0.01,0.02,0.05\n")
+        path = tmp_path / "long.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CsvParseError, match=r"^row 3: field larger than field limit"):
+            read_csv(path if source == "path" else io.StringIO(text))
+
+    def test_fault_before_an_overlong_field_reported_first(self):
+        text = ("id,beta_x,se_x,beta_y,se_y\nrs1,0.1,0.01,0.02,0\n"
+                + "r" * 200_000 + ",0.2,0.01,0.02,0.05\n")
+        with pytest.raises(CsvParseError, match=r"^row 2: .*se_y must be > 0"):
+            read_csv(io.StringIO(text))
+
+    def test_overlong_header_reports_row_one(self):
+        with pytest.raises(CsvParseError, match=r"^row 1: field larger than field limit"):
+            read_csv(io.StringIO("i" * 200_000 + ",beta_x,se_x,beta_y,se_y\n"))
+
 
 @st.composite
 def summary_columns(draw):

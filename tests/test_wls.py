@@ -15,6 +15,7 @@ from ivrobust.distributions import normal_quantile, t_quantile
 from ivrobust.summary_data import harmonize
 from ivrobust.wls import (
     WeightVector,
+    _wls_rows,
     egger,
     instrument_strength,
     ivw,
@@ -234,3 +235,23 @@ class TestInstrumentStrength:
         s = make_set([0.1], [0.01], [0.0], [0.05])
         with pytest.raises(InsufficientInstrumentsError):
             instrument_strength(s)
+
+
+class TestKernelRowIndependence:
+    """A row's fit from the batched kernel does not depend on the rest of its batch."""
+
+    @pytest.mark.parametrize("j, rows", [(2, 500), (3, 500), (25, 500), (25_000, 40)])
+    def test_sub_batches_bit_identical(self, j, rows):
+        rng = np.random.default_rng(j)
+        for p in (1, 2):
+            design = rng.normal(size=(j, p)) * 10.0 ** rng.uniform(-2.0, 2.0, size=p)
+            response = rng.normal(size=j)
+            w = rng.random((rows, j)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(rows, 1))
+            w[0] -= 0.5  # negative weights, as in the sandwich's bread
+            full = _wls_rows(w, design, response)
+            sizes = {1, 2, rows - 1, *rng.integers(1, rows, size=8).tolist()}
+            batches = [np.sort(rng.choice(rows, size=k, replace=False)) for k in sorted(sizes)]
+            batches += [np.array([i]) for i in range(rows)]  # each row alone
+            for rows_in in batches:
+                for got, ref in zip(_wls_rows(w[rows_in], design, response), full):
+                    np.testing.assert_array_equal(got, ref[rows_in])
