@@ -24,7 +24,7 @@ from ._util import as_seed_sequence
 from .exceptions import EstimationError
 from .median_methods import _bootstrap_rows, _median_fit
 from .penalization import cochran_q_egger, cochran_q_ivw, penalize_weights
-from .robust_mm import mm_regress
+from .robust_mm import _mm_fits
 from .summary_data import SummarySet, harmonize, ratio_estimates
 from .wls import Estimate, WeightVector, egger, inverse_variance_weights, ivw
 
@@ -39,6 +39,7 @@ _REGRESSIONS = {
     "penalized_robust_ivw": (False, True, True),
     "penalized_robust_egger": (True, True, True),
 }
+_ROBUST = tuple(m for m, (_, robust, _) in _REGRESSIONS.items() if robust)
 _MEDIANS = ("simple_median", "weighted_median", "penalized_weighted_median")
 ALL_METHODS = (*_REGRESSIONS, *_MEDIANS)
 
@@ -87,7 +88,10 @@ def _fit_each(s: SummarySet, methods, *, effects: str = "multiplicative_random",
     it, which is deterministic because the only random draws, the bootstrap
     rows, come from their own fixed stream. The three medians share those
     rows: the bootstrap holds the weights fixed, so each median's standard
-    error is the one it gets alone.
+    error is the one it gets alone. All requested robust methods are fitted
+    together, in lockstep S-stages (:func:`ivrobust.robust_mm._mm_fits`),
+    when the first of them is needed; each keeps its own stream and its own
+    error, so its result too is the one it gets alone.
     """
     methods = _check_methods(methods)
     hs = s if s.harmonized else harmonize(s)
@@ -113,6 +117,22 @@ def _fit_each(s: SummarySet, methods, *, effects: str = "multiplicative_random",
         return ratio_estimates(hs).theta
 
     @cache
+    def robust_fits() -> dict[str, Estimate | EstimationError]:
+        fits, requests = {}, {}
+        for name in (m for m in methods if m in _ROBUST):
+            intercept, _, penalized = _REGRESSIONS[name]
+            try:
+                w = penalized_weights(intercept) if penalized else base()
+            except EstimationError as exc:
+                fits[name] = exc
+                continue
+            requests[name] = (w, intercept, _stream(root, name),
+                              "multiplicative_random" if intercept else effects, name)
+        for name, result in zip(requests, _mm_fits(hs, list(requests.values()))):
+            fits[name] = result if isinstance(result, EstimationError) else result[1]
+        return fits
+
+    @cache
     def bootstrap() -> tuple[np.ndarray, np.ndarray]:
         return _bootstrap_rows(hs, bootstrap_draws, _stream(root, "bootstrap"))
 
@@ -122,10 +142,12 @@ def _fit_each(s: SummarySet, methods, *, effects: str = "multiplicative_random",
         intercept, robust, penalized = _REGRESSIONS[name]
         if not (robust or penalized):
             return reference(intercept)
-        w = penalized_weights(intercept) if penalized else base()
         if robust:
-            return mm_regress(hs, w, intercept=intercept, seed=_stream(root, name), method=name,
-                              effects="multiplicative_random" if intercept else effects)[1]
+            result = robust_fits()[name]
+            if isinstance(result, EstimationError):
+                raise result
+            return result
+        w = penalized_weights(intercept) if penalized else base()
         est = egger(hs, w) if intercept else ivw(hs, w, effects=effects)
         return dataclasses.replace(est, method=name)
 
@@ -149,7 +171,8 @@ def run_methods(s: SummarySet, methods=ALL_METHODS, *,
     :mod:`ivrobust.robust_mm`. Every method either returns an
     :class:`Estimate`, with or without SE, or raises an
     :class:`EstimationError`: the first method in request order that fails
-    raises its error, and no later method runs.
+    raises its error, and no later method runs (the robust methods are fitted
+    together when the first of them runs).
     """
     results: dict[str, Estimate] = {}
     for name, fit in _fit_each(s, methods, effects=effects, bootstrap_draws=bootstrap_draws,

@@ -18,11 +18,15 @@ stages, and the inverse of the sandwich's bread, is the closed form of
 
 The random draws repeat elemental subsets: through the origin a subset is one
 variant, so 500 draws at J = 25 are at most 25 distinct fits. Each distinct
-subset is refined and solved once, in the order of its first draw. Every
-step of the search is row-wise (a candidate's residuals, reweighted fit and
-M-scale depend on its own subset alone), so the deduplicated search picks
-the winner, and returns the fit, of a search over all draws bit for bit
-(past J = 8,192 with the one caveat of :func:`_m_scale_batch`).
+subset is checked, refined and solved once, in the order of its first draw.
+Several fits of one summary set (``run_methods`` asks for up to four) run
+their S-stages in lockstep: each draws its candidates from its own stream,
+and each round's M-scale solve, IRLS weights and prune step run once over
+the stacked candidate rows of all of them, in groups whose stacked rows stay
+within a fixed element budget. Every step of the search is row-wise (a
+candidate's residuals, reweighted fit and M-scale depend on its own subset
+alone, at any J), so a fit's winner is, bit for bit, the one it finds alone
+and the one a search over all its draws finds.
 """
 from __future__ import annotations
 
@@ -34,6 +38,7 @@ import numpy as np
 from ._util import as_seed_sequence
 from .exceptions import (
     DegenerateInstrumentError,
+    EstimationError,
     InsufficientInstrumentsError,
     SingularDesignError,
 )
@@ -57,6 +62,9 @@ _BISECT_STEPS = 64
 _EPS = float(np.finfo(float).eps)
 _PRUNE_MARGIN = 1e-9
 _DUST = 4.0 * _EPS  # residuals within 4 ulps of the fit's magnitude are zero
+# float64 elements of one stacked rows x J array: a lockstep group of S-stages
+# and a chunk of an M-scale solve stay under it (8 MB)
+_ELEMENT_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -122,11 +130,25 @@ def _m_scale_batch(resid: np.ndarray, c: float, breakdown: float):
     does not increase in s, by Newton steps kept inside a bracket [lo, hi]
     with g(lo) >= 0 >= g(hi); a step that leaves the bracket, or is not
     finite, is replaced by the bracket midpoint. Rows that the iteration cap
-    does not settle finish by bisection of their bracket. Every operation is
-    row-wise, so a row's scale does not depend on the other rows of the batch,
-    except that past J = 8,192 numpy's einsum sums a batch of one row in
-    another order, which can move that row's scale by a few ulps.
+    does not settle finish by bisection of their bracket. The rows are solved
+    in chunks of at most _ELEMENT_BUDGET elements. Every operation is
+    row-wise, so a row's scale does not depend on the other rows of the batch
+    or on the chunking.
     """
+    rows = max(1, _ELEMENT_BUDGET // resid.shape[1])
+    if len(resid) <= rows:
+        return _m_scale_chunk(resid, c, breakdown)
+    parts = [_m_scale_chunk(resid[i:i + rows], c, breakdown) for i in range(0, len(resid), rows)]
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+def _m_scale_chunk(resid: np.ndarray, c: float, breakdown: float):
+    """:func:`_m_scale_batch` on rows that stay within the element budget."""
+    if len(resid) == 1:
+        # past J = 8,192 einsum sums a lone row in chunks, in another order than
+        # a row of a batch: solve it as a pair
+        scales, exact = _m_scale_chunk(np.repeat(resid, 2, axis=0), c, breakdown)
+        return scales[:1], exact[:1]
     a = np.abs(resid)
     n = a.shape[1]
     nonzero = np.count_nonzero(a, axis=1)
@@ -182,15 +204,18 @@ def _m_scale_batch(resid: np.ndarray, c: float, breakdown: float):
             np.copyto(s, step, where=pending)
             pending &= ~settled
         if np.any(pending):
-            rows = a[pending]
-            b_lo = lo[pending]
-            b_hi = hi[pending]
+            left = np.flatnonzero(pending)
+            if len(left) == 1:  # bisected as a pair too
+                left = left.repeat(2)
+            rows = a[left]
+            b_lo = lo[left]
+            b_hi = hi[left]
             for _ in range(_BISECT_STEPS):
                 mid = 0.5 * (b_lo + b_hi)
                 above = g_and_slope(rows, mid)[0] > 0.0
                 b_lo = np.where(above, mid, b_lo)
                 b_hi = np.where(above, b_hi, mid)
-            s[pending] = 0.5 * (b_lo + b_hi)
+            s[left] = 0.5 * (b_lo + b_hi)
     s = np.where(plateau, lo, s)
     return np.where(exact, 0.0, s), exact
 
@@ -219,31 +244,39 @@ def m_scale(residuals, c: float = C_S, breakdown: float = BREAKDOWN) -> tuple[fl
 
 
 def _contending_scales(resid: np.ndarray, c: float, breakdown: float,
-                       prev_scales: np.ndarray, active: np.ndarray):
-    """M-scales of the active rows that can hold the smallest one, +inf elsewhere.
+                       prev_scales: np.ndarray, active: np.ndarray, segments):
+    """M-scales of the active rows that can hold their fit's smallest one, +inf elsewhere.
 
-    The active row with the smallest previous scale is solved first, giving
-    s_ref. g(s) = mean(rho_norm(|r| / s)) - breakdown does not increase in s,
-    so a row with g(s_ref) > 0 has its root above s_ref and cannot be the
-    minimum; only rows with g(s_ref) <= _PRUNE_MARGIN are solved. The margin
-    sits far above the rounding error of g (a mean of terms in [0, 1]), so a
-    row whose solved scale could round to or below s_ref, such as a
-    near-duplicate candidate whose residuals differ from the reference row's
-    in the last bits, is never skipped, and the first minimum is the one a
-    solve of every row finds. Exact-fit flags cover every row.
+    Rows ``lo:hi`` of each (lo, hi) in ``segments`` belong to one fit. In each
+    fit, the active row with the smallest previous scale is solved first,
+    giving s_ref (one solve for the reference rows of all fits). g(s) =
+    mean(rho_norm(|r| / s)) - breakdown does not increase in s, so a row with
+    g(s_ref) > 0 has its root above s_ref and cannot be its fit's minimum;
+    only rows with g(s_ref) <= _PRUNE_MARGIN are solved, again in one solve.
+    The margin sits far above the rounding error of g (a mean of terms in
+    [0, 1]), so a row whose solved scale could round to or below s_ref, such
+    as a near-duplicate candidate whose residuals differ from the reference
+    row's in the last bits, is never skipped, and each fit's first minimum is
+    the one a solve of every row finds. Exact-fit flags cover every row.
     """
     n = resid.shape[1]
     exact = np.count_nonzero(resid, axis=1) < breakdown * n
     scales = np.where(exact, 0.0, np.inf)
     live = active & ~exact
-    if not np.any(live):
+    prev = np.where(live, prev_scales, np.inf)
+    refs = {i: lo + int(np.argmin(prev[lo:hi]))
+            for i, (lo, hi) in enumerate(segments) if np.any(live[lo:hi])}
+    if not refs:
         return scales, exact
-    ref = int(np.argmin(np.where(live, prev_scales, np.inf)))
-    s_ref = _m_scale_batch(resid[ref:ref + 1], c, breakdown)[0][0]
+    ref_rows = list(refs.values())
+    # a fit without a live row divides by inf, and none of its rows is kept
+    fit_ref = np.full(len(segments), np.inf)
+    fit_ref[list(refs)] = _m_scale_batch(resid[ref_rows], c, breakdown)[0]
+    s_ref = np.repeat(fit_ref, [hi - lo for lo, hi in segments])
     with np.errstate(over="ignore"):  # |r| / s_ref = inf scores like any |r| > c s_ref
-        g = _rho_norm(resid / s_ref, c).mean(axis=1) - breakdown
+        g = _rho_norm(resid / s_ref[:, None], c).mean(axis=1) - breakdown
     keep = live & (g <= _PRUNE_MARGIN)
-    keep[ref] = True
+    keep[ref_rows] = True
     scales[keep] = _m_scale_batch(resid[keep], c, breakdown)[0]
     return scales, exact
 
@@ -261,21 +294,28 @@ def _residuals(coefs: np.ndarray, design: np.ndarray, response: np.ndarray) -> n
     if design.shape[1] == 2:
         fitted += coefs[:, 1:] * design[:, 1]
     resid = response - fitted
-    # scaled before the sum, so the bound overflows only with an infinite fit
-    bound = _DUST * np.abs(response) + _DUST * np.abs(fitted)
-    resid[(np.abs(resid) <= bound) & np.isfinite(resid)] = 0.0
+    # scaled before the sum, so the bound overflows only with an infinite fit; the
+    # bound reuses the fitted values' buffer, and |resid| <= bound is tested as
+    # -bound <= resid <= bound, so that no third rows x J array is formed
+    bound = np.abs(fitted, out=fitted)
+    bound *= _DUST
+    bound += _DUST * np.abs(response)
+    dust = (resid <= bound) & np.isfinite(resid)
+    dust &= resid >= np.negative(bound, out=bound)
+    resid[dust] = 0.0
     return resid
 
 
-def _s_stage(s: SummarySet, design, response, rng):
-    """Random-subset search for the smallest M-scale; first minimum wins.
+def _candidates(s: SummarySet, design, response, rng):
+    """One fit's distinct elemental subsets, in first-draw order: (coefficients, residuals).
 
-    A subset that is singular, or whose exact fit or residuals overflow, is
-    redrawn, so only finite residuals reach the scale solves. The pair
-    (b, a) of an intercept fit is taken as (a, b), a < b: both give the same
-    line. Each distinct subset is then refined and solved once, in the order
-    of its first draw, so the first minimum is the one a solve of every draw
-    finds.
+    N_CANDIDATES subsets are drawn from ``rng``. A draw whose subset is
+    singular, or whose exact fit or residuals overflow, is redrawn, so only
+    finite residuals reach the scale solves. The pair (b, a) of an intercept
+    fit is taken as (a, b), a < b: both give the same line. Validity and
+    residuals are formed once per distinct subset and mapped back to its
+    draws; both are row-wise, so the redraws are those of a check of every
+    draw.
     """
     j = s.j
     p = design.shape[1]
@@ -284,13 +324,17 @@ def _s_stage(s: SummarySet, design, response, rng):
     idx = rng.integers(0, j, size=(N_CANDIDATES, p))
     for _ in range(_SUBSET_RETRY_ROUNDS):
         idx.sort(axis=1)
-        i0 = idx[:, 0]
+        # one integer key per subset; np.unique(idx, axis=0) costs more than it saves
+        _, first, back = np.unique(idx[:, 0] * j + idx[:, -1], return_index=True,
+                                   return_inverse=True)
+        sub = idx[first]
+        i0 = sub[:, 0]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             if p == 1:
                 bad = design[i0, 0] == 0.0
                 coefs = (y[i0] / x[i0])[:, None]
             else:
-                i1 = idx[:, 1]
+                i1 = sub[:, 1]
                 bad = (i0 == i1) | (design[i0, 0] == 0.0) | (design[i1, 0] == 0.0) \
                     | (x[i0] == x[i1])
                 slope = (y[i1] - y[i0]) / (x[i1] - x[i0])
@@ -298,20 +342,50 @@ def _s_stage(s: SummarySet, design, response, rng):
             resid = _residuals(coefs, design, response)
         # candidates interpolate their own subset points; zero those residuals
         # explicitly so rounding dust cannot mask an exact fit
-        resid[np.arange(N_CANDIDATES)[:, None], idx] = 0.0
+        resid[np.arange(len(sub))[:, None], sub] = 0.0
         bad |= ~(np.isfinite(coefs).all(axis=1) & np.isfinite(resid).all(axis=1))
         if not np.any(bad):
             break
-        idx[bad] = rng.integers(0, j, size=(int(np.sum(bad)), p))
+        redraw = bad[back]
+        idx[redraw] = rng.integers(0, j, size=(int(np.sum(redraw)), p))
     else:
         raise SingularDesignError(
             "no random subset gives a non-singular, finite exact fit; exposure "
             "associations are too degenerate or too extreme"
         )
-    # one integer key per subset; np.unique(idx, axis=0) costs more than it saves
-    first = np.unique(idx[:, 0] * j + idx[:, -1], return_index=True)[1]
-    first.sort()
-    coefs, resid = coefs[first], resid[first]
+    order = np.argsort(first)
+    return coefs[order], resid[order]
+
+
+def _s_stage(s: SummarySet, searches):
+    """Lockstep random-subset searches for the smallest M-scale; first minimum wins.
+
+    ``searches`` lists the (design, response, rng) of fits on the same set.
+    Each fit draws its candidates from its own stream (:func:`_candidates`);
+    their rows are stacked, one segment per fit, and each round's M-scale
+    solve, IRLS weights and prune step (:func:`_contending_scales`) run once
+    over all rows, while each fit's reweighted least squares, prune reference
+    and argmin stay inside its own segment. Every step is row-wise, so a
+    fit's result is the one it gets alone, and the one a solve of every draw
+    finds. Returns, per search, (coefficients, scale, exact fit) or the
+    SingularDesignError of a fit whose redraws found no finite exact fit.
+    """
+    out: list = [None] * len(searches)
+    fits, coefs, resid = [], [], []
+    for k, (design, response, rng) in enumerate(searches):
+        try:
+            fit_coefs, fit_resid = _candidates(s, design, response, rng)
+        except SingularDesignError as exc:
+            out[k] = exc
+            continue
+        fits.append(k)
+        coefs.append(fit_coefs)
+        resid.append(fit_resid)
+    if not fits:
+        return out
+    bounds = np.cumsum([0] + [len(c) for c in coefs]).tolist()
+    segments = list(zip(bounds[:-1], bounds[1:]))
+    resid = resid[0] if len(resid) == 1 else np.concatenate(resid)
     scales, exact = _m_scale_batch(resid, C_S, BREAKDOWN)
     for step in range(REFINE_STEPS):
         active = ~exact
@@ -321,23 +395,37 @@ def _s_stage(s: SummarySet, design, response, rng):
         with np.errstate(over="ignore"):  # an infinite standardized residual weighs 0
             irls_w = weight_bisquare(resid / safe[:, None], C_S)
         irls_w[exact] = 0.0
-        updated, _, ok = _wls_rows(irls_w, design, response)
-        with np.errstate(over="ignore", invalid="ignore"):
-            stepped = _residuals(updated, design, response)
-        # a row whose Gram matrix is singular or whose step overflows keeps its fit
-        take = (active & ok & np.isfinite(stepped).all(axis=1))[:, None]
-        coefs = np.where(take, updated, coefs)
-        resid = np.where(take, stepped, resid)
+        for i, (lo, hi) in enumerate(segments):
+            if np.any(active[lo:hi]):
+                coefs[i] = _reweighted(irls_w[lo:hi], *searches[fits[i]][:2], coefs[i],
+                                       resid[lo:hi], active[lo:hi])
         if step + 1 < REFINE_STEPS:
             new_scales, new_exact = _m_scale_batch(resid, C_S, BREAKDOWN)
         else:
-            # only the argmin of the last solve is used
-            new_scales, new_exact = _contending_scales(resid, C_S, BREAKDOWN, scales, active)
+            # only each fit's argmin of the last solve is used
+            new_scales, new_exact = _contending_scales(resid, C_S, BREAKDOWN, scales, active,
+                                                       segments)
         scales = np.where(active, new_scales, scales)
         exact = exact | new_exact
         scales = np.where(exact, 0.0, scales)
-    best = int(np.argmin(scales))
-    return coefs[best].copy(), float(scales[best]), bool(exact[best])
+    for i, (lo, hi) in enumerate(segments):
+        best = lo + int(np.argmin(scales[lo:hi]))
+        out[fits[i]] = coefs[i][best - lo].copy(), float(scales[best]), bool(exact[best])
+    return out
+
+
+def _reweighted(irls_w, design, response, coefs, resid, active):
+    """One fit's reweighted least-squares step: the new coefficients; ``resid`` in place.
+
+    A row whose Gram matrix is singular, or whose step overflows, or that is
+    not active keeps its fit.
+    """
+    updated, _, ok = _wls_rows(irls_w, design, response)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stepped = _residuals(updated, design, response)
+    take = (active & ok & np.isfinite(stepped).all(axis=1))[:, None]
+    np.copyto(resid, stepped, where=take)
+    return np.where(take, updated, coefs)
 
 
 def _m_stage(design, response, beta, s_star: float):
@@ -390,7 +478,9 @@ def mm_regress(s: SummarySet, weights: WeightVector | None = None,
     one once) by REFINE_STEPS reweighting steps under the C_S loss and keeps
     the one with the smallest M-scale; the M-stage iterates reweighted least
     squares under the C_M loss at that scale until the largest coefficient
-    change is at most M_STEP_TOL relative, or M_STEP_MAX_ITER times.
+    change is at most M_STEP_TOL relative, or M_STEP_MAX_ITER times. This is
+    the one-fit case of the lockstep fits that ``run_methods`` runs for all
+    requested robust methods, and gives the same fit bit for bit.
 
     Parameters
     ----------
@@ -419,6 +509,44 @@ def mm_regress(s: SummarySet, weights: WeightVector | None = None,
         (the estimate is still returned); an M-stage that did not converge
         adds the warning "M-step did not converge".
     """
+    (result,) = _mm_fits(s, [(weights, intercept, seed, effects, method)])
+    if isinstance(result, EstimationError):
+        raise result
+    return result
+
+
+def _mm_fits(s: SummarySet, requests) -> list[tuple[RobustFit, Estimate] | EstimationError]:
+    """MM fits of one summary set, one per (weights, intercept, seed, effects, method).
+
+    Each request's result, or the EstimationError it raised, in request
+    order; a ValueError (an unknown ``effects``, a weight vector of the wrong
+    length) propagates. The S-stages run in lockstep groups of consecutive
+    requests whose N_CANDIDATES x J candidate rows together stay within
+    _ELEMENT_BUDGET (a request over it runs alone); every fit keeps its own
+    stream, so its result does not depend on the other requests.
+    """
+    results: list = [None] * len(requests)
+    searches = []  # (request index, design, response, rng)
+    for k, (weights, intercept, seed, effects, _) in enumerate(requests):
+        try:
+            searches.append((k, *_search_inputs(s, weights, intercept, seed, effects)))
+        except EstimationError as exc:
+            results[k] = exc
+    group = max(1, _ELEMENT_BUDGET // (N_CANDIDATES * s.j))
+    for g in range(0, len(searches), group):
+        chunk = searches[g:g + group]
+        for (k, design, response, _), found in zip(chunk, _s_stage(s, [c[1:] for c in chunk])):
+            if not isinstance(found, EstimationError):
+                try:
+                    found = _mm_result(s, design, response, *found, *requests[k][3:])
+                except EstimationError as exc:  # an estimate that is not finite
+                    found = exc
+            results[k] = found
+    return results
+
+
+def _search_inputs(s: SummarySet, weights, intercept: bool, seed, effects: str):
+    """A fit's weighted design, response and search stream, after its preconditions."""
     if effects not in EFFECTS_MODELS:
         raise ValueError(f"effects must be one of {EFFECTS_MODELS}, got {effects!r}")
     minimum = 3 if intercept else 2
@@ -438,8 +566,13 @@ def mm_regress(s: SummarySet, weights: WeightVector | None = None,
             raise DegenerateInstrumentError(
                 "every positively weighted exposure association is zero"
             )
-    rng = np.random.Generator(np.random.Philox(as_seed_sequence(seed)))
-    beta, s_star, exact = _s_stage(s, design, response, rng)
+    return design, response, np.random.Generator(np.random.Philox(as_seed_sequence(seed)))
+
+
+def _mm_result(s: SummarySet, design, response, beta, s_star: float, exact: bool,
+               effects: str, method: str | None) -> tuple[RobustFit, Estimate]:
+    """The M-stage from an S-stage winner, and the fit's RobustFit and Estimate."""
+    intercept = design.shape[1] == 2
     exact = exact or s_star == 0.0
     converged, iterations, sigma = True, 0, 0.0
     ses = [None] * design.shape[1]

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ivrobust import cli
-from ivrobust.estimators import ALL_METHODS, run_methods
+from ivrobust.estimators import ALL_METHODS, _fit_each, run_methods
 from ivrobust.exceptions import EstimationError
 from ivrobust.summary_data import SummarySet, write_csv
 from ivrobust.wls import Estimate
@@ -53,6 +53,22 @@ def test_every_method_returns_an_estimate_or_raises_estimation_error(s, effects,
         except EstimationError:
             continue
         assert isinstance(est, Estimate) and math.isfinite(est.theta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(extreme_sets(), st.sampled_from(["fixed", "multiplicative_random"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_joint_request_gives_each_method_its_single_method_result(s, effects, seed):
+    # the robust methods of a joint request share one lockstep S-stage
+    joint = dict(_fit_each(s, ALL_METHODS, effects=effects, seed=seed, bootstrap_draws=30))
+    for name, got in joint.items():
+        ((_, alone),) = _fit_each(s, (name,), effects=effects, seed=seed, bootstrap_draws=30)
+        assert type(got) is type(alone) and _outcome(got) == _outcome(alone)
+
+
+def _outcome(fit) -> str:
+    # an error's message, or an estimate's repr: exact float digits, and equal for NaN fields
+    return str(fit) if isinstance(fit, EstimationError) else repr(fit)
 
 
 @settings(max_examples=300, deadline=None)

@@ -15,6 +15,7 @@ from ivrobust.estimators import run_methods
 from ivrobust.exceptions import (
     DegenerateInstrumentError,
     InsufficientInstrumentsError,
+    SingularDesignError,
 )
 from ivrobust.robust_mm import (
     KAPPA,
@@ -242,13 +243,40 @@ class TestMScaleNewtonOracle:
         for j in (2, 3, 11, 25, 40):
             assert_matches_bisection(oracle_batch(rng, 60, j))
 
-    def test_rows_independent_of_batch(self):
+    @pytest.mark.parametrize("newton_cap", [16, 1])
+    @pytest.mark.parametrize("j", [25, 9_000])
+    def test_rows_independent_of_batch(self, j, newton_cap, monkeypatch):
+        # past J = 8,192 einsum sums a lone row in another order than a row of a
+        # batch; a cap of one Newton step sends rows through the bisection fallback
+        monkeypatch.setattr(robust_mm, "_NEWTON_MAX_ITER", newton_cap)
         rng = np.random.default_rng(199)
-        r = oracle_batch(rng, 50, 25)
+        r = oracle_batch(rng, 50, j)
         full, _ = _m_scale_batch(r, 1.548, 0.5)
         for i in (0, 17, 49):
             assert _m_scale_batch(r[i:i + 1], 1.548, 0.5)[0][0] == full[i]
+            # beside an exact-fit row it is the only row left to solve
+            assert _m_scale_batch(np.vstack([r[i], np.zeros(j)]), 1.548, 0.5)[0][0] == full[i]
         np.testing.assert_array_equal(_m_scale_batch(r[::3], 1.548, 0.5)[0], full[::3])
+
+    @pytest.mark.parametrize("budget", [7 * 30, 15])
+    def test_chunked_solve_is_bit_identical(self, budget, monkeypatch):
+        # chunks of 7 rows with a lone last row, then one row per chunk
+        rng = np.random.default_rng(211)
+        r = oracle_batch(rng, 50, 30)
+        whole, whole_exact = _m_scale_batch(r, 1.548, 0.5)
+        chunks = []
+        real_chunk = robust_mm._m_scale_chunk
+
+        def counting_chunk(resid, c, breakdown):
+            chunks.append(len(resid))
+            return real_chunk(resid, c, breakdown)
+
+        monkeypatch.setattr(robust_mm, "_ELEMENT_BUDGET", budget)
+        monkeypatch.setattr(robust_mm, "_m_scale_chunk", counting_chunk)
+        got, exact = _m_scale_batch(r, 1.548, 0.5)
+        assert len(chunks) >= 8 and max(chunks) <= max(1, budget // 30) * 2
+        np.testing.assert_array_equal(got, whole)
+        np.testing.assert_array_equal(exact, whole_exact)
 
 
 def s_stage_case(seed):
@@ -285,14 +313,15 @@ class TestSStagePruning:
                 with monkeypatch.context() as m:
                     m.setattr(robust_mm, "_m_scale_batch", counting_batch)
                     sizes.clear()
-                    pruned = _s_stage(s, design, response,
-                                      np.random.Generator(np.random.Philox(seed)))
+                    (pruned,) = _s_stage(s, [(design, response,
+                                              np.random.Generator(np.random.Philox(seed)))])
                     solved_last = sum(sizes[2:])
                 with monkeypatch.context() as m:
                     m.setattr(robust_mm, "_contending_scales",
-                              lambda resid, c, bd, prev, active: _m_scale_batch(resid, c, bd))
-                    full = _s_stage(s, design, response,
-                                    np.random.Generator(np.random.Philox(seed)))
+                              lambda resid, c, bd, prev, active, segments:
+                              _m_scale_batch(resid, c, bd))
+                    (full,) = _s_stage(s, [(design, response,
+                                            np.random.Generator(np.random.Philox(seed)))])
                 np.testing.assert_array_equal(pruned[0], full[0])
                 assert pruned[1:] == full[1:]
                 if seed % 3 != 2:
@@ -368,7 +397,7 @@ class TestDistinctSubsets:
             for intercept, bound in ((False, s.j), (True, s.j * (s.j - 1) // 2)):
                 design, response = _design(s, w, intercept)
                 sizes.clear()
-                _s_stage(s, design, response, np.random.Generator(np.random.Philox(seed)))
+                _s_stage(s, [(design, response, np.random.Generator(np.random.Philox(seed)))])
                 assert sizes[0] <= bound
 
     @pytest.mark.parametrize("j, rows", [(25, 500), (300, 500), (25_000, 20)])
@@ -391,11 +420,110 @@ class TestDistinctSubsets:
             w = inverse_variance_weights(s).w
             for intercept in (False, True):
                 design, response = _design(s, w, intercept)
-                got = _s_stage(s, design, response, np.random.Generator(np.random.Philox(seed)))
+                (got,) = _s_stage(s, [(design, response,
+                                       np.random.Generator(np.random.Philox(seed)))])
                 ref = full_s_stage(s, design, response,
                                    np.random.Generator(np.random.Philox(seed)))
                 np.testing.assert_array_equal(got[0], ref[0])
                 assert got[1:] == ref[1:]
+
+
+def philox(seed, k):
+    return np.random.Generator(np.random.Philox([seed, k]))
+
+
+class TestLockstep:
+    """Fits of one set searched in one lockstep S-stage get their solo results."""
+
+    @staticmethod
+    def group(s, seed):
+        # origin and intercept fits under inverse-variance and perturbed weights
+        iv = inverse_variance_weights(s).w
+        other = iv * np.random.default_rng(seed + 1000).uniform(0.1, 1.0, size=s.j)
+        return [_design(s, w, intercept) for w in (iv, other) for intercept in (False, True)]
+
+    def test_each_fit_gets_its_solo_and_full_search_result(self):
+        for seed in range(30):
+            s = s_stage_case(seed)
+            designs = self.group(s, seed)
+            joint = _s_stage(s, [(d, r, philox(seed, k)) for k, (d, r) in enumerate(designs)])
+            assert len(joint) == len(designs)
+            for k, ((design, response), got) in enumerate(zip(designs, joint)):
+                (solo,) = _s_stage(s, [(design, response, philox(seed, k))])
+                ref = full_s_stage(s, design, response, philox(seed, k))
+                for other in (solo, ref):
+                    np.testing.assert_array_equal(got[0], other[0])
+                    assert got[1:] == other[1:]
+
+    def test_singular_member_fails_alone(self, monkeypatch):
+        # a zero design column makes every subset singular; the search gives up
+        # after _SUBSET_RETRY_ROUNDS rounds of redraws
+        monkeypatch.setattr(robust_mm, "_SUBSET_RETRY_ROUNDS", 20)
+        for seed in range(0, 30, 3):
+            s = s_stage_case(seed)
+            designs = self.group(s, seed)
+            designs.insert(2, _design(s, np.zeros(s.j), True))
+            joint = _s_stage(s, [(d, r, philox(seed, k)) for k, (d, r) in enumerate(designs)])
+            assert isinstance(joint[2], SingularDesignError)
+            for k, (design, response) in enumerate(designs):
+                if k == 2:
+                    continue
+                (solo,) = _s_stage(s, [(design, response, philox(seed, k))])
+                np.testing.assert_array_equal(joint[k][0], solo[0])
+                assert joint[k][1:] == solo[1:]
+
+    def test_last_round_solves_once_for_all_fits(self, monkeypatch):
+        sizes = []
+        real_batch = robust_mm._m_scale_batch
+
+        def counting_batch(resid, c, breakdown):
+            sizes.append(resid.shape[0])
+            return real_batch(resid, c, breakdown)
+
+        monkeypatch.setattr(robust_mm, "_m_scale_batch", counting_batch)
+        s = s_stage_case(1)
+        designs = self.group(s, 1)
+        _s_stage(s, [(d, r, philox(1, k)) for k, (d, r) in enumerate(designs)])
+        # all rows, all rows after the first step, then one reference row per fit and the
+        # contenders of all fits
+        assert len(sizes) == 4 and sizes[2] == len(designs)
+
+    def test_groups_under_the_element_budget_match_solo_fits(self, monkeypatch):
+        s = s_stage_case(7)
+        w = inverse_variance_weights(s)
+        requests = [(w, intercept, seed, effects, None) for seed in (3, 4)
+                    for intercept in (False, True) for effects in ("fixed", "multiplicative_random")]
+        solo = [mm_regress(s, *r) for r in requests]
+        # the intercept fits of the two streams differ, so a crossed stream shows
+        assert solo[2][1].theta != solo[6][1].theta
+        stages = []
+        real_stage = robust_mm._s_stage
+
+        def counting_stage(s, searches):
+            stages.append(len(searches))
+            return real_stage(s, searches)
+
+        monkeypatch.setattr(robust_mm, "_s_stage", counting_stage)
+        for budget, groups in ((robust_mm._ELEMENT_BUDGET, [8]), (3 * 500 * s.j, [3, 3, 2]),
+                               (1, [1] * 8)):
+            monkeypatch.setattr(robust_mm, "_ELEMENT_BUDGET", budget)
+            stages.clear()
+            assert robust_mm._mm_fits(s, requests) == solo
+            assert stages == groups
+
+    def test_preconditions_fail_per_fit(self):
+        s = s_stage_case(5)
+        w = inverse_variance_weights(s)
+        zero = make_set(np.zeros(s.j), np.full(s.j, 0.01), s.beta_y, s.se_y, harmonized=True)
+        got = robust_mm._mm_fits(zero, [(None, False, 1, "fixed", None)])
+        assert isinstance(got[0], DegenerateInstrumentError)
+        two = make_set(s.beta_x[:2], s.se_x[:2], s.beta_y[:2], s.se_y[:2], harmonized=True)
+        got = robust_mm._mm_fits(two, [(None, True, 1, "fixed", None),
+                                        (None, False, 1, "fixed", None)])
+        assert isinstance(got[0], InsufficientInstrumentsError)
+        assert got[1] == mm_regress(two, seed=1, effects="fixed")
+        with pytest.raises(ValueError):
+            robust_mm._mm_fits(s, [(w, False, 1, "random", None)])
 
 
 def lapack_m_stage(design, response, beta, s_star):
