@@ -15,6 +15,7 @@ import numpy as np
 from ._util import as_seed_sequence
 from .exceptions import DegenerateInstrumentError, InsufficientInstrumentsError
 from .penalization import cochran_q_ivw
+from .robust_mm import _row_chunks
 from .summary_data import SummarySet, ratio_estimates
 from .wls import Estimate, WeightVector, _estimate
 
@@ -58,10 +59,35 @@ def weighted_median(theta, weights) -> float:
 
 
 def _sort_rows(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # sort step of the row-wise weighted median of theta (rows, J): each
-    # row's order and its sorted values, shared by every weight vector
-    order = np.argsort(theta, axis=1, kind="stable")
-    return order, np.take_along_axis(theta, order, axis=1)
+    """Sort step of the row-wise weighted median of theta (rows, J).
+
+    Returns each row's order and its sorted values, shared by every weight
+    vector, from numpy's default (unstable) sorts. A row whose sorted values
+    are not strictly increasing holds a tie, +-0.0 or a NaN, and is sorted
+    again stably; every other row has one sorting permutation, so order and
+    values equal a stable argsort's bit for bit on every input.
+    Rows are sorted in chunks of at most ``robust_mm._ELEMENT_BUDGET``
+    elements; past one chunk, the values are sorted in place in ``theta``'s
+    buffer.
+    """
+    chunks = _row_chunks(*theta.shape)
+    if len(chunks) == 1:
+        return _sort_chunk(theta)
+    order = np.empty(theta.shape, dtype=np.intp)
+    for rows in chunks:
+        order[rows], theta[rows] = _sort_chunk(theta[rows])
+    return order, theta
+
+
+def _sort_chunk(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    order = np.argsort(theta, axis=1)
+    th = np.sort(theta, axis=1)
+    strict = th[:, 1:] > th[:, :-1]
+    if not strict.all():
+        tied = ~strict.all(axis=1)
+        order[tied] = np.argsort(theta[tied], axis=1, kind="stable")
+        th[tied] = np.take_along_axis(theta[tied], order[tied], axis=1)
+    return order, th
 
 
 def _weigh_rows(sorted_rows: tuple[np.ndarray, np.ndarray], w: np.ndarray) -> np.ndarray:
@@ -71,16 +97,17 @@ def _weigh_rows(sorted_rows: tuple[np.ndarray, np.ndarray], w: np.ndarray) -> np
     j = th.shape[1]
     if j == 1:
         return th[:, 0].copy()
-    ws = w[order]
+    rows = np.arange(th.shape[0])
+    # equal weights give every row the same cumulative weights: form them once
+    ws, s_rows = (w[None, :], 0) if np.all(w == w[0]) else (w[order], rows)
     cum = np.cumsum(ws, axis=1)
     s = cum - 0.5 * ws
     k = np.sum(s < 0.5, axis=1) - 1
     # s[-1] >= 0.5 up to rounding, so k + 1 is in range and s_hi > s_lo;
     # the clip only guards rows that take the k < 0 branch
     kc = np.clip(k, 0, j - 2)
-    rows = np.arange(th.shape[0])
-    s_lo = s[rows, kc]
-    s_hi = s[rows, kc + 1]
+    s_lo = s[s_rows, kc]
+    s_hi = s[s_rows, kc + 1]
     th_lo = th[rows, kc]
     th_hi = th[rows, kc + 1]
     # infinite or near-overflow values interpolate to inf or NaN, which the callers reject
@@ -95,17 +122,16 @@ def _bootstrap_rows(s: SummarySet, draws: int, seed) -> tuple[np.ndarray, np.nda
     Each row redraws every association from a normal centred at its
     estimate with its reported standard error and forms the ratios. The
     rows do not depend on the weights, so one set serves every weighted
-    median of ``s``.
+    median of ``s``. The ratios are formed in the outcome draws' buffer
+    (and sorted there past one row chunk, see :func:`_sort_rows`).
     """
     if draws < 2:
         raise ValueError(f"bootstrap needs at least 2 draws, got {draws}")
     rng = np.random.Generator(np.random.Philox(as_seed_sequence(seed)))
     beta_x = s.beta_x
     se_x = s.se_x
-    beta_y = s.beta_y
-    se_y = s.se_y
     bx = rng.normal(beta_x, se_x, size=(draws, s.j))
-    by = rng.normal(beta_y, se_y, size=(draws, s.j))
+    ratio = rng.normal(s.beta_y, s.se_y, size=(draws, s.j))
     # a ratio needs a nonzero denominator; redraw the measure-zero exact hits
     zero = bx == 0.0
     while np.any(zero):
@@ -114,14 +140,20 @@ def _bootstrap_rows(s: SummarySet, draws: int, seed) -> tuple[np.ndarray, np.nda
         bx[zero] = rng.normal(locs, scales)
         zero = bx == 0.0
     with np.errstate(over="ignore"):  # an overflowing ratio gives a non-finite SE
-        return _sort_rows(by / bx)
+        ratio /= bx
+    del bx
+    return _sort_rows(ratio)
 
 
 def _bootstrap_sd(sorted_rows: tuple[np.ndarray, np.ndarray], w: np.ndarray) -> float:
     # weigh step: sample SD of the bootstrap rows' medians under normalized weights w;
     # a non-finite SE is one that _estimate reports as absent
+    order, th = sorted_rows
+    medians = np.empty(th.shape[0])
+    for rows in _row_chunks(*th.shape):
+        medians[rows] = _weigh_rows((order[rows], th[rows]), w)
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.std(_weigh_rows(sorted_rows, w), ddof=1))
+        return float(np.std(medians, ddof=1))
 
 
 def bootstrap_se(s: SummarySet, weights, draws: int = 1000, seed=None) -> float:

@@ -135,11 +135,17 @@ def _m_scale_batch(resid: np.ndarray, c: float, breakdown: float):
     row-wise, so a row's scale does not depend on the other rows of the batch
     or on the chunking.
     """
-    rows = max(1, _ELEMENT_BUDGET // resid.shape[1])
-    if len(resid) <= rows:
+    chunks = _row_chunks(*resid.shape)
+    if len(chunks) == 1:
         return _m_scale_chunk(resid, c, breakdown)
-    parts = [_m_scale_chunk(resid[i:i + rows], c, breakdown) for i in range(0, len(resid), rows)]
+    parts = [_m_scale_chunk(resid[rows], c, breakdown) for rows in chunks]
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+def _row_chunks(rows: int, j: int) -> list[slice]:
+    """Slices of ``rows`` rows of J elements, each within _ELEMENT_BUDGET or one row."""
+    step = max(1, _ELEMENT_BUDGET // j)
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
 def _m_scale_chunk(resid: np.ndarray, c: float, breakdown: float):
@@ -312,49 +318,66 @@ def _candidates(s: SummarySet, design, response, rng):
     N_CANDIDATES subsets are drawn from ``rng``. A draw whose subset is
     singular, or whose exact fit or residuals overflow, is redrawn, so only
     finite residuals reach the scale solves. The pair (b, a) of an intercept
-    fit is taken as (a, b), a < b: both give the same line. Validity and
-    residuals are formed once per distinct subset and mapped back to its
-    draws; both are row-wise, so the redraws are those of a check of every
-    draw.
+    fit is taken as (a, b), a < b: both give the same line. Each round checks
+    and solves once each distinct subset of the draws it introduces, and the
+    rows of the final draws are gathered at the end; both steps are
+    row-wise, so the redraws and the rows are those of a check of every
+    draw in every round.
     """
     j = s.j
     p = design.shape[1]
-    x = s.beta_x
-    y = s.beta_y
     idx = rng.integers(0, j, size=(N_CANDIDATES, p))
+    key = np.empty(N_CANDIDATES, dtype=idx.dtype)
+    at = np.empty(N_CANDIDATES, dtype=np.intp)  # each draw's row among the solved subsets
+    parts, solved = [], 0
+    draws = np.arange(N_CANDIDATES)  # the draws a round introduces
     for _ in range(_SUBSET_RETRY_ROUNDS):
-        idx.sort(axis=1)
+        sub = np.sort(idx[draws], axis=1)
         # one integer key per subset; np.unique(idx, axis=0) costs more than it saves
-        _, first, back = np.unique(idx[:, 0] * j + idx[:, -1], return_index=True,
-                                   return_inverse=True)
-        sub = idx[first]
-        i0 = sub[:, 0]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            if p == 1:
-                bad = design[i0, 0] == 0.0
-                coefs = (y[i0] / x[i0])[:, None]
-            else:
-                i1 = sub[:, 1]
-                bad = (i0 == i1) | (design[i0, 0] == 0.0) | (design[i1, 0] == 0.0) \
-                    | (x[i0] == x[i1])
-                slope = (y[i1] - y[i0]) / (x[i1] - x[i0])
-                coefs = np.column_stack([y[i0] - slope * x[i0], slope])
-            resid = _residuals(coefs, design, response)
-        # candidates interpolate their own subset points; zero those residuals
-        # explicitly so rounding dust cannot mask an exact fit
-        resid[np.arange(len(sub))[:, None], sub] = 0.0
-        bad |= ~(np.isfinite(coefs).all(axis=1) & np.isfinite(resid).all(axis=1))
+        key[draws] = sub[:, 0] * j + sub[:, -1]
+        _, first, back = np.unique(key[draws], return_index=True, return_inverse=True)
+        parts.append(_elemental_fits(s, design, response, sub[first]))
+        at[draws] = solved + back
+        solved += len(first)
+        bad = parts[-1][0][back]
         if not np.any(bad):
             break
-        redraw = bad[back]
-        idx[redraw] = rng.integers(0, j, size=(int(np.sum(redraw)), p))
+        draws = draws[bad]
+        idx[draws] = rng.integers(0, j, size=(len(draws), p))
     else:
         raise SingularDesignError(
             "no random subset gives a non-singular, finite exact fit; exposure "
             "associations are too degenerate or too extreme"
         )
-    order = np.argsort(first)
-    return coefs[order], resid[order]
+    if len(parts) > 1:
+        _, first = np.unique(key, return_index=True)
+    rows = at[np.sort(first)]
+    _, coefs, resid = (part[0][rows] if len(part) == 1 else np.concatenate(part)[rows]
+                       for part in zip(*parts))
+    return coefs, resid
+
+
+def _elemental_fits(s: SummarySet, design, response, sub):
+    """(singular or non-finite, coefficients, residuals) of the exact fits to subsets ``sub``."""
+    x = s.beta_x
+    y = s.beta_y
+    i0 = sub[:, 0]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if design.shape[1] == 1:
+            bad = design[i0, 0] == 0.0
+            coefs = (y[i0] / x[i0])[:, None]
+        else:
+            i1 = sub[:, 1]
+            bad = (i0 == i1) | (design[i0, 0] == 0.0) | (design[i1, 0] == 0.0) \
+                | (x[i0] == x[i1])
+            slope = (y[i1] - y[i0]) / (x[i1] - x[i0])
+            coefs = np.column_stack([y[i0] - slope * x[i0], slope])
+        resid = _residuals(coefs, design, response)
+    # candidates interpolate their own subset points; zero those residuals
+    # explicitly so rounding dust cannot mask an exact fit
+    resid[np.arange(len(sub))[:, None], sub] = 0.0
+    bad |= ~(np.isfinite(coefs).all(axis=1) & np.isfinite(resid).all(axis=1))
+    return bad, coefs, resid
 
 
 def _s_stage(s: SummarySet, searches):

@@ -66,7 +66,8 @@ _CONFOUNDED_RANGE = (-0.1, 0.1)
 _MAX_REGENERATIONS = 100
 # genotype blocks are float32: a block's G'G entries and column sums are
 # integers of at most 4 * _GENOTYPE_BLOCK = 8,192, far below 2^24, so every
-# partial sum is exact and the float64 totals equal a float64 accumulation
+# partial sum of a BLAS product (G'G, and the sums as ones @ G) is exact in
+# any summation order, and the float64 totals equal a float64 accumulation
 _GENOTYPE_BLOCK = 2048
 
 
@@ -210,20 +211,33 @@ def generate_individual_data(spec: ScenarioSpec, rng: np.random.Generator) -> Ra
                     gamma=gamma, alpha=alpha, phi=phi, invalid=invalid, theta=spec.theta)
 
 
-def _genotype_blocks(rng: np.random.Generator, m: int, j: int, maf: float):
-    """m x j Binomial(2, maf) genotypes by inverse CDF, one uniform per cell.
+def _genotype_gram(rng: np.random.Generator, m: int, j: int, maf: float):
+    """G'G (j x j) and the column sums of m x j Binomial(2, maf) genotypes G.
 
-    Yielded as float32 blocks of _GENOTYPE_BLOCK rows, the rows of one m x j
-    draw. Against one m x j draw per sample, blocks of 2,048 rows cut a
-    study_nonrobust replicate's op_cost from 8.2 to 4.8 ref and its peak RSS
-    from 48.6 to 42.1 MB; 512 to 4,096 rows time the same
-    (BENCH_sufficient_stats.json, "genotype_block").
+    G is drawn by inverse CDF, one uniform per cell, as the rows of one
+    m x j draw, in float32 blocks of _GENOTYPE_BLOCK rows. Against one m x j
+    draw per sample, blocks of 2,048 rows cut a study_nonrobust replicate's
+    op_cost from 8.2 to 4.8 ref and its peak RSS from 48.6 to 42.1 MB; 512
+    to 4,096 rows time the same (BENCH_sufficient_stats.json,
+    "genotype_block"). Every block is drawn into the same buffers, and its
+    column sums are one float32 ones @ G product.
     """
-    for start in range(0, m, _GENOTYPE_BLOCK):
-        u = rng.random((min(_GENOTYPE_BLOCK, m - start), j))
-        g = (u > (1.0 - maf) ** 2).astype(np.float32)
-        g += u > 1.0 - maf ** 2
-        yield g
+    rows = min(_GENOTYPE_BLOCK, m)
+    u = np.empty((rows, j))
+    g = np.empty((rows, j), dtype=np.float32)
+    hom = np.empty((rows, j), dtype=bool)
+    ones = np.ones(rows, dtype=np.float32)
+    gram = np.zeros((j, j))
+    sums = np.zeros(j)
+    for start in range(0, m, rows):
+        k = min(rows, m - start)
+        uk, gk = u[:k], g[:k]
+        rng.random(out=uk)
+        np.greater(uk, (1.0 - maf) ** 2, out=gk)
+        gk += np.greater(uk, 1.0 - maf ** 2, out=hom[:k])
+        gram += gk.T @ gk
+        sums += ones[:k] @ gk
+    return gram, sums
 
 
 def _draw_sample(rng: np.random.Generator, m: int, j: int, maf: float, cov: np.ndarray):
@@ -233,11 +247,7 @@ def _draw_sample(rng: np.random.Generator, m: int, j: int, maf: float, cov: np.n
     Cholesky factor L of the centred genotype Gram matrix, the scores
     L^-1 G_c'e (k x J) and the multivariable residual sums of squares (k,).
     """
-    gram = np.zeros((j, j))
-    sums = np.zeros(j)
-    for g in _genotype_blocks(rng, m, j, maf):
-        gram += g.T @ g
-        sums += g.sum(axis=0)
+    gram, sums = _genotype_gram(rng, m, j, maf)
     # G'G and s s' hold integers, so m G'G - s s' is exact and the centred Gram
     # matrix is rounded once
     gram = (m * gram - np.outer(sums, sums)) / m

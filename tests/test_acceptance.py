@@ -190,6 +190,36 @@ def test_criterion_5_one_sample_bias(one_sample_study):
     assert not failures, "; ".join(failures)
 
 
+@pytest.mark.parametrize("scenario, n_sim, strict", [(2, 2000, False), (3, 1000, True),
+                                                     (4, 1000, True)])
+def test_headline_robust_methods_reject_less_than_ivw(scenario, n_sim, strict):
+    # the paper's main result: with 30% invalid variants, robust IVW and the
+    # simple median keep the Type 1 error below that of conventional IVW.
+    # Margins are two Monte Carlo SEs of the difference of two rejection
+    # rates taken as independent; the rates of one replicate set are
+    # positively correlated, so this overstates the SE. Under balanced
+    # pleiotropy (scenario 2) the random-effects IVW stays near nominal and
+    # no gap shows even at 2,000 replicates, so there the check is only that
+    # neither method rejects more often than IVW by more than the margin.
+    spec = ScenarioSpec(scenario=scenario, theta=0.0, prop_invalid=0.3, n=40_000, j=25,
+                        design="two_sample", n_sim=n_sim, seed=10 + scenario)
+    start = time.perf_counter()
+    report = run_study(spec, methods=("ivw", "robust_ivw", "simple_median"))
+    print(f"scenario {scenario} headline study wall time: {time.perf_counter() - start:.1f}s")
+    p_ivw = report.row("ivw").power_pct / 100.0
+    failures = []
+    for name in ("robust_ivw", "simple_median"):
+        p = report.row(name).power_pct / 100.0
+        margin = 2.0 * np.sqrt((p_ivw * (1.0 - p_ivw) + p * (1.0 - p)) / n_sim)
+        required = margin if strict else -margin
+        print(f"scenario {scenario}: ivw rejects {100 * p_ivw:.1f}%, {name} {100 * p:.1f}%, "
+              f"required gap {100 * required:.2f} points")
+        if not p_ivw - p > required:
+            failures.append(f"scenario {scenario}: {name} rejects {100 * p:.1f}%, against "
+                            f"ivw's {100 * p_ivw:.1f}% (required gap {100 * required:.2f})")
+    assert not failures, "; ".join(failures)
+
+
 def test_criterion_6_ivw_matches_weighted_least_squares():
     rng = np.random.default_rng(2026)
     worst = 0.0

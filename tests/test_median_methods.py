@@ -3,7 +3,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ivrobust import median_methods, robust_mm
 from ivrobust.median_methods import (
     bootstrap_se,
     penalized_weighted_median,
@@ -36,6 +39,32 @@ def median_oracle(theta, w):
     if k < 0:
         return th[0]
     return th[k] + (th[k + 1] - th[k]) * (0.5 - s[k]) / (s[k + 1] - s[k])
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def value_rows(draw) -> np.ndarray:
+    """Rows of exact ties, +-0.0, +-inf and NaN, or of distinct finite values."""
+    rows, j = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        values = st.floats(-1e300, 1e300)
+        cells = draw(st.lists(values, min_size=rows * j, max_size=rows * j, unique=True))
+    else:
+        pool = draw(st.lists(st.floats() | SPECIAL, min_size=1, max_size=4))
+        cells = draw(st.lists(st.sampled_from(pool) | SPECIAL, min_size=rows * j,
+                              max_size=rows * j))
+    return np.array(cells, dtype=float).reshape(rows, j)
+
+
+@settings(max_examples=400, deadline=None)
+@given(value_rows())
+def test_sort_rows_is_the_stable_sort_bit_for_bit(theta):
+    order, th = median_methods._sort_rows(theta.copy())
+    stable = np.argsort(theta, axis=1, kind="stable")
+    np.testing.assert_array_equal(order, stable)
+    assert th.tobytes() == np.take_along_axis(theta, stable, axis=1).tobytes()
 
 
 def ratio_set(ratios, se_y=0.05, beta_x=0.2):
@@ -176,6 +205,22 @@ class TestBootstrap:
             assert bootstrap_se(s, w, draws=1000, seed=seed) == weighted
             stream = np.random.SeedSequence(seed, spawn_key=(4, 1))
             assert bootstrap_se(s, np.ones(12), draws=300, seed=stream) == equal
+
+    @pytest.mark.parametrize("budget", [1, 20, 49 * 12])
+    def test_chunked_rows_are_bit_identical(self, budget, monkeypatch):
+        # sorted in place and weighed per row chunk: the rows and every SE
+        # are those of one chunk
+        s = harmonize(random_summary(np.random.default_rng(5), j=12))
+        w = np.random.default_rng(6).uniform(0.1, 1.0, 12)
+        whole = median_methods._bootstrap_rows(s, 100, 9)
+        monkeypatch.setattr(robust_mm, "_ELEMENT_BUDGET", budget)
+        assert len(robust_mm._row_chunks(100, 12)) > 1
+        chunked = median_methods._bootstrap_rows(s, 100, 9)
+        np.testing.assert_array_equal(chunked[0], whole[0])
+        assert chunked[1].tobytes() == whole[1].tobytes()
+        for weights in (w / w.sum(), np.full(12, 1 / 12)):
+            assert (median_methods._bootstrap_sd(chunked, weights)
+                    == median_methods._bootstrap_sd(whole, weights))
 
     def test_draw_count_validated(self):
         s = ratio_set([0.1, 0.2, 0.3])

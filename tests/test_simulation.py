@@ -25,6 +25,11 @@ def rng_for(seed=0):
     return np.random.Generator(np.random.Philox(seed))
 
 
+def genotypes(u, maf):
+    """Binomial(2, maf) genotypes of uniforms u by inverse CDF."""
+    return (u > (1.0 - maf) ** 2) + (u > 1.0 - maf ** 2).astype(float)
+
+
 def truth(j, rng, theta=0.1):
     """Generating truth with every effect term nonzero."""
     return dict(gamma=rng.uniform(0.03, 0.1, j), alpha=rng.uniform(-0.1, 0.1, j),
@@ -119,20 +124,35 @@ class TestGenerate:
         assert raw.score_x.shape == raw.score_y.shape == (6,)
 
     def test_genotype_moments(self):
-        g = np.vstack(list(simulation._genotype_blocks(rng_for(2), 100_000, 4, 0.3)))
-        assert set(np.unique(g)) <= {0.0, 1.0, 2.0}
-        se_mean = math.sqrt(2 * 0.3 * 0.7 / 100_000)
+        m = 100_000
+        gram, sums = simulation._genotype_gram(rng_for(2), m, 4, 0.3)
+        # per column, S1 = n1 + 2 n2 and S2 = n1 + 4 n2 give the genotype counts exactly
+        diag = np.diag(gram)
+        n2 = (diag - sums) / 2
+        n1 = 2 * sums - diag
+        for counts in (n1, n2, m - n1 - n2):
+            assert np.all(counts >= 0) and np.all(counts == np.round(counts))
+        se_mean = math.sqrt(2 * 0.3 * 0.7 / m)
         for col in range(4):
-            assert abs(g[:, col].mean() - 0.6) < 4 * se_mean
-            assert g[:, col].var() == pytest.approx(2 * 0.3 * 0.7, rel=0.05)
+            mean = sums[col] / m
+            assert abs(mean - 0.6) < 4 * se_mean
+            assert diag[col] / m - mean ** 2 == pytest.approx(2 * 0.3 * 0.7, rel=0.05)
             # Hardy-Weinberg proportions of the inverse-CDF draw
-            assert np.mean(g[:, col] == 2.0) == pytest.approx(0.09, abs=0.005)
+            assert n2[col] / m == pytest.approx(0.09, abs=0.005)
+            assert n1[col] / m == pytest.approx(2 * 0.3 * 0.7, abs=0.01)
 
-    def test_genotype_blocks_are_one_draw(self):
-        m = 2 * simulation._GENOTYPE_BLOCK + 17
-        g = np.vstack(list(simulation._genotype_blocks(rng_for(2), m, 3, 0.3)))
-        u = rng_for(2).random((m, 3))
-        np.testing.assert_array_equal(g, (u > 0.7 ** 2) + (u > 1.0 - 0.3 ** 2).astype(float))
+    @pytest.mark.parametrize("m", [5, simulation._GENOTYPE_BLOCK,
+                                   2 * simulation._GENOTYPE_BLOCK + 17])
+    def test_genotype_gram_is_that_of_one_draw(self, m):
+        # the blocked Gram and column sums equal, bit for bit, those of one
+        # m x j inverse-CDF draw from the same stream, which they use up exactly
+        rng = rng_for(2)
+        gram, sums = simulation._genotype_gram(rng, m, 3, 0.3)
+        ref = rng_for(2)
+        g = genotypes(ref.random((m, 3)), 0.3)
+        np.testing.assert_array_equal(gram, g.T @ g)
+        np.testing.assert_array_equal(sums, g.sum(axis=0))
+        assert rng.random() == ref.random()
 
     def test_gram_factor_matches_genotypes(self):
         # the stored factor is that of the centred Gram matrix of the drawn genotypes
@@ -141,8 +161,7 @@ class TestGenerate:
         raw = generate_individual_data(spec, rng_a)
         rng_b.random(5)  # the invalid flags ...
         rng_b.uniform(0.03, 0.1, 5)  # ... and gamma precede the genotypes
-        g = np.vstack(list(simulation._genotype_blocks(rng_b, 200, 5, spec.maf)))
-        g = g.astype(np.float64)
+        g = genotypes(rng_b.random((200, 5)), spec.maf)
         gc = g - g.mean(axis=0)
         np.testing.assert_allclose(raw.chol_x @ raw.chol_x.T, gc.T @ gc, rtol=1e-12,
                                    atol=1e-12 * np.abs(gc.T @ gc).max())
