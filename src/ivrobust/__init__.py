@@ -6,8 +6,8 @@ estimators with different robustness properties to invalid instruments,
 plus a Monte Carlo engine for evaluating them under controlled violations.
 
 The top level exports the estimators, weights, data, study and exception
-API; helpers such as ``wls.instrument_strength`` or ``robust_mm.m_scale``
-stay importable from their modules.
+API; helpers such as ``wls.instrument_strength`` stay importable from their
+modules.
 """
 from .estimators import ALL_METHODS, run_methods
 from .exceptions import (

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from .estimators import ALL_METHODS, _check_methods, run_methods
-from .exceptions import CsvParseError, EstimationError
+from .exceptions import CsvParseError, DegenerateInstrumentError, EstimationError
 from .penalization import _ivw_q
 from .distributions import chisq_sf
 from .simulation import ScenarioSpec, run_study
@@ -142,7 +143,7 @@ def _cmd_analyze(args) -> int:
             "diagnostics": diagnostics,
             "estimates": [_estimate_dict(est) for est in results.values()],
         }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, allow_nan=False))
     elif args.format == "csv":
         _print_csv(results.values())
     else:
@@ -163,6 +164,8 @@ def _diagnostics(hs) -> dict:
         out.update(q_statistic=None, q_df=hs.j - 1, q_p_value=None)
         try:
             q = float(np.sum(_ivw_q(hs, ivw(hs, inverse_variance_weights(hs)).theta)))
+            if not math.isfinite(q):
+                raise DegenerateInstrumentError("the statistic overflows")
             out.update(q_statistic=q, q_p_value=chisq_sf(q, hs.j - 1))
         except EstimationError as exc:
             warnings.append(f"Q unavailable: {exc}")
@@ -176,7 +179,13 @@ _FIELDS = ("method", "theta", "se", "ci_low", "ci_high", "p_value",
 
 
 def _estimate_dict(est: Estimate) -> dict:
-    return {**{name: getattr(est, name) for name in _FIELDS}, "warnings": list(est.warnings)}
+    return {**{name: _json_value(getattr(est, name)) for name in _FIELDS},
+            "warnings": list(est.warnings)}
+
+
+def _json_value(value):
+    # JSON has no Infinity or NaN: a value that is not finite is written as null
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _print_csv(estimates) -> None:

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._util import as_seed_sequence
+from ._util import _row_chunks, as_seed_sequence
 from .exceptions import DegenerateInstrumentError, InsufficientInstrumentsError
 from .penalization import cochran_q_ivw
-from .robust_mm import _row_chunks
 from .summary_data import SummarySet, ratio_estimates
 from .wls import Estimate, WeightVector, _estimate
 
@@ -66,7 +65,7 @@ def _sort_rows(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     are not strictly increasing holds a tie, +-0.0 or a NaN, and is sorted
     again stably; every other row has one sorting permutation, so order and
     values equal a stable argsort's bit for bit on every input.
-    Rows are sorted in chunks of at most ``robust_mm._ELEMENT_BUDGET``
+    Rows are sorted in chunks of at most ``_util._ELEMENT_BUDGET``
     elements; past one chunk, the values are sorted in place in ``theta``'s
     buffer.
     """

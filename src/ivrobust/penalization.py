@@ -60,11 +60,6 @@ def _penalty(q_j: np.ndarray) -> np.ndarray:
     return factor_j
 
 
-def _factors(q_j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # the tail p_j and the factor min(1, 20 p_j) of each statistic
-    return _tail(q_j), _penalty(q_j)
-
-
 def _defined(q_j: np.ndarray) -> np.ndarray:
     undefined = np.flatnonzero(np.isnan(q_j))
     if undefined.size:

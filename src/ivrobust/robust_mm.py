@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_seed_sequence
+from ._util import _row_chunks, as_seed_sequence
 from .exceptions import (
     DegenerateInstrumentError,
     EstimationError,
@@ -62,9 +62,6 @@ _BISECT_STEPS = 64
 _EPS = float(np.finfo(float).eps)
 _PRUNE_MARGIN = 1e-9
 _DUST = 4.0 * _EPS  # residuals within 4 ulps of the fit's magnitude are zero
-# float64 elements of one stacked rows x J array: a lockstep group of S-stages
-# and a chunk of an M-scale solve stay under it (8 MB)
-_ELEMENT_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -80,37 +77,9 @@ class RobustFit:
     exact_fit: bool = False
 
 
-def rho_bisquare(r, c: float = C_S):
-    """Bisquare loss: (c^2/6) * (1 - (1 - (r/c)^2)^3), capped at c^2/6."""
-    _check_tuning(c)
-    out = (c * c / 6.0) * _rho_norm(r, c)
-    return out if out.ndim else float(out)
-
-
-def psi_bisquare(r, c: float = C_M):
-    """Bisquare score r * (1 - (r/c)^2)^2, zero outside |r| <= c."""
-    _check_tuning(c)
-    out = np.asarray(r, dtype=float) * (1.0 - _u2(r, c)) ** 2
-    return out if out.ndim else float(out)
-
-
-def weight_bisquare(r, c: float = C_M):
-    """IRLS weight psi(r)/r = (1 - (r/c)^2)^2, zero outside |r| <= c."""
-    _check_tuning(c)
-    out = (1.0 - _u2(r, c)) ** 2
-    return out if out.ndim else float(out)
-
-
-def _psi_prime_bisquare(r, c: float):
-    # d/dr psi = (1 - u^2)(1 - 5 u^2) on the support, u = r/c
-    u2 = _u2(r, c)
-    out = (1.0 - u2) * (1.0 - 5.0 * u2)
-    return out if out.ndim else float(out)
-
-
-def _check_tuning(c: float) -> None:
-    if not c > 0.0:
-        raise ValueError(f"tuning constant must be positive, got {c!r}")
+def _weight(r, c: float) -> np.ndarray:
+    # IRLS weight psi(r)/r = (1 - (r/c)^2)^2, zero outside |r| <= c
+    return (1.0 - _u2(r, c)) ** 2
 
 
 def _u2(r, c: float) -> np.ndarray:
@@ -118,15 +87,15 @@ def _u2(r, c: float) -> np.ndarray:
     return np.minimum(np.abs(np.asarray(r, dtype=float)) / c, 1.0) ** 2
 
 
-def _rho_norm(u, c: float) -> np.ndarray:
-    # rho scaled to max 1: 1 - (1 - min(u^2/c^2, 1))^3
-    return 1.0 - (1.0 - _u2(u, c)) ** 3
+def _rho_norm(u) -> np.ndarray:
+    # the C_S loss scaled to max 1: 1 - (1 - min(u^2/C_S^2, 1))^3
+    return 1.0 - (1.0 - _u2(u, C_S)) ** 3
 
 
-def _m_scale_batch(resid: np.ndarray, c: float, breakdown: float):
+def _m_scale_batch(resid: np.ndarray):
     """Row-wise M-scales; returns (scales, exact_fit flags).
 
-    Each row solves g(s) = mean(rho_norm(|r| / s)) - breakdown = 0, where g
+    Each row solves g(s) = mean(rho_norm(|r| / s)) - BREAKDOWN = 0, where g
     does not increase in s, by Newton steps kept inside a bracket [lo, hi]
     with g(lo) >= 0 >= g(hi); a step that leaves the bracket, or is not
     finite, is replaced by the bracket midpoint. Rows that the iteration cap
@@ -137,34 +106,28 @@ def _m_scale_batch(resid: np.ndarray, c: float, breakdown: float):
     """
     chunks = _row_chunks(*resid.shape)
     if len(chunks) == 1:
-        return _m_scale_chunk(resid, c, breakdown)
-    parts = [_m_scale_chunk(resid[rows], c, breakdown) for rows in chunks]
+        return _m_scale_chunk(resid)
+    parts = [_m_scale_chunk(resid[rows]) for rows in chunks]
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
-def _row_chunks(rows: int, j: int) -> list[slice]:
-    """Slices of ``rows`` rows of J elements, each within _ELEMENT_BUDGET or one row."""
-    step = max(1, _ELEMENT_BUDGET // j)
-    return [slice(lo, lo + step) for lo in range(0, rows, step)]
-
-
-def _m_scale_chunk(resid: np.ndarray, c: float, breakdown: float):
+def _m_scale_chunk(resid: np.ndarray):
     """:func:`_m_scale_batch` on rows that stay within the element budget."""
     if len(resid) == 1:
         # past J = 8,192 einsum sums a lone row in chunks, in another order than
         # a row of a batch: solve it as a pair
-        scales, exact = _m_scale_chunk(np.repeat(resid, 2, axis=0), c, breakdown)
+        scales, exact = _m_scale_chunk(np.repeat(resid, 2, axis=0))
         return scales[:1], exact[:1]
     a = np.abs(resid)
     n = a.shape[1]
     nonzero = np.count_nonzero(a, axis=1)
-    exact = nonzero < breakdown * n
-    # with exactly breakdown * n nonzero residuals g is 0 on all of (0, lo]:
+    exact = nonzero < BREAKDOWN * n
+    # with exactly BREAKDOWN * n nonzero residuals g is 0 on all of (0, lo]:
     # the smallest root is lo itself
-    plateau = nonzero == breakdown * n
+    plateau = nonzero == BREAKDOWN * n
     solve = ~exact
     min_nz = np.where(a > 0.0, a, np.inf).min(axis=1)
-    lo = np.where(solve, min_nz / c, 1.0)
+    lo = np.where(solve, min_nz / C_S, 1.0)
     hi = np.maximum(a.max(axis=1), lo)
     # preallocated work buffers: no per-iteration allocation of batch size
     u2_buf = np.empty_like(a)
@@ -172,21 +135,21 @@ def _m_scale_chunk(resid: np.ndarray, c: float, breakdown: float):
     w2_buf = np.empty_like(a)
 
     def g_and_slope(rows: np.ndarray, s: np.ndarray):
-        # g(s) and mean(u^2 (1 - u^2)^2) over u^2 = (|r| / (c s))^2 < 1, so
+        # g(s) and mean(u^2 (1 - u^2)^2) over u^2 = (|r| / (C_S s))^2 < 1, so
         # that g'(s) = -(6 / s) * slope; clipped u^2 = 1 drops out of both
         k = len(rows)
-        u2 = np.divide(rows, (c * s)[:, None], out=u2_buf[:k])
+        u2 = np.divide(rows, (C_S * s)[:, None], out=u2_buf[:k])
         np.square(u2, out=u2)
         np.minimum(u2, 1.0, out=u2)
         w = np.subtract(1.0, u2, out=w_buf[:k])
         w2 = np.multiply(w, w, out=w2_buf[:k])
-        g = (1.0 - breakdown) - np.einsum("ij,ij->i", w2, w) / n
+        g = (1.0 - BREAKDOWN) - np.einsum("ij,ij->i", w2, w) / n
         return g, np.einsum("ij,ij->i", w2, u2) / n
 
-    # an overflowing c * s or |r| / (c s) gives u^2 = 0 or a clipped u^2 = 1, and a
+    # an overflowing C_S * s or |r| / (C_S s) gives u^2 = 0 or a clipped u^2 = 1, and a
     # Newton step that divides by zero or overflows lands outside the bracket
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # every nonzero residual sits at or past c at s = lo, so g(lo) >= 0;
+        # every nonzero residual sits at or past C_S at s = lo, so g(lo) >= 0;
         # expand hi until g(hi) <= 0
         for _ in range(200):
             need = solve & (g_and_slope(a, hi)[0] > 0.0)
@@ -226,37 +189,14 @@ def _m_scale_chunk(resid: np.ndarray, c: float, breakdown: float):
     return np.where(exact, 0.0, s), exact
 
 
-def m_scale(residuals, c: float = C_S, breakdown: float = BREAKDOWN) -> tuple[float, bool]:
-    """M-estimate of scale under the bisquare loss.
-
-    Solves mean(rho(r_i / s, c)) / (c^2 / 6) = breakdown for s by Newton
-    steps kept inside a bracket, with bisection as the fallback. When exactly
-    ``breakdown`` of the residuals are nonzero, every s up to min|r_i| / c
-    solves the equation and that bound is returned. When strictly more than
-    ``1 - breakdown`` of the residuals are exactly zero the equation has no
-    positive root; the scale is then 0 with the second return value flagging
-    the exact fit.
-    """
-    _check_tuning(c)
-    if not 0.0 < breakdown < 1.0:
-        raise ValueError(f"breakdown must lie in (0, 1), got {breakdown!r}")
-    r = np.asarray(residuals, dtype=float)
-    if r.ndim != 1 or r.size == 0:
-        raise ValueError("residuals must form a non-empty 1-d vector")
-    if not np.all(np.isfinite(r)):
-        raise ValueError("residuals must be finite")
-    scales, exact = _m_scale_batch(r[None, :], c, breakdown)
-    return float(scales[0]), bool(exact[0])
-
-
-def _contending_scales(resid: np.ndarray, c: float, breakdown: float,
-                       prev_scales: np.ndarray, active: np.ndarray, segments):
+def _contending_scales(resid: np.ndarray, prev_scales: np.ndarray, active: np.ndarray,
+                       segments):
     """M-scales of the active rows that can hold their fit's smallest one, +inf elsewhere.
 
     Rows ``lo:hi`` of each (lo, hi) in ``segments`` belong to one fit. In each
     fit, the active row with the smallest previous scale is solved first,
     giving s_ref (one solve for the reference rows of all fits). g(s) =
-    mean(rho_norm(|r| / s)) - breakdown does not increase in s, so a row with
+    mean(rho_norm(|r| / s)) - BREAKDOWN does not increase in s, so a row with
     g(s_ref) > 0 has its root above s_ref and cannot be its fit's minimum;
     only rows with g(s_ref) <= _PRUNE_MARGIN are solved, again in one solve.
     The margin sits far above the rounding error of g (a mean of terms in
@@ -266,7 +206,7 @@ def _contending_scales(resid: np.ndarray, c: float, breakdown: float,
     the one a solve of every row finds. Exact-fit flags cover every row.
     """
     n = resid.shape[1]
-    exact = np.count_nonzero(resid, axis=1) < breakdown * n
+    exact = np.count_nonzero(resid, axis=1) < BREAKDOWN * n
     scales = np.where(exact, 0.0, np.inf)
     live = active & ~exact
     prev = np.where(live, prev_scales, np.inf)
@@ -277,13 +217,13 @@ def _contending_scales(resid: np.ndarray, c: float, breakdown: float,
     ref_rows = list(refs.values())
     # a fit without a live row divides by inf, and none of its rows is kept
     fit_ref = np.full(len(segments), np.inf)
-    fit_ref[list(refs)] = _m_scale_batch(resid[ref_rows], c, breakdown)[0]
+    fit_ref[list(refs)] = _m_scale_batch(resid[ref_rows])[0]
     s_ref = np.repeat(fit_ref, [hi - lo for lo, hi in segments])
-    with np.errstate(over="ignore"):  # |r| / s_ref = inf scores like any |r| > c s_ref
-        g = _rho_norm(resid / s_ref[:, None], c).mean(axis=1) - breakdown
+    with np.errstate(over="ignore"):  # |r| / s_ref = inf scores like any |r| > C_S s_ref
+        g = _rho_norm(resid / s_ref[:, None]).mean(axis=1) - BREAKDOWN
     keep = live & (g <= _PRUNE_MARGIN)
     keep[ref_rows] = True
-    scales[keep] = _m_scale_batch(resid[keep], c, breakdown)[0]
+    scales[keep] = _m_scale_batch(resid[keep])[0]
     return scales, exact
 
 
@@ -409,25 +349,24 @@ def _s_stage(s: SummarySet, searches):
     bounds = np.cumsum([0] + [len(c) for c in coefs]).tolist()
     segments = list(zip(bounds[:-1], bounds[1:]))
     resid = resid[0] if len(resid) == 1 else np.concatenate(resid)
-    scales, exact = _m_scale_batch(resid, C_S, BREAKDOWN)
+    scales, exact = _m_scale_batch(resid)
     for step in range(REFINE_STEPS):
         active = ~exact
         if not np.any(active):
             break
         safe = np.where(scales > 0.0, scales, 1.0)
         with np.errstate(over="ignore"):  # an infinite standardized residual weighs 0
-            irls_w = weight_bisquare(resid / safe[:, None], C_S)
+            irls_w = _weight(resid / safe[:, None], C_S)
         irls_w[exact] = 0.0
         for i, (lo, hi) in enumerate(segments):
             if np.any(active[lo:hi]):
                 coefs[i] = _reweighted(irls_w[lo:hi], *searches[fits[i]][:2], coefs[i],
                                        resid[lo:hi], active[lo:hi])
         if step + 1 < REFINE_STEPS:
-            new_scales, new_exact = _m_scale_batch(resid, C_S, BREAKDOWN)
+            new_scales, new_exact = _m_scale_batch(resid)
         else:
             # only each fit's argmin of the last solve is used
-            new_scales, new_exact = _contending_scales(resid, C_S, BREAKDOWN, scales, active,
-                                                       segments)
+            new_scales, new_exact = _contending_scales(resid, scales, active, segments)
         scales = np.where(active, new_scales, scales)
         exact = exact | new_exact
         scales = np.where(exact, 0.0, scales)
@@ -466,7 +405,7 @@ def _m_stage(design, response, beta, s_star: float):
         # form on numpy scalars: the arithmetic of _wls_rows without its batch overhead
         products = _wls_products(design, response)
         for iterations in range(1, M_STEP_MAX_ITER + 1):
-            irls_w = weight_bisquare((response - design @ beta) / s_star, C_M)
+            irls_w = _weight((response - design @ beta) / s_star, C_M)
             beta_new, _, ok = _wls_solve([irls_w @ col for col in products], np.True_)
             if not (ok and all(map(math.isfinite, beta_new))):
                 break
@@ -477,9 +416,10 @@ def _m_stage(design, response, beta, s_star: float):
                 break
 
         u = (response - design @ beta) / s_star
-        psi = psi_bisquare(u, C_M)
+        u2 = _u2(u, C_M)
+        psi = u * (1.0 - u2) ** 2
         # the bread is the Gram matrix of the design under the weights psi'(u)
-        _, bread_inv, ok = _wls_rows(_psi_prime_bisquare(u, C_M)[None, :], design, response)
+        _, bread_inv, ok = _wls_rows(((1.0 - u2) * (1.0 - 5.0 * u2))[None, :], design, response)
         meat = (design * (psi * psi)[:, None]).T @ design
         ses = None
         if ok[0]:
@@ -555,9 +495,8 @@ def _mm_fits(s: SummarySet, requests) -> list[tuple[RobustFit, Estimate] | Estim
             searches.append((k, *_search_inputs(s, weights, intercept, seed, effects)))
         except EstimationError as exc:
             results[k] = exc
-    group = max(1, _ELEMENT_BUDGET // (N_CANDIDATES * s.j))
-    for g in range(0, len(searches), group):
-        chunk = searches[g:g + group]
+    for rows in _row_chunks(len(searches), N_CANDIDATES * s.j):
+        chunk = searches[rows]
         for (k, design, response, _), found in zip(chunk, _s_stage(s, [c[1:] for c in chunk])):
             if not isinstance(found, EstimationError):
                 try:

@@ -223,7 +223,8 @@ def read_csv(source: str | Path | IO[str]) -> SummarySet:
     """Read a summary set from CSV with header ``id,beta_x,se_x,beta_y,se_y``.
 
     Errors carry the 1-based row number of the offending line. The header row
-    must match the schema exactly (order included).
+    must match the schema exactly (order included). A UTF-8 byte-order mark
+    at the start of a file named by path is ignored.
 
     A seekable file named by path is first read block by block: each block of
     lines is split into fields once and each value column converted in one
@@ -235,7 +236,7 @@ def read_csv(source: str | Path | IO[str]) -> SummarySet:
     """
     if hasattr(source, "read"):
         return _parse_csv(source)
-    with open(source, newline="", encoding="utf-8") as fh:
+    with open(source, newline="", encoding="utf-8-sig") as fh:
         if fh.seekable():
             s = _read_blocks(fh)
             if s is not None:

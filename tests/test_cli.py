@@ -188,6 +188,34 @@ class TestAnalyze:
         assert diagnostics["warnings"] == []
         assert diagnostics["q_statistic"] > 0.0 and 0.0 <= diagnostics["i_squared"] <= 1.0
 
+    OVERFLOWING_Q = ["v1,0.1,0.01,1e200,1e-10", "v2,0.2,0.01,-1e200,1e-10",
+                     "v3,0.3,0.01,2e200,1e-10", "v4,0.15,0.01,-2e200,1e-10"]
+
+    def test_json_is_strict_when_q_and_scale_overflow(self, tmp_path, capsys):
+        # Q and the residual scale overflow to inf, and Q's p-value is NaN
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join(["id,beta_x,se_x,beta_y,se_y", *self.OVERFLOWING_Q]) + "\n")
+        assert main(["analyze", str(path), "--methods", "ivw,egger", "--seed", "1",
+                     "--format", "json"]) == EXIT_OK
+
+        def reject(name):
+            raise AssertionError(f"non-JSON constant {name}")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        diagnostics = payload["diagnostics"]
+        assert diagnostics["q_statistic"] is None and diagnostics["q_p_value"] is None
+        assert diagnostics["warnings"] == ["Q unavailable: the statistic overflows"]
+        assert [row["residual_scale"] for row in payload["estimates"]] == [None, None]
+        assert payload["estimates"][1]["intercept"] == pytest.approx(-1.714285714285713e200)
+
+    def test_table_reports_overflowing_q_unavailable(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join(["id,beta_x,se_x,beta_y,se_y", *self.OVERFLOWING_Q]) + "\n")
+        assert main(["analyze", str(path), "--methods", "ivw", "--seed", "1"]) == EXIT_OK
+        summary = capsys.readouterr().out.split("variants:")[1]
+        assert "Q: NA" in summary and "Q unavailable: the statistic overflows" in summary
+        assert "inf" not in summary and "nan" not in summary
+
     def test_unknown_method_rejected_by_parser(self, csv_path):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", csv_path, "--methods", "ivw,mode"])

@@ -6,6 +6,7 @@ or tied exposure associations, and outcome associations proportional to them.
 from __future__ import annotations
 
 import io
+import json
 import math
 import os
 import tempfile
@@ -77,7 +78,15 @@ def test_analyze_exits_with_success_or_precondition_code(s, fmt):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "set.csv")
         write_csv(s, path)
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
             code = cli.main(["analyze", path, "--seed", "1", "--bootstrap-draws", "30",
                              "--format", fmt])
     assert code in (cli.EXIT_OK, cli.EXIT_PRECONDITION)
+    if fmt == "json" and code == cli.EXIT_OK:
+        # strict JSON: Infinity, -Infinity and NaN are not JSON numbers
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+def _reject_constant(name: str):
+    raise AssertionError(f"analyze --format json printed {name}")

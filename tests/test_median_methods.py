@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivrobust import median_methods, robust_mm
+from ivrobust import _util, median_methods
 from ivrobust.median_methods import (
     bootstrap_se,
     penalized_weighted_median,
@@ -213,8 +213,8 @@ class TestBootstrap:
         s = harmonize(random_summary(np.random.default_rng(5), j=12))
         w = np.random.default_rng(6).uniform(0.1, 1.0, 12)
         whole = median_methods._bootstrap_rows(s, 100, 9)
-        monkeypatch.setattr(robust_mm, "_ELEMENT_BUDGET", budget)
-        assert len(robust_mm._row_chunks(100, 12)) > 1
+        monkeypatch.setattr(_util, "_ELEMENT_BUDGET", budget)
+        assert len(_util._row_chunks(100, 12)) > 1
         chunked = median_methods._bootstrap_rows(s, 100, 9)
         np.testing.assert_array_equal(chunked[0], whole[0])
         assert chunked[1].tobytes() == whole[1].tobytes()

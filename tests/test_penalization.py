@@ -9,7 +9,8 @@ from ivrobust.distributions import chisq_sf
 from ivrobust.exceptions import InsufficientInstrumentsError
 from ivrobust.penalization import (
     PENALTY_SLOPE,
-    _factors,
+    _penalty,
+    _tail,
     cochran_q_egger,
     cochran_q_ivw,
     penalize_weights,
@@ -80,21 +81,21 @@ class TestClosedFormTail:
     def test_matches_scipy_over_range(self):
         q = np.concatenate([np.linspace(0.0, 1400.0, 20_001),
                             np.geomspace(1e-12, 1400.0, 2_001)])
-        p, _ = _factors(q)
+        p = _tail(q)
         expected = st.chi2.sf(q, 1)
         assert np.all(expected > 0.0)
         rel = np.abs(p - expected) / expected
         assert rel.max() <= 1e-12
 
     def test_one_at_zero(self):
-        p, factor = _factors(np.array([0.0]))
+        p, factor = _tail(np.array([0.0])), _penalty(np.array([0.0]))
         assert p[0] == 1.0
         assert factor[0] == 1.0
 
     def test_factors_match_general_tail(self):
         rng = np.random.default_rng(89)
         q = np.concatenate([rng.exponential(10.0, 2_000), rng.uniform(0.0, 1400.0, 2_000)])
-        _, factor = _factors(q)
+        factor = _penalty(q)
         old = np.minimum(1.0, PENALTY_SLOPE * np.array([chisq_sf(x, 1) for x in q]))
         below = factor < 1.0
         assert below.sum() > 2_000

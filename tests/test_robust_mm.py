@@ -10,7 +10,7 @@ import scipy.integrate
 import scipy.optimize
 import scipy.stats as st
 
-from ivrobust import robust_mm
+from ivrobust import _util, robust_mm
 from ivrobust.estimators import run_methods
 from ivrobust.exceptions import (
     DegenerateInstrumentError,
@@ -18,16 +18,16 @@ from ivrobust.exceptions import (
     SingularDesignError,
 )
 from ivrobust.robust_mm import (
+    BREAKDOWN,
+    C_M,
+    C_S,
     KAPPA,
     _design,
     _m_scale_batch,
     _rho_norm,
     _s_stage,
-    m_scale,
+    _weight,
     mm_regress,
-    psi_bisquare,
-    rho_bisquare,
-    weight_bisquare,
 )
 from ivrobust.wls import egger, inverse_variance_weights, ivw
 
@@ -40,76 +40,117 @@ def line_set(x, y, se_y=0.05):
     return make_set(x, np.full(x.size, 0.01), y, np.full(x.size, se_y), harmonized=True)
 
 
+def _inside(r, c):
+    # r / c, with every |r| > c taken as |r| = c
+    r = np.asarray(r, dtype=float)
+    return np.where(np.abs(r) <= c, r, c) / c
+
+
+def textbook_rho(r, c):
+    """Tukey's bisquare loss (c^2/6)(1 - (1 - (r/c)^2)^3), constant c^2/6 past |r| = c."""
+    u = _inside(r, c)
+    return (c * c / 6.0) * (1.0 - (1.0 - u * u) ** 3)
+
+
+def textbook_weight(r, c):
+    """The IRLS weight psi(r) / r = (1 - (r/c)^2)^2, zero past |r| = c."""
+    u = _inside(r, c)
+    return (1.0 - u * u) ** 2
+
+
+def textbook_psi(r, c):
+    """The derivative of rho, r (1 - (r/c)^2)^2, zero past |r| = c."""
+    return np.asarray(r, dtype=float) * textbook_weight(r, c)
+
+
+def textbook_psi_prime(r, c):
+    u2 = _inside(r, c) ** 2
+    return (1.0 - u2) * (1.0 - 5.0 * u2)
+
+
+def m_scale(r):
+    """The M-scale of one vector of residuals, through the batch solver."""
+    scales, exact = _m_scale_batch(np.asarray(r, dtype=float)[None, :])
+    return float(scales[0]), bool(exact[0])
+
+
 class TestBisquareLoss:
+    """The program's C_S loss and IRLS weight against the textbook rho and psi."""
+
+    @staticmethod
+    def rho(r):
+        return (C_S * C_S / 6.0) * _rho_norm(r)
+
+    def test_rho_norm_is_the_scaled_c_s_loss(self):
+        r = np.linspace(-3 * C_S, 3 * C_S, 601)
+        np.testing.assert_allclose(self.rho(r), textbook_rho(r, C_S), rtol=1e-14, atol=1e-300)
+
     def test_anchor_values(self):
-        c = 1.548
-        assert rho_bisquare(0.0, c) == 0.0
-        assert rho_bisquare(c, c) == pytest.approx(c * c / 6.0, rel=1e-15)
-        assert rho_bisquare(5 * c, c) == pytest.approx(c * c / 6.0, rel=1e-15)
+        c = C_S
+        assert self.rho(0.0) == 0.0
+        assert self.rho(c) == pytest.approx(c * c / 6.0, rel=1e-15)
+        assert self.rho(5 * c) == pytest.approx(c * c / 6.0, rel=1e-15)
 
     def test_taylor_expansion_near_zero(self):
         # rho(r) = r^2/2 - r^4/(2 c^2) + r^6/(6 c^4) exactly (finite series)
-        for c in (1.548, 4.685):
-            for r in (0.01, -0.02, 0.005):
-                expected = r**2 / 2 - r**4 / (2 * c**2) + r**6 / (6 * c**4)
-                assert rho_bisquare(r, c) == pytest.approx(expected, rel=1e-12)
+        c = C_S
+        for r in (0.01, -0.02, 0.005):
+            expected = r**2 / 2 - r**4 / (2 * c**2) + r**6 / (6 * c**4)
+            assert self.rho(r) == pytest.approx(expected, rel=1e-12)
 
     def test_even_bounded_monotone(self):
-        c = 1.548
+        c = C_S
         r = np.linspace(0, 3 * c, 500)
-        vals = rho_bisquare(r, c)
+        vals = self.rho(r)
         assert np.all(np.diff(vals) >= -1e-15)
         assert np.all(vals <= c * c / 6.0 + 1e-15)
-        np.testing.assert_allclose(rho_bisquare(-r, c), vals, rtol=1e-15)
+        np.testing.assert_allclose(self.rho(-r), vals, rtol=1e-15)
 
     def test_psi_is_rho_derivative(self):
+        # psi = r * weight, against central differences of the textbook rho
         rng = np.random.default_rng(113)
-        c = 4.685
+        c = C_M
         h = 1e-6
         checked = 0
         for r in rng.uniform(-2 * c, 2 * c, size=200):
             if abs(abs(r) - c) < 1e-3:
                 continue
             checked += 1
-            fd = (rho_bisquare(r + h, c) - rho_bisquare(r - h, c)) / (2 * h)
-            assert psi_bisquare(float(r), c) == pytest.approx(fd, abs=1e-6)
+            fd = (textbook_rho(r + h, c) - textbook_rho(r - h, c)) / (2 * h)
+            assert float(r * _weight(r, c)) == pytest.approx(fd, abs=1e-6)
         assert checked > 100
 
     def test_psi_weight_identity(self):
         rng = np.random.default_rng(127)
-        c = 4.685
+        c = C_M
         r = rng.uniform(-2 * c, 2 * c, size=100)
         np.testing.assert_allclose(
-            psi_bisquare(r, c), r * weight_bisquare(r, c), rtol=1e-14, atol=1e-300
+            textbook_psi(r, c), r * _weight(r, c), rtol=1e-14, atol=1e-300
         )
 
     def test_psi_redescends(self):
-        c = 4.685
-        assert psi_bisquare(c, c) == 0.0
-        assert psi_bisquare(10 * c, c) == 0.0
-        assert psi_bisquare(-7.0, c) == -psi_bisquare(7.0, c)
-
-    def test_tuning_validated(self):
-        with pytest.raises(ValueError):
-            rho_bisquare(1.0, 0.0)
+        c = C_M
+        assert c * _weight(c, c) == 0.0
+        assert 10 * c * _weight(10 * c, c) == 0.0
+        assert -7.0 * _weight(-7.0, c) == -(7.0 * _weight(7.0, c))
 
 
 class TestMScale:
     def test_symmetric_two_point_closed_form(self):
         # residuals all of magnitude k: mean normalized loss is rho~(k/s) and
         # the root satisfies (k / (c s))^2 = 1 - (1/2)^(1/3)
-        c = 1.548
+        c = C_S
         k = 1.0
         expected = k / (c * math.sqrt(1.0 - 0.5 ** (1.0 / 3.0)))
-        got, exact = m_scale(np.array([1.0, -1.0, 1.0, -1.0, 1.0]), c=c)
+        got, exact = m_scale(np.array([1.0, -1.0, 1.0, -1.0, 1.0]))
         assert not exact
         assert got == pytest.approx(expected, rel=1e-9)
-        got2, _ = m_scale(np.full(8, -2.5), c=c)
+        got2, _ = m_scale(np.full(8, -2.5))
         assert got2 == pytest.approx(2.5 * expected, rel=1e-9)
 
     def test_matches_brentq_oracle(self):
         rng = np.random.default_rng(131)
-        c = 1.548
+        c = C_S
         for _ in range(50):
             r = rng.normal(0, rng.uniform(0.5, 3), size=int(rng.integers(5, 40)))
 
@@ -119,7 +160,7 @@ class TestMScale:
 
             amax = float(np.abs(r).max())
             oracle = scipy.optimize.brentq(f, 1e-10 * amax, 10 * amax, xtol=1e-14)
-            got, exact = m_scale(r, c=c)
+            got, exact = m_scale(r)
             assert not exact
             assert got == pytest.approx(oracle, rel=1e-8)
 
@@ -137,21 +178,14 @@ class TestMScale:
         s, exact = m_scale(np.array([0.0] * 6 + [1.0] * 4))
         assert (s, exact) == (0.0, True)
         # exactly half at zero: root exists at min_nonzero / c
-        s, exact = m_scale(np.array([0.0, 0.0, 2.0, 2.0]), c=1.548)
+        s, exact = m_scale(np.array([0.0, 0.0, 2.0, 2.0]))
         assert not exact
         assert s == pytest.approx(2.0 / 1.548, rel=1e-9)
 
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            m_scale(np.array([1.0, np.inf]))
-        with pytest.raises(ValueError):
-            m_scale(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            m_scale(np.array([1.0]), breakdown=0.0)
 
-
-def bisect_m_scale_batch(resid, c, breakdown):
+def bisect_m_scale_batch(resid):
     """Reference row-wise M-scales: bracket expansion, then 64 bisection steps."""
+    c, breakdown = C_S, BREAKDOWN
     a = np.abs(resid)
     n = a.shape[1]
     nonzero = np.count_nonzero(a, axis=1)
@@ -161,14 +195,14 @@ def bisect_m_scale_batch(resid, c, breakdown):
     lo = np.where(solve, min_nz / c, 1.0)
     hi = np.maximum(a.max(axis=1), lo)
     for _ in range(200):
-        g_hi = _rho_norm(a / hi[:, None], c).mean(axis=1) - breakdown
+        g_hi = _rho_norm(a / hi[:, None]).mean(axis=1) - breakdown
         need = solve & (g_hi > 0.0)
         if not np.any(need):
             break
         hi = np.where(need, hi * 2.0, hi)
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        g_mid = _rho_norm(a / mid[:, None], c).mean(axis=1) - breakdown
+        g_mid = _rho_norm(a / mid[:, None]).mean(axis=1) - breakdown
         above = g_mid > 0.0
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
@@ -195,9 +229,10 @@ def oracle_batch(rng, rows, j):
     return r
 
 
-def assert_matches_bisection(r, c=1.548, breakdown=0.5):
-    got, exact = _m_scale_batch(r, c, breakdown)
-    ref, ref_exact = bisect_m_scale_batch(r, c, breakdown)
+def assert_matches_bisection(r):
+    c, breakdown = C_S, BREAKDOWN
+    got, exact = _m_scale_batch(r)
+    ref, ref_exact = bisect_m_scale_batch(r)
     np.testing.assert_array_equal(exact, ref_exact)
     assert np.all(got[exact] == 0.0)
     plateau = np.count_nonzero(r, axis=1) == breakdown * r.shape[1]
@@ -229,12 +264,12 @@ class TestMScaleNewtonOracle:
         for j in (2, 4, 10, 40):
             r = rng.normal(size=(20, j)) * 10.0 ** rng.uniform(-10, 2, size=(20, 1))
             r[:, : j // 2] = 0.0
-            got, exact = _m_scale_batch(r, 1.548, 0.5)
+            got, exact = _m_scale_batch(r)
             assert not exact.any()
             np.testing.assert_array_equal(got, np.abs(r[:, j // 2:]).min(axis=1) / 1.548)
 
     def test_all_zero_rows(self):
-        got, exact = _m_scale_batch(np.zeros((3, 7)), 1.548, 0.5)
+        got, exact = _m_scale_batch(np.zeros((3, 7)))
         assert exact.all() and np.all(got == 0.0)
 
     def test_bisection_fallback_past_iteration_cap(self, monkeypatch):
@@ -251,29 +286,29 @@ class TestMScaleNewtonOracle:
         monkeypatch.setattr(robust_mm, "_NEWTON_MAX_ITER", newton_cap)
         rng = np.random.default_rng(199)
         r = oracle_batch(rng, 50, j)
-        full, _ = _m_scale_batch(r, 1.548, 0.5)
+        full, _ = _m_scale_batch(r)
         for i in (0, 17, 49):
-            assert _m_scale_batch(r[i:i + 1], 1.548, 0.5)[0][0] == full[i]
+            assert _m_scale_batch(r[i:i + 1])[0][0] == full[i]
             # beside an exact-fit row it is the only row left to solve
-            assert _m_scale_batch(np.vstack([r[i], np.zeros(j)]), 1.548, 0.5)[0][0] == full[i]
-        np.testing.assert_array_equal(_m_scale_batch(r[::3], 1.548, 0.5)[0], full[::3])
+            assert _m_scale_batch(np.vstack([r[i], np.zeros(j)]))[0][0] == full[i]
+        np.testing.assert_array_equal(_m_scale_batch(r[::3])[0], full[::3])
 
     @pytest.mark.parametrize("budget", [7 * 30, 15])
     def test_chunked_solve_is_bit_identical(self, budget, monkeypatch):
         # chunks of 7 rows with a lone last row, then one row per chunk
         rng = np.random.default_rng(211)
         r = oracle_batch(rng, 50, 30)
-        whole, whole_exact = _m_scale_batch(r, 1.548, 0.5)
+        whole, whole_exact = _m_scale_batch(r)
         chunks = []
         real_chunk = robust_mm._m_scale_chunk
 
-        def counting_chunk(resid, c, breakdown):
+        def counting_chunk(resid):
             chunks.append(len(resid))
-            return real_chunk(resid, c, breakdown)
+            return real_chunk(resid)
 
-        monkeypatch.setattr(robust_mm, "_ELEMENT_BUDGET", budget)
+        monkeypatch.setattr(_util, "_ELEMENT_BUDGET", budget)
         monkeypatch.setattr(robust_mm, "_m_scale_chunk", counting_chunk)
-        got, exact = _m_scale_batch(r, 1.548, 0.5)
+        got, exact = _m_scale_batch(r)
         assert len(chunks) >= 8 and max(chunks) <= max(1, budget // 30) * 2
         np.testing.assert_array_equal(got, whole)
         np.testing.assert_array_equal(exact, whole_exact)
@@ -301,9 +336,9 @@ class TestSStagePruning:
         sizes = []
         real_batch = robust_mm._m_scale_batch
 
-        def counting_batch(resid, c, breakdown):
+        def counting_batch(resid):
             sizes.append(resid.shape[0])
-            return real_batch(resid, c, breakdown)
+            return real_batch(resid)
 
         for seed in range(50):
             s = s_stage_case(seed)
@@ -318,8 +353,7 @@ class TestSStagePruning:
                     solved_last = sum(sizes[2:])
                 with monkeypatch.context() as m:
                     m.setattr(robust_mm, "_contending_scales",
-                              lambda resid, c, bd, prev, active, segments:
-                              _m_scale_batch(resid, c, bd))
+                              lambda resid, prev, active, segments: _m_scale_batch(resid))
                     (full,) = _s_stage(s, [(design, response,
                                             np.random.Generator(np.random.Philox(seed)))])
                 np.testing.assert_array_equal(pruned[0], full[0])
@@ -356,14 +390,14 @@ def full_s_stage(s, design, response, rng):
         if not bad.any():
             break
         idx[bad] = rng.integers(0, j, size=(int(bad.sum()), p))
-    scales, exact = _m_scale_batch(resid, 1.548, 0.5)
+    scales, exact = _m_scale_batch(resid)
     for _ in range(robust_mm.REFINE_STEPS):
         active = ~exact
         if not active.any():
             break
         safe = np.where(scales > 0.0, scales, 1.0)
         with np.errstate(over="ignore"):
-            irls_w = weight_bisquare(resid / safe[:, None], 1.548)
+            irls_w = _weight(resid / safe[:, None], C_S)
         irls_w[exact] = 0.0
         updated, _, ok = robust_mm._wls_rows(irls_w, design, response)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -371,7 +405,7 @@ def full_s_stage(s, design, response, rng):
         take = (active & ok & np.isfinite(stepped).all(axis=1))[:, None]
         coefs = np.where(take, updated, coefs)
         resid = np.where(take, stepped, resid)
-        new_scales, new_exact = _m_scale_batch(resid, 1.548, 0.5)
+        new_scales, new_exact = _m_scale_batch(resid)
         scales = np.where(active, new_scales, scales)
         exact = exact | new_exact
         scales = np.where(exact, 0.0, scales)
@@ -386,9 +420,9 @@ class TestDistinctSubsets:
         sizes = []
         real_batch = robust_mm._m_scale_batch
 
-        def counting_batch(resid, c, breakdown):
+        def counting_batch(resid):
             sizes.append(resid.shape[0])
-            return real_batch(resid, c, breakdown)
+            return real_batch(resid)
 
         monkeypatch.setattr(robust_mm, "_m_scale_batch", counting_batch)
         for seed in range(50):
@@ -476,9 +510,9 @@ class TestLockstep:
         sizes = []
         real_batch = robust_mm._m_scale_batch
 
-        def counting_batch(resid, c, breakdown):
+        def counting_batch(resid):
             sizes.append(resid.shape[0])
-            return real_batch(resid, c, breakdown)
+            return real_batch(resid)
 
         monkeypatch.setattr(robust_mm, "_m_scale_batch", counting_batch)
         s = s_stage_case(1)
@@ -504,9 +538,9 @@ class TestLockstep:
             return real_stage(s, searches)
 
         monkeypatch.setattr(robust_mm, "_s_stage", counting_stage)
-        for budget, groups in ((robust_mm._ELEMENT_BUDGET, [8]), (3 * 500 * s.j, [3, 3, 2]),
+        for budget, groups in ((_util._ELEMENT_BUDGET, [8]), (3 * 500 * s.j, [3, 3, 2]),
                                (1, [1] * 8)):
-            monkeypatch.setattr(robust_mm, "_ELEMENT_BUDGET", budget)
+            monkeypatch.setattr(_util, "_ELEMENT_BUDGET", budget)
             stages.clear()
             assert robust_mm._mm_fits(s, requests) == solo
             assert stages == groups
@@ -527,10 +561,13 @@ class TestLockstep:
 
 
 def lapack_m_stage(design, response, beta, s_star):
-    """The M-stage by LAPACK: np.linalg.solve per IRLS step, cond and inv for the sandwich."""
+    """The M-stage by LAPACK: np.linalg.solve per IRLS step, cond and inv for the sandwich.
+
+    Its loss is the textbook bisquare of this module, not the program's kernels.
+    """
     converged = False
     for iterations in range(1, robust_mm.M_STEP_MAX_ITER + 1):
-        irls_w = weight_bisquare((response - design @ beta) / s_star, 4.685)
+        irls_w = textbook_weight((response - design @ beta) / s_star, C_M)
         beta_new = np.linalg.solve((design * irls_w[:, None]).T @ design,
                                    design.T @ (irls_w * response))
         delta = float(np.max(np.abs(beta_new - beta)))
@@ -539,8 +576,8 @@ def lapack_m_stage(design, response, beta, s_star):
             converged = True
             break
     u = (response - design @ beta) / s_star
-    psi = psi_bisquare(u, 4.685)
-    bread = (design * robust_mm._psi_prime_bisquare(u, 4.685)[:, None]).T @ design
+    psi = textbook_psi(u, C_M)
+    bread = (design * textbook_psi_prime(u, C_M)[:, None]).T @ design
     meat = (design * (psi * psi)[:, None]).T @ design
     ses = None
     if np.linalg.cond(bread) < 1e12:
@@ -789,7 +826,7 @@ class TestMmRegress:
         sqw = np.sqrt(w)
         design = np.column_stack([sqw, sqw * x])
         resid = sqw * y - design @ np.array([fit.intercept, fit.slope])
-        score = psi_bisquare(resid / fit.scale, 4.685) @ design
+        score = textbook_psi(resid / fit.scale, C_M) @ design
         assert np.all(np.abs(score) < 1e-6 * 25)
 
     def test_validation_errors(self):

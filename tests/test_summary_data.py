@@ -429,6 +429,22 @@ class TestCsvFastPath:
         assert message in str(exc.value)
         assert str(exc.value) == _outcome(_walk, path)
 
+    @pytest.mark.parametrize("first_id, reader", [("rs1", "_read_blocks"),
+                                                  ('"rs,1"', "_parse_csv")])
+    def test_byte_order_mark_ignored(self, path, first_id, reader):
+        # spreadsheet "CSV UTF-8" files start with a BOM; a quoted id sends the
+        # file to the row walker, which re-reads it from the start
+        text = HEADER + first_id + ",0.1,0.01,0.02,0.05\nrs2,0.2,0.01,0.03,0.05\n"
+        path.write_text(text, encoding="utf-8", newline="")
+        plain = read_csv(path)
+        path.write_text(text, encoding="utf-8-sig", newline="")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        real = getattr(summary_data, reader)
+        with mock.patch.object(summary_data, reader, side_effect=real) as used:
+            assert read_csv(path) == plain
+        assert used.called
+        assert plain.ids[0] == first_id.strip('"')
+
     def test_large_file_round_trips(self, path):
         path.write_text(HEADER + "\n".join(_large_rows(8_000)) + "\n", encoding="utf-8")
         assert path.stat().st_size > 2 * summary_data._BLOCK_CHARS
