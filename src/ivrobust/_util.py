@@ -1,6 +1,8 @@
 """Small shared helpers."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # float64 elements of one stacked rows x J array: a lockstep group of S-stages, a
@@ -15,6 +17,24 @@ def as_seed_sequence(seed) -> np.random.SeedSequence:
     if seed is None:
         return np.random.SeedSequence()
     return np.random.SeedSequence(seed)
+
+
+def _cell(value, width: int, spec: str = ".4f") -> str:
+    """A table cell: ``value`` right-aligned in ``width`` characters, NA when absent.
+
+    A value that is None or not finite is NA. A value whose ``spec`` text is
+    wider than the column gets the most significant digits of a ``g`` form
+    that fits; with one digit any float takes at most 7 characters, so every
+    column of 7 or more holds one.
+    """
+    if value is None or not math.isfinite(value):
+        return f"{'NA':>{width}}"
+    text = f"{value:{width}{spec}}"
+    precision = width
+    while len(text) > width:
+        precision -= 1
+        text = f"{value:{width}.{precision}g}"
+    return text
 
 
 def _row_chunks(rows: int, j: int) -> list[slice]:

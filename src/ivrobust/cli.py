@@ -19,6 +19,7 @@ import sys
 
 import numpy as np
 
+from ._util import _cell
 from .estimators import ALL_METHODS, _check_methods, run_methods
 from .exceptions import CsvParseError, DegenerateInstrumentError, EstimationError
 from .penalization import _ivw_q
@@ -179,26 +180,21 @@ _FIELDS = ("method", "theta", "se", "ci_low", "ci_high", "p_value",
 
 
 def _estimate_dict(est: Estimate) -> dict:
-    return {**{name: _json_value(getattr(est, name)) for name in _FIELDS},
-            "warnings": list(est.warnings)}
-
-
-def _json_value(value):
-    # JSON has no Infinity or NaN: a value that is not finite is written as null
-    return None if isinstance(value, float) and not math.isfinite(value) else value
+    # a value that is not finite is absent: null in JSON, which has no Infinity or
+    # NaN, and an empty cell in CSV
+    row = {}
+    for name in _FIELDS:
+        value = getattr(est, name)
+        row[name] = None if isinstance(value, float) and not math.isfinite(value) else value
+    return {**row, "warnings": list(est.warnings)}
 
 
 def _print_csv(estimates) -> None:
     import csv as _csv
 
-    writer = _csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(_FIELDS)
-    for est in estimates:
-        row = []
-        for name in _FIELDS:
-            value = getattr(est, name)
-            row.append("" if value is None else value)
-        writer.writerow(row)
+    writer = _csv.DictWriter(sys.stdout, _FIELDS, extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(map(_estimate_dict, estimates))
 
 
 def _print_table(estimates, diagnostics: dict) -> None:
@@ -207,18 +203,13 @@ def _print_table(estimates, diagnostics: dict) -> None:
     print(header)
     print("-" * len(header))
     for est in estimates:
-        if est.se_reported:
-            ci = f"[{est.ci_low:8.4f}, {est.ci_high:8.4f}]"
-            se = f"{est.se:8.4f}"
-            p = f"{est.p_value:9.3g}"
-        else:
-            ci = f"{'NA':>20}"
-            se = f"{'NA':>8}"
-            p = f"{'NA':>9}"
-        inter = f"{est.intercept:10.4f}" if est.intercept is not None else f"{'':>10}"
-        inter_p = (f"{est.intercept_p:9.3g}" if est.intercept_p is not None
-                   else f"{'':>9}")
-        print(f"{est.method:<26} {est.theta:9.4f} {se} {ci} {p} {inter} {inter_p}")
+        ci = (f"[{_cell(est.ci_low, 8)}, {_cell(est.ci_high, 8)}]" if est.se_reported
+              else _cell(None, 20))
+        # a method without an intercept leaves its intercept cells blank
+        inter = (f"{_cell(est.intercept, 10)} {_cell(est.intercept_p, 9, '.3g')}"
+                 if est.intercept is not None else " " * 20)
+        print(f"{est.method:<26} {_cell(est.theta, 9)} {_cell(est.se, 8)} {ci} "
+              f"{_cell(est.p_value, 9, '.3g')} {inter}")
     if "i_squared" in diagnostics:
         i2, q = diagnostics["i_squared"], diagnostics["q_statistic"]
         i2_text = "NA" if i2 is None else f"{100 * i2:.1f}%"

@@ -126,8 +126,7 @@ def _fit_each(s: SummarySet, methods, *, effects: str = "multiplicative_random",
             except EstimationError as exc:
                 fits[name] = exc
                 continue
-            requests[name] = (w, intercept, _stream(root, name),
-                              "multiplicative_random" if intercept else effects, name)
+            requests[name] = (w, intercept, _stream(root, name), effects, name)
         for name, result in zip(requests, _mm_fits(hs, list(requests.values()))):
             fits[name] = result if isinstance(result, EstimationError) else result[1]
         return fits

@@ -127,21 +127,27 @@ def _bootstrap_rows(s: SummarySet, draws: int, seed) -> tuple[np.ndarray, np.nda
     if draws < 2:
         raise ValueError(f"bootstrap needs at least 2 draws, got {draws}")
     rng = np.random.Generator(np.random.Philox(as_seed_sequence(seed)))
-    beta_x = s.beta_x
-    se_x = s.se_x
-    bx = rng.normal(beta_x, se_x, size=(draws, s.j))
-    ratio = rng.normal(s.beta_y, s.se_y, size=(draws, s.j))
+    bx = _normal(rng, s.beta_x, s.se_x, (draws, s.j))
+    ratio = _normal(rng, s.beta_y, s.se_y, (draws, s.j))
     # a ratio needs a nonzero denominator; redraw the measure-zero exact hits
     zero = bx == 0.0
     while np.any(zero):
-        locs = np.broadcast_to(beta_x, bx.shape)[zero]
-        scales = np.broadcast_to(se_x, bx.shape)[zero]
-        bx[zero] = rng.normal(locs, scales)
+        locs = np.broadcast_to(s.beta_x, bx.shape)[zero]
+        scales = np.broadcast_to(s.se_x, bx.shape)[zero]
+        bx[zero] = _normal(rng, locs, scales, locs.shape)
         zero = bx == 0.0
     with np.errstate(over="ignore"):  # an overflowing ratio gives a non-finite SE
         ratio /= bx
     del bx
     return _sort_rows(ratio)
+
+
+def _normal(rng: np.random.Generator, loc, scale, size) -> np.ndarray:
+    # the bits and stream of rng.normal(loc, scale, size), without its per-element broadcast
+    z = rng.standard_normal(size)
+    z *= scale
+    z += loc
+    return z
 
 
 def _bootstrap_sd(sorted_rows: tuple[np.ndarray, np.ndarray], w: np.ndarray) -> float:

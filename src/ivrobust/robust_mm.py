@@ -92,32 +92,30 @@ def _rho_norm(u) -> np.ndarray:
     return 1.0 - (1.0 - _u2(u, C_S)) ** 3
 
 
-def _m_scale_batch(resid: np.ndarray):
-    """Row-wise M-scales; returns (scales, exact_fit flags).
+def _m_scale_batch(resid: np.ndarray) -> np.ndarray:
+    """Row-wise M-scales; an exact fit (fewer than BREAKDOWN * n nonzero residuals) is 0.
 
-    Each row solves g(s) = mean(rho_norm(|r| / s)) - BREAKDOWN = 0, where g
+    Every other row solves g(s) = mean(rho_norm(|r| / s)) - BREAKDOWN = 0, where g
     does not increase in s, by Newton steps kept inside a bracket [lo, hi]
     with g(lo) >= 0 >= g(hi); a step that leaves the bracket, or is not
     finite, is replaced by the bracket midpoint. Rows that the iteration cap
     does not settle finish by bisection of their bracket. The rows are solved
     in chunks of at most _ELEMENT_BUDGET elements. Every operation is
     row-wise, so a row's scale does not depend on the other rows of the batch
-    or on the chunking.
+    or on the chunking. Iterates stay above lo = min|r| / C_S > 0, so only an exact fit is 0.
     """
     chunks = _row_chunks(*resid.shape)
     if len(chunks) == 1:
         return _m_scale_chunk(resid)
-    parts = [_m_scale_chunk(resid[rows]) for rows in chunks]
-    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+    return np.concatenate([_m_scale_chunk(resid[rows]) for rows in chunks])
 
 
-def _m_scale_chunk(resid: np.ndarray):
+def _m_scale_chunk(resid: np.ndarray) -> np.ndarray:
     """:func:`_m_scale_batch` on rows that stay within the element budget."""
     if len(resid) == 1:
         # past J = 8,192 einsum sums a lone row in chunks, in another order than
         # a row of a batch: solve it as a pair
-        scales, exact = _m_scale_chunk(np.repeat(resid, 2, axis=0))
-        return scales[:1], exact[:1]
+        return _m_scale_chunk(np.repeat(resid, 2, axis=0))[:1]
     a = np.abs(resid)
     n = a.shape[1]
     nonzero = np.count_nonzero(a, axis=1)
@@ -186,11 +184,11 @@ def _m_scale_chunk(resid: np.ndarray):
                 b_hi = np.where(above, b_hi, mid)
             s[left] = 0.5 * (b_lo + b_hi)
     s = np.where(plateau, lo, s)
-    return np.where(exact, 0.0, s), exact
+    return np.where(exact, 0.0, s)
 
 
 def _contending_scales(resid: np.ndarray, prev_scales: np.ndarray, active: np.ndarray,
-                       segments):
+                       segments) -> np.ndarray:
     """M-scales of the active rows that can hold their fit's smallest one, +inf elsewhere.
 
     Rows ``lo:hi`` of each (lo, hi) in ``segments`` belong to one fit. In each
@@ -203,28 +201,27 @@ def _contending_scales(resid: np.ndarray, prev_scales: np.ndarray, active: np.nd
     [0, 1]), so a row whose solved scale could round to or below s_ref, such
     as a near-duplicate candidate whose residuals differ from the reference
     row's in the last bits, is never skipped, and each fit's first minimum is
-    the one a solve of every row finds. Exact-fit flags cover every row.
+    the one a solve of every row finds. Every exact fit's scale is 0.
     """
-    n = resid.shape[1]
-    exact = np.count_nonzero(resid, axis=1) < BREAKDOWN * n
+    exact = np.count_nonzero(resid, axis=1) < BREAKDOWN * resid.shape[1]
     scales = np.where(exact, 0.0, np.inf)
     live = active & ~exact
     prev = np.where(live, prev_scales, np.inf)
     refs = {i: lo + int(np.argmin(prev[lo:hi]))
             for i, (lo, hi) in enumerate(segments) if np.any(live[lo:hi])}
     if not refs:
-        return scales, exact
+        return scales
     ref_rows = list(refs.values())
     # a fit without a live row divides by inf, and none of its rows is kept
     fit_ref = np.full(len(segments), np.inf)
-    fit_ref[list(refs)] = _m_scale_batch(resid[ref_rows])[0]
+    fit_ref[list(refs)] = _m_scale_batch(resid[ref_rows])
     s_ref = np.repeat(fit_ref, [hi - lo for lo, hi in segments])
     with np.errstate(over="ignore"):  # |r| / s_ref = inf scores like any |r| > C_S s_ref
         g = _rho_norm(resid / s_ref[:, None]).mean(axis=1) - BREAKDOWN
     keep = live & (g <= _PRUNE_MARGIN)
     keep[ref_rows] = True
-    scales[keep] = _m_scale_batch(resid[keep])[0]
-    return scales, exact
+    scales[keep] = _m_scale_batch(resid[keep])
+    return scales
 
 
 def _residuals(coefs: np.ndarray, design: np.ndarray, response: np.ndarray) -> np.ndarray:
@@ -320,60 +317,45 @@ def _elemental_fits(s: SummarySet, design, response, sub):
     return bad, coefs, resid
 
 
-def _s_stage(s: SummarySet, searches):
-    """Lockstep random-subset searches for the smallest M-scale; first minimum wins.
+def _s_stage(fits):
+    """Lockstep searches of candidate rows for the smallest M-scale; first minimum wins.
 
-    ``searches`` lists the (design, response, rng) of fits on the same set.
-    Each fit draws its candidates from its own stream (:func:`_candidates`);
-    their rows are stacked, one segment per fit, and each round's M-scale
-    solve, IRLS weights and prune step (:func:`_contending_scales`) run once
-    over all rows, while each fit's reweighted least squares, prune reference
-    and argmin stay inside its own segment. Every step is row-wise, so a
-    fit's result is the one it gets alone, and the one a solve of every draw
-    finds. Returns, per search, (coefficients, scale, exact fit) or the
-    SingularDesignError of a fit whose redraws found no finite exact fit.
+    ``fits`` lists the (design, response, candidate coefficients, residuals) of
+    fits on one set, the candidates from :func:`_candidates`. Their rows are
+    stacked, one segment per fit, and each round's M-scale solve, IRLS weights
+    and prune step (:func:`_contending_scales`) run once over all rows, while
+    each fit's reweighted least squares, prune reference and argmin stay in its
+    own segment; an exact fit (scale 0) is left as it is. Every step is
+    row-wise, so a fit's winner, its (coefficients, scale), is the one it gets
+    alone and the one a solve of every draw finds.
     """
-    out: list = [None] * len(searches)
-    fits, coefs, resid = [], [], []
-    for k, (design, response, rng) in enumerate(searches):
-        try:
-            fit_coefs, fit_resid = _candidates(s, design, response, rng)
-        except SingularDesignError as exc:
-            out[k] = exc
-            continue
-        fits.append(k)
-        coefs.append(fit_coefs)
-        resid.append(fit_resid)
     if not fits:
-        return out
+        return []
+    coefs = [f[2] for f in fits]
     bounds = np.cumsum([0] + [len(c) for c in coefs]).tolist()
     segments = list(zip(bounds[:-1], bounds[1:]))
-    resid = resid[0] if len(resid) == 1 else np.concatenate(resid)
-    scales, exact = _m_scale_batch(resid)
+    resid = fits[0][3] if len(fits) == 1 else np.concatenate([f[3] for f in fits])
+    scales = _m_scale_batch(resid)
     for step in range(REFINE_STEPS):
-        active = ~exact
+        active = scales > 0.0
         if not np.any(active):
             break
-        safe = np.where(scales > 0.0, scales, 1.0)
+        safe = np.where(active, scales, 1.0)
         with np.errstate(over="ignore"):  # an infinite standardized residual weighs 0
             irls_w = _weight(resid / safe[:, None], C_S)
-        irls_w[exact] = 0.0
+        irls_w[~active] = 0.0
         for i, (lo, hi) in enumerate(segments):
             if np.any(active[lo:hi]):
-                coefs[i] = _reweighted(irls_w[lo:hi], *searches[fits[i]][:2], coefs[i],
-                                       resid[lo:hi], active[lo:hi])
+                coefs[i] = _reweighted(irls_w[lo:hi], *fits[i][:2], coefs[i], resid[lo:hi],
+                                       active[lo:hi])
         if step + 1 < REFINE_STEPS:
-            new_scales, new_exact = _m_scale_batch(resid)
+            new_scales = _m_scale_batch(resid)
         else:
             # only each fit's argmin of the last solve is used
-            new_scales, new_exact = _contending_scales(resid, scales, active, segments)
+            new_scales = _contending_scales(resid, scales, active, segments)
         scales = np.where(active, new_scales, scales)
-        exact = exact | new_exact
-        scales = np.where(exact, 0.0, scales)
-    for i, (lo, hi) in enumerate(segments):
-        best = lo + int(np.argmin(scales[lo:hi]))
-        out[fits[i]] = coefs[i][best - lo].copy(), float(scales[best]), bool(exact[best])
-    return out
+    best = [lo + int(np.argmin(scales[lo:hi])) for lo, hi in segments]
+    return [(c[b - lo].copy(), float(scales[b])) for c, b, (lo, _) in zip(coefs, best, segments)]
 
 
 def _reweighted(irls_w, design, response, coefs, resid, active):
@@ -459,7 +441,8 @@ def mm_regress(s: SummarySet, weights: WeightVector | None = None,
         Drives the random subset search; identical seeds give bit-identical
         fits regardless of thread count.
     effects : {"fixed", "multiplicative_random"}
-        Standard-error post-processing, matching the least-squares fits.
+        Standard-error post-processing, matching the least-squares fits. An
+        intercept fit, like ``egger``, always uses multiplicative random effects.
     method : str, optional
         Label recorded on the returned Estimate.
 
@@ -496,14 +479,17 @@ def _mm_fits(s: SummarySet, requests) -> list[tuple[RobustFit, Estimate] | Estim
         except EstimationError as exc:
             results[k] = exc
     for rows in _row_chunks(len(searches), N_CANDIDATES * s.j):
-        chunk = searches[rows]
-        for (k, design, response, _), found in zip(chunk, _s_stage(s, [c[1:] for c in chunk])):
-            if not isinstance(found, EstimationError):
-                try:
-                    found = _mm_result(s, design, response, *found, *requests[k][3:])
-                except EstimationError as exc:  # an estimate that is not finite
-                    found = exc
-            results[k] = found
+        fits = []  # (request index, design, response, candidate coefficients, residuals)
+        for k, design, response, rng in searches[rows]:
+            try:
+                fits.append((k, design, response, *_candidates(s, design, response, rng)))
+            except SingularDesignError as exc:  # no finite exact fit in the redraws
+                results[k] = exc
+        for (k, design, response, *_), winner in zip(fits, _s_stage([f[1:] for f in fits])):
+            try:
+                results[k] = _mm_result(s, design, response, *winner, *requests[k][3:])
+            except EstimationError as exc:  # an estimate that is not finite
+                results[k] = exc
     return results
 
 
@@ -531,11 +517,12 @@ def _search_inputs(s: SummarySet, weights, intercept: bool, seed, effects: str):
     return design, response, np.random.Generator(np.random.Philox(as_seed_sequence(seed)))
 
 
-def _mm_result(s: SummarySet, design, response, beta, s_star: float, exact: bool,
-               effects: str, method: str | None) -> tuple[RobustFit, Estimate]:
-    """The M-stage from an S-stage winner, and the fit's RobustFit and Estimate."""
+def _mm_result(s: SummarySet, design, response, beta, s_star: float, effects: str,
+               method: str | None) -> tuple[RobustFit, Estimate]:
+    """The M-stage from an S-stage winner (scale 0: an exact fit), its RobustFit and Estimate."""
     intercept = design.shape[1] == 2
-    exact = exact or s_star == 0.0
+    exact = s_star == 0.0
+    effects = "multiplicative_random" if intercept else effects
     converged, iterations, sigma = True, 0, 0.0
     ses = [None] * design.shape[1]
     if not exact:
@@ -550,7 +537,6 @@ def _mm_result(s: SummarySet, design, response, beta, s_star: float, exact: bool
         intercept_se=ses[0] if intercept else None, effects_model=effects, residual_scale=sigma,
         warnings=("exact fit",) * exact + ("M-step did not converge",) * (not converged),
     )
-    fit = RobustFit(slope=est.theta, intercept=est.intercept, scale=0.0 if exact else s_star,
-                    converged=converged, se_available=est.se_reported,
-                    iterations=iterations, exact_fit=exact)
+    fit = RobustFit(slope=est.theta, intercept=est.intercept, scale=s_star, converged=converged,
+                    se_available=est.se_reported, iterations=iterations, exact_fit=exact)
     return fit, est

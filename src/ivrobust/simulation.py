@@ -47,6 +47,7 @@ streams are independent, and the report does not depend on thread count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,6 +55,7 @@ from typing import IO
 
 import numpy as np
 
+from ._util import _cell
 from .estimators import ALL_METHODS, _check_methods, _fit_each
 from .exceptions import EstimationError
 from .summary_data import SummarySet, harmonize
@@ -442,10 +444,8 @@ class SimulationReport:
         lines.append(header)
         lines.append("-" * len(header))
         for r in self.rows:
-            lines.append(
-                f"{r.method:<26} {r.mean:>9.4f} {r.sd:>9.4f} "
-                f"{_fmt_col(r.mean_se, 9)} {r.power_pct:>8.1f} {r.na_count:>5d}"
-            )
+            lines.append(f"{r.method:<26} {_cell(r.mean, 9)} {_cell(r.sd, 9)} "
+                         f"{_cell(r.mean_se, 9)} {_cell(r.power_pct, 8, '.1f')} {r.na_count:>5d}")
         lines.append("")
         if self.joint_rejection_pct is not None:
             lines.append(f"joint simple_median & robust_ivw rejection: "
@@ -453,10 +453,9 @@ class SimulationReport:
         if self.egger_intercept_rejection_pct is not None:
             lines.append(f"egger intercept test rejection: "
                          f"{self.egger_intercept_rejection_pct:.1f}%")
-        lines.append(
-            f"mean F = {self.mean_f:.1f}   mean R^2 = {100 * self.mean_r_squared:.2f}%   "
-            f"mean I^2 = {100 * self.mean_i_squared:.1f}%"
-        )
+        i2 = "NA" if math.isnan(self.mean_i_squared) else f"{100 * self.mean_i_squared:.1f}%"
+        lines.append(f"mean F = {self.mean_f:.1f}   mean R^2 = {100 * self.mean_r_squared:.2f}%   "
+                     f"mean I^2 = {i2}")
         lines.append(
             f"mean invalid instruments = {self.mean_invalid_count:.2f}   "
             f"regenerated datasets = {self.regenerated_datasets}"
@@ -470,12 +469,6 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _fmt_col(v: float, width: int) -> str:
-    if math.isnan(v):
-        return " " * (width - 2) + "NA"
-    return f"{v:>{width}.4f}"
-
-
 def run_study(spec: ScenarioSpec, methods=ALL_METHODS, *, threads: int = 1,
               bootstrap_draws: int = 1000) -> SimulationReport:
     """Run the full study and aggregate per-method performance.
@@ -487,8 +480,9 @@ def run_study(spec: ScenarioSpec, methods=ALL_METHODS, *, threads: int = 1,
     error never reject, are left out of the mean-SE column, and are tallied
     in na_count. The Egger intercept test rejects when the intercept's
     p-value is below 0.05. Replicates are independent work units; with
-    ``threads > 1`` they run in a process pool and the report is identical
-    to the single-threaded one for a fixed seed.
+    ``threads > 1`` they run in a pool of min(threads, n_sim, CPU count)
+    processes, and the report is identical to the single-threaded one for a
+    fixed seed.
     """
     methods = _check_methods(methods)
     if not methods:
@@ -496,11 +490,13 @@ def run_study(spec: ScenarioSpec, methods=ALL_METHODS, *, threads: int = 1,
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     tasks = [(spec, rep, methods, bootstrap_draws) for rep in range(spec.n_sim)]
-    if threads == 1 or spec.n_sim == 1:
+    # a pool starts all its workers at once: no more than there are replicates or CPUs
+    workers = min(threads, spec.n_sim, os.cpu_count() or 1)
+    if workers == 1:
         records = [_replicate_args(t) for t in tasks]
     else:
-        chunk = max(1, spec.n_sim // (threads * 8))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        chunk = max(1, spec.n_sim // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_replicate_args, tasks, chunksize=chunk))
     outcomes = {name: [_outcome(r.fits[name]) for r in records] for name in methods}
     rows = []

@@ -1,13 +1,17 @@
 """Command-line behavior: formats, exit codes, and determinism."""
 from __future__ import annotations
 
+import csv
+import io
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from ivrobust._util import _cell
 from ivrobust.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, main
 from ivrobust.summary_data import read_csv
 from ivrobust.wls import ivw
@@ -216,10 +220,48 @@ class TestAnalyze:
         assert "Q: NA" in summary and "Q unavailable: the statistic overflows" in summary
         assert "inf" not in summary and "nan" not in summary
 
+    def test_table_columns_hold_huge_estimates(self, tmp_path, capsys):
+        # a finite theta of 1.2e200 printed as a 201-digit number and broke the table
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join(["id,beta_x,se_x,beta_y,se_y", *self.OVERFLOWING_Q]) + "\n")
+        assert main(["analyze", str(path), "--methods", "ivw,egger", "--seed", "1"]) == EXIT_OK
+        header, rule, ivw_row, egger_row = capsys.readouterr().out.splitlines()[:4]
+        assert len(ivw_row) == len(egger_row) == len(header) == len(rule)
+        assert ivw_row.split() == ["ivw", "1.23e+200", "NA", "NA", "NA"]
+        # egger has an intercept: its absent p-value is NA, where ivw's cells are blank
+        assert egger_row.split() == ["egger", "9.14e+200", "NA", "NA", "NA", "-1.71e+200", "NA"]
+
+    def test_csv_leaves_non_finite_values_empty(self, tmp_path, capsys):
+        # the residual scale overflows; CSV wrote inf where JSON writes null
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join(["id,beta_x,se_x,beta_y,se_y", *self.OVERFLOWING_Q]) + "\n")
+        assert main(["analyze", str(path), "--methods", "ivw,egger", "--seed", "1",
+                     "--format", "csv"]) == EXIT_OK
+        out = capsys.readouterr().out
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["residual_scale"] for row in rows] == ["", ""]
+        assert float(rows[1]["intercept"]) == pytest.approx(-1.714285714285713e200)
+        assert "inf" not in out and "nan" not in out
+
     def test_unknown_method_rejected_by_parser(self, csv_path):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", csv_path, "--methods", "ivw,mode"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value, width, spec, text", [
+    (0.13155752, 9, ".4f", "   0.1316"),
+    (0.0476, 9, ".3g", "   0.0476"),
+    (None, 8, ".4f", "      NA"),
+    (math.nan, 9, ".4f", "       NA"),
+    (-math.inf, 20, ".4f", " " * 18 + "NA"),
+    (12345.6789, 9, ".4f", "12345.679"),
+    (-1.714285714285713e200, 10, ".4f", "-1.71e+200"),
+    (-1.714285714285713e200, 8, ".4f", " -2e+200"),
+    (-1.7976931348623157e308, 8, ".4f", "-2e+308"),
+])
+def test_table_cell(value, width, spec, text):
+    assert _cell(value, width, spec) == text.rjust(width)
 
 
 @pytest.mark.parametrize("command", [["analyze", "set.csv"], ["simulate", "--scenario", "1"]])
@@ -264,6 +306,15 @@ class TestSimulate:
                      "--one-sample"])
         assert code == EXIT_OK
         assert "design=one_sample" in capsys.readouterr().out
+
+    def test_failed_method_row_is_na(self, capsys):
+        # at J = 2 egger fails in every replicate: mean and SD printed nan, mean SE NA
+        assert main(["simulate", "--scenario", "1", "--n", "600", "--j", "2", "--n-sim", "3",
+                     "--methods", "ivw,egger"]) == EXIT_OK
+        out = capsys.readouterr().out
+        (egger_row,) = [line for line in out.splitlines() if line.startswith("egger  ")]
+        assert egger_row.split() == ["egger", "NA", "NA", "NA", "0.0", "3"]
+        assert "nan" not in out
 
     def test_threads_flag_matches_serial(self, capsys):
         argv = ["simulate", "--scenario", "2", "--prop-invalid", "0.3",

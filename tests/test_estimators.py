@@ -98,17 +98,27 @@ class TestRegistry:
     def test_exact_zero_draw_redrawn_once_and_shared(self, summary, monkeypatch):
         real = np.random.Generator
         shapes = []
+        hs = harmonize(summary)
+
+        def zeroing(k):
+            # standard normals z whose draw z * se_x + beta_x is exactly 0 in column k
+            z = -hs.beta_x[k] / hs.se_x[k]
+            return [v for v in (np.nextafter(z, -np.inf), z, np.nextafter(z, np.inf))
+                    if v * hs.se_x[k] + hs.beta_x[k] == 0.0]
+
+        col = next(k for k in range(hs.j) if zeroing(k))
+        z0 = zeroing(col)[0]
 
         class ZeroFirstDraw:
             # the first exposure draw hits beta_x = 0 exactly in one cell
             def __init__(self, bit_generator):
                 self._rng = real(bit_generator)
 
-            def normal(self, loc, scale, size=None):
-                out = self._rng.normal(loc, scale, size)
+            def standard_normal(self, size=None):
+                out = self._rng.standard_normal(size)
                 shapes.append(out.shape)
                 if len(shapes) == 1:
-                    out[3, 5] = 0.0
+                    out[3, col] = z0
                 return out
 
         monkeypatch.setattr(np.random, "Generator", ZeroFirstDraw)

@@ -29,7 +29,7 @@ from ivrobust.robust_mm import (
     _weight,
     mm_regress,
 )
-from ivrobust.wls import egger, inverse_variance_weights, ivw
+from ivrobust.wls import WeightVector, egger, inverse_variance_weights, ivw
 
 from _helpers import make_set
 
@@ -69,9 +69,8 @@ def textbook_psi_prime(r, c):
 
 
 def m_scale(r):
-    """The M-scale of one vector of residuals, through the batch solver."""
-    scales, exact = _m_scale_batch(np.asarray(r, dtype=float)[None, :])
-    return float(scales[0]), bool(exact[0])
+    """The M-scale of one vector of residuals, through the batch solver; 0 for an exact fit."""
+    return float(_m_scale_batch(np.asarray(r, dtype=float)[None, :])[0])
 
 
 class TestBisquareLoss:
@@ -142,10 +141,10 @@ class TestMScale:
         c = C_S
         k = 1.0
         expected = k / (c * math.sqrt(1.0 - 0.5 ** (1.0 / 3.0)))
-        got, exact = m_scale(np.array([1.0, -1.0, 1.0, -1.0, 1.0]))
-        assert not exact
+        got = m_scale(np.array([1.0, -1.0, 1.0, -1.0, 1.0]))
+        assert got > 0.0
         assert got == pytest.approx(expected, rel=1e-9)
-        got2, _ = m_scale(np.full(8, -2.5))
+        got2 = m_scale(np.full(8, -2.5))
         assert got2 == pytest.approx(2.5 * expected, rel=1e-9)
 
     def test_matches_brentq_oracle(self):
@@ -160,26 +159,24 @@ class TestMScale:
 
             amax = float(np.abs(r).max())
             oracle = scipy.optimize.brentq(f, 1e-10 * amax, 10 * amax, xtol=1e-14)
-            got, exact = m_scale(r)
-            assert not exact
+            got = m_scale(r)
+            assert got > 0.0
             assert got == pytest.approx(oracle, rel=1e-8)
 
     def test_scale_equivariant(self):
         rng = np.random.default_rng(137)
         r = rng.normal(size=30)
-        base, _ = m_scale(r)
-        scaled, _ = m_scale(7.5 * r)
+        base = m_scale(r)
+        scaled = m_scale(7.5 * r)
         assert scaled == pytest.approx(7.5 * base, rel=1e-9)
 
     def test_exact_fit_detection(self):
-        s, exact = m_scale(np.zeros(10))
-        assert (s, exact) == (0.0, True)
+        assert m_scale(np.zeros(10)) == 0.0
         # 6 zeros of 10: strictly more than half at zero
-        s, exact = m_scale(np.array([0.0] * 6 + [1.0] * 4))
-        assert (s, exact) == (0.0, True)
+        assert m_scale(np.array([0.0] * 6 + [1.0] * 4)) == 0.0
         # exactly half at zero: root exists at min_nonzero / c
-        s, exact = m_scale(np.array([0.0, 0.0, 2.0, 2.0]))
-        assert not exact
+        s = m_scale(np.array([0.0, 0.0, 2.0, 2.0]))
+        assert s > 0.0
         assert s == pytest.approx(2.0 / 1.548, rel=1e-9)
 
 
@@ -231,10 +228,10 @@ def oracle_batch(rng, rows, j):
 
 def assert_matches_bisection(r):
     c, breakdown = C_S, BREAKDOWN
-    got, exact = _m_scale_batch(r)
-    ref, ref_exact = bisect_m_scale_batch(r)
-    np.testing.assert_array_equal(exact, ref_exact)
-    assert np.all(got[exact] == 0.0)
+    got = _m_scale_batch(r)
+    ref, exact = bisect_m_scale_batch(r)
+    # a scale of 0 marks exactly the oracle's exact fits
+    np.testing.assert_array_equal(got == 0.0, exact)
     plateau = np.count_nonzero(r, axis=1) == breakdown * r.shape[1]
     np.testing.assert_allclose(got[plateau], ref[plateau], rtol=1e-12)
     solved = ~exact & ~plateau
@@ -264,13 +261,12 @@ class TestMScaleNewtonOracle:
         for j in (2, 4, 10, 40):
             r = rng.normal(size=(20, j)) * 10.0 ** rng.uniform(-10, 2, size=(20, 1))
             r[:, : j // 2] = 0.0
-            got, exact = _m_scale_batch(r)
-            assert not exact.any()
+            got = _m_scale_batch(r)
+            assert np.all(got > 0.0)
             np.testing.assert_array_equal(got, np.abs(r[:, j // 2:]).min(axis=1) / 1.548)
 
     def test_all_zero_rows(self):
-        got, exact = _m_scale_batch(np.zeros((3, 7)))
-        assert exact.all() and np.all(got == 0.0)
+        assert np.all(_m_scale_batch(np.zeros((3, 7))) == 0.0)
 
     def test_bisection_fallback_past_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(robust_mm, "_NEWTON_MAX_ITER", 1)
@@ -286,19 +282,19 @@ class TestMScaleNewtonOracle:
         monkeypatch.setattr(robust_mm, "_NEWTON_MAX_ITER", newton_cap)
         rng = np.random.default_rng(199)
         r = oracle_batch(rng, 50, j)
-        full, _ = _m_scale_batch(r)
+        full = _m_scale_batch(r)
         for i in (0, 17, 49):
-            assert _m_scale_batch(r[i:i + 1])[0][0] == full[i]
+            assert _m_scale_batch(r[i:i + 1])[0] == full[i]
             # beside an exact-fit row it is the only row left to solve
-            assert _m_scale_batch(np.vstack([r[i], np.zeros(j)]))[0][0] == full[i]
-        np.testing.assert_array_equal(_m_scale_batch(r[::3])[0], full[::3])
+            assert _m_scale_batch(np.vstack([r[i], np.zeros(j)]))[0] == full[i]
+        np.testing.assert_array_equal(_m_scale_batch(r[::3]), full[::3])
 
     @pytest.mark.parametrize("budget", [7 * 30, 15])
     def test_chunked_solve_is_bit_identical(self, budget, monkeypatch):
         # chunks of 7 rows with a lone last row, then one row per chunk
         rng = np.random.default_rng(211)
         r = oracle_batch(rng, 50, 30)
-        whole, whole_exact = _m_scale_batch(r)
+        whole = _m_scale_batch(r)
         chunks = []
         real_chunk = robust_mm._m_scale_chunk
 
@@ -308,10 +304,9 @@ class TestMScaleNewtonOracle:
 
         monkeypatch.setattr(_util, "_ELEMENT_BUDGET", budget)
         monkeypatch.setattr(robust_mm, "_m_scale_chunk", counting_chunk)
-        got, exact = _m_scale_batch(r)
+        got = _m_scale_batch(r)
         assert len(chunks) >= 8 and max(chunks) <= max(1, budget // 30) * 2
         np.testing.assert_array_equal(got, whole)
-        np.testing.assert_array_equal(exact, whole_exact)
 
 
 def s_stage_case(seed):
@@ -331,6 +326,11 @@ def s_stage_case(seed):
                     harmonized=True)
 
 
+def s_stage(s, searches):
+    """The lockstep S-stage of (design, response, rng) searches, each drawing its candidates."""
+    return _s_stage([(d, r, *robust_mm._candidates(s, d, r, rng)) for d, r, rng in searches])
+
+
 class TestSStagePruning:
     def test_same_winner_as_solving_every_candidate(self, monkeypatch):
         sizes = []
@@ -348,13 +348,13 @@ class TestSStagePruning:
                 with monkeypatch.context() as m:
                     m.setattr(robust_mm, "_m_scale_batch", counting_batch)
                     sizes.clear()
-                    (pruned,) = _s_stage(s, [(design, response,
+                    (pruned,) = s_stage(s, [(design, response,
                                               np.random.Generator(np.random.Philox(seed)))])
                     solved_last = sum(sizes[2:])
                 with monkeypatch.context() as m:
                     m.setattr(robust_mm, "_contending_scales",
                               lambda resid, prev, active, segments: _m_scale_batch(resid))
-                    (full,) = _s_stage(s, [(design, response,
+                    (full,) = s_stage(s, [(design, response,
                                             np.random.Generator(np.random.Philox(seed)))])
                 np.testing.assert_array_equal(pruned[0], full[0])
                 assert pruned[1:] == full[1:]
@@ -390,7 +390,8 @@ def full_s_stage(s, design, response, rng):
         if not bad.any():
             break
         idx[bad] = rng.integers(0, j, size=(int(bad.sum()), p))
-    scales, exact = _m_scale_batch(resid)
+    scales = _m_scale_batch(resid)
+    exact = np.count_nonzero(resid, axis=1) < BREAKDOWN * j
     for _ in range(robust_mm.REFINE_STEPS):
         active = ~exact
         if not active.any():
@@ -405,12 +406,13 @@ def full_s_stage(s, design, response, rng):
         take = (active & ok & np.isfinite(stepped).all(axis=1))[:, None]
         coefs = np.where(take, updated, coefs)
         resid = np.where(take, stepped, resid)
-        new_scales, new_exact = _m_scale_batch(resid)
+        new_scales = _m_scale_batch(resid)
+        new_exact = np.count_nonzero(resid, axis=1) < BREAKDOWN * j
         scales = np.where(active, new_scales, scales)
         exact = exact | new_exact
         scales = np.where(exact, 0.0, scales)
     best = int(np.argmin(scales))
-    return coefs[best], float(scales[best]), bool(exact[best])
+    return coefs[best], float(scales[best])
 
 
 class TestDistinctSubsets:
@@ -431,7 +433,7 @@ class TestDistinctSubsets:
             for intercept, bound in ((False, s.j), (True, s.j * (s.j - 1) // 2)):
                 design, response = _design(s, w, intercept)
                 sizes.clear()
-                _s_stage(s, [(design, response, np.random.Generator(np.random.Philox(seed)))])
+                s_stage(s, [(design, response, np.random.Generator(np.random.Philox(seed)))])
                 assert sizes[0] <= bound
 
     @pytest.mark.parametrize("j, rows", [(25, 500), (300, 500), (25_000, 20)])
@@ -454,7 +456,7 @@ class TestDistinctSubsets:
             w = inverse_variance_weights(s).w
             for intercept in (False, True):
                 design, response = _design(s, w, intercept)
-                (got,) = _s_stage(s, [(design, response,
+                (got,) = s_stage(s, [(design, response,
                                        np.random.Generator(np.random.Philox(seed)))])
                 ref = full_s_stage(s, design, response,
                                    np.random.Generator(np.random.Philox(seed)))
@@ -480,31 +482,33 @@ class TestLockstep:
         for seed in range(30):
             s = s_stage_case(seed)
             designs = self.group(s, seed)
-            joint = _s_stage(s, [(d, r, philox(seed, k)) for k, (d, r) in enumerate(designs)])
+            joint = s_stage(s, [(d, r, philox(seed, k)) for k, (d, r) in enumerate(designs)])
             assert len(joint) == len(designs)
             for k, ((design, response), got) in enumerate(zip(designs, joint)):
-                (solo,) = _s_stage(s, [(design, response, philox(seed, k))])
+                (solo,) = s_stage(s, [(design, response, philox(seed, k))])
                 ref = full_s_stage(s, design, response, philox(seed, k))
                 for other in (solo, ref):
                     np.testing.assert_array_equal(got[0], other[0])
                     assert got[1:] == other[1:]
 
     def test_singular_member_fails_alone(self, monkeypatch):
-        # a zero design column makes every subset singular; the search gives up
-        # after _SUBSET_RETRY_ROUNDS rounds of redraws
+        # positive weights on only two variants leave nearly every subset of an
+        # intercept fit singular; the search gives up after _SUBSET_RETRY_ROUNDS
+        # rounds of redraws
         monkeypatch.setattr(robust_mm, "_SUBSET_RETRY_ROUNDS", 20)
         for seed in range(0, 30, 3):
             s = s_stage_case(seed)
-            designs = self.group(s, seed)
-            designs.insert(2, _design(s, np.zeros(s.j), True))
-            joint = _s_stage(s, [(d, r, philox(seed, k)) for k, (d, r) in enumerate(designs)])
+            iv = inverse_variance_weights(s)
+            other = WeightVector(iv.w * np.random.default_rng(seed + 1000).uniform(0.1, 1.0, s.j))
+            two = WeightVector(np.where(np.arange(s.j) < 2, iv.w, 0.0))
+            fits = [(iv, False), (iv, True), (two, True), (other, False), (other, True)]
+            requests = [(w, intercept, [seed, k], "multiplicative_random", None)
+                        for k, (w, intercept) in enumerate(fits)]
+            joint = robust_mm._mm_fits(s, requests)
             assert isinstance(joint[2], SingularDesignError)
-            for k, (design, response) in enumerate(designs):
-                if k == 2:
-                    continue
-                (solo,) = _s_stage(s, [(design, response, philox(seed, k))])
-                np.testing.assert_array_equal(joint[k][0], solo[0])
-                assert joint[k][1:] == solo[1:]
+            for k, request in enumerate(requests):
+                if k != 2:
+                    assert joint[k] == mm_regress(s, *request)
 
     def test_last_round_solves_once_for_all_fits(self, monkeypatch):
         sizes = []
@@ -517,7 +521,7 @@ class TestLockstep:
         monkeypatch.setattr(robust_mm, "_m_scale_batch", counting_batch)
         s = s_stage_case(1)
         designs = self.group(s, 1)
-        _s_stage(s, [(d, r, philox(1, k)) for k, (d, r) in enumerate(designs)])
+        s_stage(s, [(d, r, philox(1, k)) for k, (d, r) in enumerate(designs)])
         # all rows, all rows after the first step, then one reference row per fit and the
         # contenders of all fits
         assert len(sizes) == 4 and sizes[2] == len(designs)
@@ -533,9 +537,9 @@ class TestLockstep:
         stages = []
         real_stage = robust_mm._s_stage
 
-        def counting_stage(s, searches):
-            stages.append(len(searches))
-            return real_stage(s, searches)
+        def counting_stage(fits):
+            stages.append(len(fits))
+            return real_stage(fits)
 
         monkeypatch.setattr(robust_mm, "_s_stage", counting_stage)
         for budget, groups in ((_util._ELEMENT_BUDGET, [8]), (3 * 500 * s.j, [3, 3, 2]),
@@ -700,11 +704,20 @@ class TestNormalConsistency:
     def test_recovers_normal_sigma(self):
         rng = np.random.default_rng(139)
         r = rng.normal(0.0, 2.5, size=20000)
-        s, _ = m_scale(r)
+        s = m_scale(r)
         assert s / KAPPA == pytest.approx(2.5, rel=0.03)
 
 
 class TestMmRegress:
+    def test_intercept_fit_always_uses_random_effects(self):
+        # like egger: an intercept fit has no fixed-effect model, whatever is asked
+        s = s_stage_case(1)
+        fixed = mm_regress(s, intercept=True, seed=4, effects="fixed")
+        assert fixed == mm_regress(s, intercept=True, seed=4)
+        assert fixed[1].effects_model == "multiplicative_random"
+        assert fixed[1].residual_scale > 1.0 and fixed[1].se_reported
+        assert mm_regress(s, seed=4, effects="fixed")[1].effects_model == "fixed"
+
     def test_exact_line_no_intercept(self):
         x = np.linspace(0.05, 0.3, 25)
         s = line_set(x, 0.1 * x)

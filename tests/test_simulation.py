@@ -358,6 +358,38 @@ class TestRunStudy:
         par.to_csv(buf_b)
         assert buf_a.getvalue() == buf_b.getvalue()
 
+    @pytest.mark.parametrize("threads, n_sim, cpus, workers", [
+        (100_000, 3, 8, 3),      # no more workers than replicates
+        (100_000, 5, 2, 2),      # nor than CPUs
+        (3, 5, 8, 3),
+        (100_000, 3, None, None),  # an unknown CPU count runs serially
+        (100_000, 1, 8, None),
+    ])
+    def test_worker_processes_capped(self, threads, n_sim, cpus, workers, monkeypatch):
+        pools = []
+
+        class InProcessPool:
+            # records the pool size and runs the tasks here: no process is started
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        spec = ScenarioSpec(scenario=1, n=600, j=3, n_sim=n_sim, seed=2)
+        serial = run_study(spec, ("ivw",), bootstrap_draws=40)
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(simulation.os, "cpu_count", lambda: cpus)
+        report = run_study(spec, ("ivw",), threads=threads, bootstrap_draws=40)
+        assert pools == ([] if workers is None else [workers])
+        assert report.to_table() == serial.to_table()
+
     def test_na_accounting_for_degenerate_robust_fits(self):
         # at j = 3 any two-point candidate zeroes out 2 of 3 residuals, which
         # the 50% breakdown scale flags as an exact fit: the intercept-based
@@ -387,6 +419,18 @@ class TestRunStudy:
                      "simple_median", "weighted_median", "penalized_weighted_median"):
             assert math.isfinite(report.row(name).mean)
         assert report.egger_intercept_rejection_pct == 0.0
+
+    def test_table_prints_na_for_absent_values(self):
+        # egger fails in every replicate at J = 2: its mean and SD printed nan, its
+        # mean SE NA; at J = 1 the mean I^2 printed nan%
+        spec = ScenarioSpec(scenario=1, n=600, j=2, n_sim=3, seed=0)
+        table = run_study(spec, ("ivw", "egger"), bootstrap_draws=40).to_table()
+        (egger_row,) = [line for line in table.splitlines() if line.startswith("egger  ")]
+        assert egger_row.split() == ["egger", "NA", "NA", "NA", "0.0", "3"]
+        assert "nan" not in table
+        one = ScenarioSpec(scenario=1, n=600, j=1, n_sim=2, seed=0)
+        table = run_study(one, ("ivw",), bootstrap_draws=40).to_table()
+        assert "mean I^2 = NA" in table and "nan" not in table
 
     def test_diagnostics_presence_follows_methods(self):
         spec = ScenarioSpec(scenario=1, n=600, j=4, n_sim=2, seed=6)
