@@ -1,20 +1,20 @@
 """Normal, Student t, and chi-square routines used by the estimators.
 
 Self-contained on the stdlib ``math`` module: tail probabilities go through
-the regularized incomplete gamma and beta functions (series/continued-fraction
-evaluation), quantiles through a safeguarded Newton iteration on the CDF with
-bisection fallback.
+the regularized incomplete gamma and beta functions, whose continued fractions
+share one modified-Lentz evaluator, and quantiles through a safeguarded Newton
+iteration on the CDF with bisection fallback.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _MACHEP = 1.1102230246251565e-16
-_BIG = 4.503599627370496e15
-_BIGINV = 2.220446049250313e-16
+_TINY = 1e-300
 _MAX_ITER = 1000
 _QUANTILE_TOL = 1e-10
 
@@ -48,106 +48,66 @@ def normal_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x - _LOG_SQRT_2PI)
 
 
-def _igam(a: float, x: float) -> float:
-    # Regularized lower incomplete gamma P(a, x), power series.
-    # Valid branch: x <= max(1, a); otherwise computed via _igamc.
-    if x <= 0.0:
-        return 0.0
-    if x > 1.0 and x > a:
-        return 1.0 - _igamc(a, x)
-    ax = a * math.log(x) - x - math.lgamma(a)
-    if ax < -709.78:
-        return 0.0
-    ax = math.exp(ax)
-    r = a
+def _lentz(terms) -> float:
+    # 1/(1 + d1/(1 + d2/(1 + ...))) over the terms d1, d2, ... by the modified
+    # Lentz scheme. Convergence is tested once per even-odd pair of steps,
+    # after d3, d5, ...; a fraction whose terms run out raises.
     c = 1.0
-    ans = 1.0
-    for _ in range(_MAX_ITER):
-        r += 1.0
-        c *= x / r
-        ans += c
-        if c / ans <= _MACHEP:
-            break
-    return ans * ax / a
-
-
-def _igamc(a: float, x: float) -> float:
-    # Regularized upper incomplete gamma Q(a, x), continued fraction.
-    if x <= 0.0:
-        return 1.0
-    if x < 1.0 or x < a:
-        return 1.0 - _igam(a, x)
-    ax = a * math.log(x) - x - math.lgamma(a)
-    if ax < -709.78:
-        return 0.0
-    ax = math.exp(ax)
-    y = 1.0 - a
-    z = x + y + 1.0
-    c = 0.0
-    pkm2, qkm2 = 1.0, x
-    pkm1, qkm1 = x + 1.0, z * x
-    ans = pkm1 / qkm1
-    for _ in range(_MAX_ITER):
-        c += 1.0
-        y += 1.0
-        z += 2.0
-        yc = y * c
-        pk = pkm1 * z - pkm2 * yc
-        qk = qkm1 * z - qkm2 * yc
-        if qk != 0.0:
-            r = pk / qk
-            t = abs((ans - r) / r)
-            ans = r
-        else:
-            t = 1.0
-        pkm2, pkm1 = pkm1, pk
-        qkm2, qkm1 = qkm1, qk
-        if abs(pk) > _BIG:
-            pkm2 *= _BIGINV
-            pkm1 *= _BIGINV
-            qkm2 *= _BIGINV
-            qkm1 *= _BIGINV
-        if t <= _MACHEP:
-            break
-    return ans * ax
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    # Continued fraction for the incomplete beta, modified Lentz scheme.
-    tiny = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_ITER):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+    d = 1.0 + next(terms)
+    if abs(d) < _TINY:
+        d = _TINY
+    d = h = 1.0 / d
+    for k, aa in enumerate(terms):
         d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
+        if abs(d) < _TINY:
+            d = _TINY
         c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
+        if abs(c) < _TINY:
+            c = _TINY
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < 1e-15:
+        if k & 1 and abs(delta - 1.0) < 1e-15:
             return h
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
+    raise ArithmeticError("continued fraction did not converge")
+
+
+def _beta_terms(a: float, b: float, x: float):
+    # Terms of I_x(a, b) = front / a * 1/(1 + ...), at most _MAX_ITER pairs.
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    yield -qab * x / qap
+    for m in range(1, _MAX_ITER):
+        m2 = 2 * m
+        yield m * (b - m) * x / ((qam + m2) * (a + m2))
+        yield -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+
+
+def _legendre_terms(a: float, x: float):
+    # Terms of Q(a, x) = front / x * 1/(1 + ...), from Legendre's fraction
+    # Gamma(a, x) = e^-x x^a / (x + (1 - a)/(1 + 1/(x + (2 - a)/(1 + 2/(x + ...))))).
+    # It converges for every x > 0, in a few times sqrt(a) terms near x = a.
+    for m in itertools.count(1):
+        yield (m - a) / x
+        yield m / x
+
+
+def _gamma_q(a: float, x: float) -> float:
+    # Regularized upper incomplete gamma Q(a, x) for x > 0: one minus the
+    # power series of P(a, x) where x < max(1, a), Legendre's fraction above.
+    series = x < 1.0 or x < a
+    ln_front = a * math.log(x) - x - math.lgamma(a)
+    if ln_front < -709.78:
+        return 1.0 if series else 0.0
+    front = math.exp(ln_front)
+    if not series:
+        return front / x * _lentz(_legendre_terms(a, x))
+    # every ratio x / r is below 1, so the sum runs until it converges
+    r, c, s = a, 1.0, 1.0
+    while c / s > _MACHEP:
+        r += 1.0
+        c *= x / r
+        s += c
+    return 1.0 - s * front / a
 
 
 def _betainc(a: float, b: float, x: float) -> float:
@@ -160,8 +120,8 @@ def _betainc(a: float, b: float, x: float) -> float:
                 + a * math.log(x) + b * math.log1p(-x))
     front = math.exp(ln_front)
     if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+        return front * _lentz(_beta_terms(a, b, x)) / a
+    return 1.0 - front * _lentz(_beta_terms(b, a, 1.0 - x)) / b
 
 
 def chisq_sf(x: float, df: int) -> float:
@@ -172,7 +132,7 @@ def chisq_sf(x: float, df: int) -> float:
         raise ValueError(f"chi-square statistic must be >= 0, got {x!r}")
     if x == 0.0:
         return 1.0
-    return _igamc(0.5 * d, 0.5 * x)
+    return _gamma_q(0.5 * d, 0.5 * x)
 
 
 def t_cdf(x: float, df: int) -> float:

@@ -24,9 +24,14 @@ def _normalized(weights, n: int) -> np.ndarray:
     w = (weights if isinstance(weights, WeightVector) else WeightVector(weights)).w
     if w.size != n:
         raise ValueError(f"got {w.size} weights for {n} values")
-    total = w.sum()
+    with np.errstate(over="ignore"):
+        total = w.sum()
     if not total > 0.0:
         raise ValueError("at least one weight must be strictly positive")
+    if total == np.inf:
+        # finite weights whose sum overflows: scale by the largest one first
+        w = w / w.max()
+        total = w.sum()
     return w / total
 
 

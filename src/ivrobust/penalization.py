@@ -73,7 +73,9 @@ def _report(q_j: np.ndarray, **reference) -> PenaltyReport:
     factor_j = _penalty(q_j)
     q_j.setflags(write=False)
     factor_j.setflags(write=False)
-    return PenaltyReport(q_total=float(np.sum(q_j)), q_j=q_j, factor_j=factor_j, **reference)
+    with np.errstate(over="ignore"):  # finite statistics may sum past the largest double
+        q_total = float(np.sum(q_j))
+    return PenaltyReport(q_total=q_total, q_j=q_j, factor_j=factor_j, **reference)
 
 
 def _ivw_q(s: SummarySet, theta_ref: float) -> np.ndarray:

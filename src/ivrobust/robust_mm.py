@@ -415,8 +415,8 @@ def _m_stage(design, response, beta, s_star: float):
 
 
 def mm_regress(s: SummarySet, weights: WeightVector | None = None,
-               intercept: bool = False, seed=None, effects: str = "multiplicative_random",
-               method: str | None = None) -> tuple[RobustFit, Estimate]:
+               intercept: bool = False, seed=None,
+               effects: str = "multiplicative_random") -> tuple[RobustFit, Estimate]:
     """Bounded-influence regression of outcome on exposure associations.
 
     The S-stage refines N_CANDIDATES random exact-fit subsets (each distinct
@@ -443,8 +443,6 @@ def mm_regress(s: SummarySet, weights: WeightVector | None = None,
     effects : {"fixed", "multiplicative_random"}
         Standard-error post-processing, matching the least-squares fits. An
         intercept fit, like ``egger``, always uses multiplicative random effects.
-    method : str, optional
-        Label recorded on the returned Estimate.
 
     Returns
     -------
@@ -455,7 +453,7 @@ def mm_regress(s: SummarySet, weights: WeightVector | None = None,
         (the estimate is still returned); an M-stage that did not converge
         adds the warning "M-step did not converge".
     """
-    (result,) = _mm_fits(s, [(weights, intercept, seed, effects, method)])
+    (result,) = _mm_fits(s, [(weights, intercept, seed, effects, None)])
     if isinstance(result, EstimationError):
         raise result
     return result

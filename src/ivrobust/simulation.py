@@ -110,6 +110,7 @@ class ScenarioSpec:
             raise ValueError("scenario 1 has no invalid instruments; prop_invalid must be 0")
         if self.design not in DESIGNS:
             raise ValueError(f"design must be one of {DESIGNS}, got {self.design!r}")
+        _error_factors(self.theta, self.design)
         if self.j < 1:
             raise ValueError(f"j must be >= 1, got {self.j}")
         if self.design == "two_sample" and self.n % 2:
@@ -196,17 +197,14 @@ def generate_individual_data(spec: ScenarioSpec, rng: np.random.Generator) -> Ra
         alpha = np.where(invalid, rng.uniform(lo, hi, j), 0.0)
     elif spec.scenario == 4:
         phi = np.where(invalid, rng.uniform(*_CONFOUNDED_RANGE, j), 0.0)
-    var_x = 2.0
-    var_y = (1.0 + spec.theta) ** 2 + spec.theta ** 2 + 1.0
+    mix = _error_factors(spec.theta, spec.design)
     if spec.design == "two_sample":
         m = spec.n // 2
-        chol_x, (score_x,), (rss_x,) = _draw_sample(rng, m, j, spec.maf, np.array([[var_x]]))
-        chol_y, (score_y,), (rss_y,) = _draw_sample(rng, m, j, spec.maf, np.array([[var_y]]))
+        chol_x, (score_x,), (rss_x,) = _draw_sample(rng, m, j, spec.maf, mix[0])
+        chol_y, (score_y,), (rss_y,) = _draw_sample(rng, m, j, spec.maf, mix[1])
     else:
         m = spec.n
-        cov = 1.0 + 2.0 * spec.theta
-        chol_x, (score_x, score_y), (rss_x, rss_y) = _draw_sample(
-            rng, m, j, spec.maf, np.array([[var_x, cov], [cov, var_y]]))
+        chol_x, (score_x, score_y), (rss_x, rss_y) = _draw_sample(rng, m, j, spec.maf, mix[0])
         chol_y = chol_x
     return RawStudy(design=spec.design, n_sample=m, chol_x=chol_x, chol_y=chol_y,
                     score_x=score_x, score_y=score_y, rss_x=float(rss_x), rss_y=float(rss_y),
@@ -242,12 +240,39 @@ def _genotype_gram(rng: np.random.Generator, m: int, j: int, maf: float):
     return gram, sums
 
 
-def _draw_sample(rng: np.random.Generator, m: int, j: int, maf: float, cov: np.ndarray):
+def _error_factors(theta: float, design: str) -> tuple[np.ndarray, ...]:
+    """Cholesky factors of the errors' covariance, one per association sample.
+
+    Two samples hold the exposure's error of variance 2 and the outcome's of
+    variance (1 + theta)^2 + theta^2 + 1; one sample holds both, with
+    covariance 1 + 2 theta. Raises ValueError naming ``theta`` when that
+    variance overflows or the joint covariance has no Cholesky factor.
+    """
+    try:
+        var_y = (1.0 + theta) ** 2 + theta ** 2 + 1.0
+    except OverflowError:
+        var_y = math.inf
+    if not math.isfinite(var_y):
+        raise ValueError(f"theta = {theta!r} overflows the outcome's error variance")
+    if design == "two_sample":
+        return np.linalg.cholesky(np.array([[2.0]])), np.linalg.cholesky(np.array([[var_y]]))
+    cov = 1.0 + 2.0 * theta
+    try:
+        return (np.linalg.cholesky(np.array([[2.0, cov], [cov, var_y]])),)
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            f"theta = {theta!r} leaves the one-sample error covariance without a "
+            "Cholesky factor in double precision"
+        ) from None
+
+
+def _draw_sample(rng: np.random.Generator, m: int, j: int, maf: float, mix: np.ndarray):
     """Exact sufficient statistics of one association sample of m individuals.
 
-    ``cov`` is the k x k covariance of the k phenotypes' errors. Returns the
-    Cholesky factor L of the centred genotype Gram matrix, the scores
-    L^-1 G_c'e (k x J) and the multivariable residual sums of squares (k,).
+    ``mix`` is the Cholesky factor of the k x k covariance of the k
+    phenotypes' errors. Returns the Cholesky factor L of the centred genotype
+    Gram matrix, the scores L^-1 G_c'e (k x J) and the multivariable residual
+    sums of squares (k,).
     """
     gram, sums = _genotype_gram(rng, m, j, maf)
     # G'G and s s' hold integers, so m G'G - s s' is exact and the centred Gram
@@ -257,8 +282,7 @@ def _draw_sample(rng: np.random.Generator, m: int, j: int, maf: float, cov: np.n
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         raise _DegenerateGenotype from None
-    k = cov.shape[0]
-    mix = np.linalg.cholesky(cov)
+    k = mix.shape[0]
     score = mix @ rng.standard_normal((k, j))
     # Bartlett factor of a k x k Wishart with m - 1 - j degrees of freedom
     bartlett = np.diag(np.sqrt(2.0 * rng.standard_gamma((m - 1 - j - np.arange(k)) / 2.0)))

@@ -300,6 +300,13 @@ class TestSimulate:
         assert code == EXIT_PARSE
         assert "scenario 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [["--theta", "1e200"], ["--theta", "1e8", "--one-sample"]])
+    def test_theta_the_error_model_cannot_hold_exit_code(self, extra, capsys):
+        code = main(["simulate", "--scenario", "1", "--n", "200", "--j", "3", "--n-sim", "2",
+                     "--methods", "ivw", *extra])
+        assert code == EXIT_PARSE
+        assert "theta" in capsys.readouterr().err
+
     def test_one_sample_flag(self, capsys):
         code = main(["simulate", "--scenario", "1", "--n", "301", "--j", "4",
                      "--n-sim", "1", "--seed", "3", "--methods", "ivw",

@@ -100,6 +100,14 @@ class TestStudentT:
         for x in (-2.0, -0.5, 1.3):
             assert t_cdf(x, 10_000) == pytest.approx(normal_cdf(x), abs=1e-4)
 
+    @pytest.mark.parametrize("df", [24_998, 99_998])
+    def test_against_scipy_at_analyze_scale(self, df):
+        # analyze's Egger fits ask for df = J - 2 at J up to 100,000
+        for x in np.linspace(-6, 6, 25):
+            assert t_cdf(float(x), df) == pytest.approx(st.t.cdf(x, df), rel=1e-9, abs=1e-300)
+        for p in GRID_P:
+            assert t_quantile(p, df) == pytest.approx(st.t.ppf(p, df), rel=1e-9)
+
     def test_quantile_memoized_and_validated_on_every_call(self):
         for df in GRID_DF:
             assert t_quantile(0.975, df) == t_quantile.__wrapped__(0.975, df)
@@ -143,6 +151,12 @@ class TestChiSquare:
         for df in GRID_DF + [50]:
             for x in np.linspace(0.01, 120.0, 40):
                 assert chisq_sf(float(x), df) == pytest.approx(st.chi2.sf(x, df), abs=1e-12, rel=1e-9)
+
+    @pytest.mark.parametrize("df", [24_999, 99_999])
+    def test_against_scipy_at_analyze_scale(self, df):
+        # analyze's Cochran Q asks for df = J - 1; x spans both the series and the fraction
+        for x in np.linspace(0.5 * df, 1.5 * df, 401):
+            assert chisq_sf(float(x), df) == pytest.approx(st.chi2.sf(x, df), rel=1e-9, abs=1e-300)
 
     def test_boundary_and_domain(self):
         assert chisq_sf(0.0, 3) == 1.0

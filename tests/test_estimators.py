@@ -1,6 +1,7 @@
 """The method registry: id validation, seed isolation, and penalized wiring."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -208,10 +209,10 @@ class TestPenalizedWiring:
         w = penalize_weights(base_w, cochran_q_ivw(hs, ivw(hs, base_w).theta))
         root = as_seed_sequence(13)
         _, manual = mm_regress(hs, w, intercept=False,
-                               seed=_stream(root, "penalized_robust_ivw"),
-                               method="penalized_robust_ivw")
+                               seed=_stream(root, "penalized_robust_ivw"))
         got = run_methods(summary, ("penalized_robust_ivw",), seed=13)
-        assert got["penalized_robust_ivw"] == manual
+        assert got["penalized_robust_ivw"] == dataclasses.replace(
+            manual, method="penalized_robust_ivw")
 
 
 class TestUnderflowedWeights:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivrobust import _util, median_methods
+from ivrobust.exceptions import InsufficientInstrumentsError
 from ivrobust.median_methods import (
     bootstrap_se,
     penalized_weighted_median,
@@ -163,6 +164,13 @@ class TestWeightedMedian:
         with pytest.raises(ValueError):
             weighted_median([1.0, 2.0], np.ones(3))
 
+    @pytest.mark.filterwarnings("error")
+    def test_weights_whose_sum_overflows(self):
+        assert weighted_median([1.0, 2.0, 3.0], [1e308] * 3) == 2.0
+        w = np.array([1.0, 1.21, 1.44])
+        expected = weighted_median([1.0, 2.0, 3.0], w)
+        assert weighted_median([1.0, 2.0, 3.0], w * 1e308) == pytest.approx(expected, rel=1e-15)
+
 
 class TestBootstrap:
     def test_deterministic_by_seed(self):
@@ -262,6 +270,21 @@ class TestEstimators:
         assert abs(pen.theta - 0.1) <= abs(plain.theta - 0.1) + 1e-12
         assert abs(pen.theta - 0.1) < 0.05
         assert pen.method == "penalized_weighted_median"
+
+    @pytest.mark.filterwarnings("error")
+    def test_weights_whose_sum_overflows(self):
+        # beta_x^2 / se_y^2 is about 1e308 per variant, so the weights sum past
+        # the largest double; the ratio estimates are 1, 2, 3
+        beta_x = [1e154, 1.1e154, 1.2e154]
+        s = make_set(beta_x, [1.0] * 3, [1e154, 2.2e154, 3.6e154], [1.0] * 3)
+        est = weighted_median_estimate(s, draws=50, seed=1)
+        assert est.theta == pytest.approx(weighted_median([1.0, 2.0, 3.0], [1.0, 1.21, 1.44]),
+                                          rel=1e-15)
+        # every ratio is exact to ~1e-154 and they disagree: all weights are penalized away
+        with pytest.raises(InsufficientInstrumentsError, match="every weight is zero"):
+            penalized_weighted_median(s, draws=50, seed=1)
+        agree = make_set(beta_x, [1.0] * 3, [2e154, 2.2e154, 2.4e154], [1.0] * 3)
+        assert penalized_weighted_median(agree, draws=50, seed=1).theta == 2.0
 
     def test_penalized_noop_when_homogeneous(self):
         ratios = [0.1, 0.102, 0.098, 0.1, 0.101]

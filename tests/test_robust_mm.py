@@ -508,7 +508,7 @@ class TestLockstep:
             assert isinstance(joint[2], SingularDesignError)
             for k, request in enumerate(requests):
                 if k != 2:
-                    assert joint[k] == mm_regress(s, *request)
+                    assert joint[k] == mm_regress(s, *request[:4])
 
     def test_last_round_solves_once_for_all_fits(self, monkeypatch):
         sizes = []
@@ -531,7 +531,7 @@ class TestLockstep:
         w = inverse_variance_weights(s)
         requests = [(w, intercept, seed, effects, None) for seed in (3, 4)
                     for intercept in (False, True) for effects in ("fixed", "multiplicative_random")]
-        solo = [mm_regress(s, *r) for r in requests]
+        solo = [mm_regress(s, *r[:4]) for r in requests]
         # the intercept fits of the two streams differ, so a crossed stream shows
         assert solo[2][1].theta != solo[6][1].theta
         stages = []

@@ -109,6 +109,17 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="design"):
             ScenarioSpec(scenario=1, design="three_sample")
 
+    def test_theta_the_error_model_cannot_hold_rejected(self):
+        # (1 + theta)^2 overflows; the one-sample covariance [[2, 1 + 2 theta],
+        # [1 + 2 theta, var_y]] has determinant 3, lost to rounding at theta = 1e8
+        for theta in (1e200, 1e154):
+            with pytest.raises(ValueError, match="theta"):
+                ScenarioSpec(scenario=1, theta=theta)
+        with pytest.raises(ValueError, match="theta"):
+            ScenarioSpec(scenario=1, theta=1e8, design="one_sample")
+        ScenarioSpec(scenario=1, theta=1e8)
+        ScenarioSpec(scenario=1, theta=-0.5, design="one_sample")
+
 
 class TestGenerate:
     def test_scenario1_has_no_direct_effects(self):
