@@ -132,6 +132,8 @@ def chisq_sf(x: float, df: int) -> float:
         raise ValueError(f"chi-square statistic must be >= 0, got {x!r}")
     if x == 0.0:
         return 1.0
+    if x == math.inf:
+        return 0.0
     return _gamma_q(0.5 * d, 0.5 * x)
 
 
@@ -139,6 +141,8 @@ def t_cdf(x: float, df: int) -> float:
     """P(T <= x) for Student t with ``df`` degrees of freedom."""
     d = _check_df(df)
     x = float(x)
+    if math.isnan(x):
+        raise ValueError(f"t statistic must not be NaN, got {x!r}")
     if x == 0.0:
         return 0.5
     tail = 0.5 * _betainc(0.5 * d, 0.5, d / (d + x * x))

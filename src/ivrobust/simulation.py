@@ -33,12 +33,13 @@ conditional law is exact: with L L' = G_c'G_c,
     G_c'e = sigma L z,    e_c'e_c = sigma^2 (z'z + chi^2_{m-1-J}),
 
 for z ~ N(0, I_J) and an independent chi-square. A replicate therefore
-draws each sample's genotypes (by inverse CDF, one sample at a time), forms
-the Cholesky factor of their centred Gram matrix, and draws J normals and
-one chi-square per phenotype. In the one-sample design the exposure and
-outcome errors are drawn jointly: z is J x 2, mixed by the Cholesky factor
-of their 2 x 2 covariance, and the chi-square becomes a Bartlett-decomposed
-2 x 2 Wishart.
+draws each sample's genotypes (one sample at a time, each genotype from as
+many base-65,536 digits of a uniform as it takes to place the uniform
+against the two thresholds of the inverse CDF), forms the Cholesky factor
+of their centred Gram matrix, and draws J normals and one chi-square per
+phenotype. In the one-sample design the exposure and outcome errors are
+drawn jointly: z is J x 2, mixed by the Cholesky factor of their 2 x 2
+covariance, and the chi-square becomes a Bartlett-decomposed 2 x 2 Wishart.
 
 Each replicate draws from generators seeded by ``SeedSequence`` keys
 (seed, replicate, stream), so results are reproducible, the replicates'
@@ -214,30 +215,92 @@ def generate_individual_data(spec: ScenarioSpec, rng: np.random.Generator) -> Ra
 def _genotype_gram(rng: np.random.Generator, m: int, j: int, maf: float):
     """G'G (j x j) and the column sums of m x j Binomial(2, maf) genotypes G.
 
-    G is drawn by inverse CDF, one uniform per cell, as the rows of one
-    m x j draw, in float32 blocks of _GENOTYPE_BLOCK rows. Against one m x j
-    draw per sample, blocks of 2,048 rows cut a study_nonrobust replicate's
-    op_cost from 8.2 to 4.8 ref and its peak RSS from 48.6 to 42.1 MB; 512
-    to 4,096 rows time the same (BENCH_sufficient_stats.json,
-    "genotype_block"). Every block is drawn into the same buffers, and its
-    column sums are one float32 ones @ G product.
+    A cell's genotype is g = [U > t1] + [U > t2] for a uniform U and the
+    doubles t1 = (1 - maf)^2 and t2 = 1 - maf^2, so P(g = 0) = t1 and
+    P(g = 2) = 1 - t2 exactly. U is read lazily in base-65,536 digits. G is
+    drawn in float32 blocks of _GENOTYPE_BLOCK rows; a block's k x j leading
+    digits, in row-major order, are the little-endian 16-bit quarters of
+    ceil(k j / 4) draws of ``rng.integers(0, 2**64, dtype=np.uint64)`` (the
+    quarters past the last cell are dropped). A cell whose leading digit
+    equals a threshold's leading digit, about 2 in 65,536, then draws
+    further digits (:func:`_settle`), cells in row-major order, before the
+    next block. Against one float64 uniform per cell, this cut a
+    20,000-row sample from ~2.5 to ~1.5 ms (BENCH_genotype_digits.json).
+
+    Against one m x j draw per sample, blocks of 2,048 rows cut a
+    study_nonrobust replicate's op_cost from 8.2 to 4.8 ref and its peak RSS
+    from 48.6 to 42.1 MB; 512 to 4,096 rows time the same
+    (BENCH_sufficient_stats.json, "genotype_block"). Every block is drawn
+    into the same buffers, and its column sums are one float32 ones @ G
+    product.
     """
+    (lo, *lo_tail), (hi, *hi_tail) = _digits((1.0 - maf) ** 2), _digits(1.0 - maf ** 2)
     rows = min(_GENOTYPE_BLOCK, m)
-    u = np.empty((rows, j))
     g = np.empty((rows, j), dtype=np.float32)
-    hom = np.empty((rows, j), dtype=bool)
+    flags = np.empty((2, rows, j), dtype=bool)
     ones = np.ones(rows, dtype=np.float32)
     gram = np.zeros((j, j))
     sums = np.zeros(j)
     for start in range(0, m, rows):
         k = min(rows, m - start)
-        uk, gk = u[:k], g[:k]
-        rng.random(out=uk)
-        np.greater(uk, (1.0 - maf) ** 2, out=gk)
-        gk += np.greater(uk, 1.0 - maf ** 2, out=hom[:k])
+        words = rng.integers(0, 2 ** 64, size=-(-k * j // 4), dtype=np.uint64)
+        lead = words.astype("<u8", copy=False).view("<u2")[:k * j].reshape(k, j)
+        gk = g[:k]
+        ak, bk = flags[:, :k]
+        # count in uint8 and convert once: adding bools into float32 is slower
+        count = np.greater(lead, lo, out=ak).view(np.uint8)
+        count += np.greater(lead, hi, out=bk).view(np.uint8)
+        np.copyto(gk, count)
+        tied = np.equal(lead, lo, out=ak)
+        tied |= np.equal(lead, hi, out=bk)
+        flat = gk.reshape(-1)
+        for cell in np.flatnonzero(tied):
+            d = lead.flat[cell]
+            flat[cell] += _settle(rng, [tail for t, tail in ((lo, lo_tail), (hi, hi_tail))
+                                        if t == d])
         gram += gk.T @ gk
         sums += ones[:k] @ gk
     return gram, sums
+
+
+def _digits(t: float) -> list[int]:
+    """The base-65,536 digits of a double t in (0, 1], after the point.
+
+    Each step is exact: t * 65,536 only shifts the exponent, and taking off
+    the integer part leaves bits t already had. 1.0 is the one digit 65,536,
+    which no digit of a uniform reaches.
+    """
+    digits = []
+    while t:
+        t *= 65536.0
+        digits.append(int(t))
+        t -= digits[-1]
+    return digits
+
+
+def _settle(rng: np.random.Generator, tails: list[list[int]]) -> int:
+    """How many thresholds a uniform U exceeds, given that it ties their leading digit.
+
+    ``tails`` holds each tied threshold's digits after its leading one; past
+    its last digit a threshold's digit is 0. U's further digits are the
+    little-endian 16-bit quarters of one ``rng.integers(0, 2**64,
+    dtype=np.uint64)`` draw after another, read only while a tie lasts, and
+    every threshold is compared with the same digits of U.
+    """
+    u: list[int] = []
+    above = 0
+    for tail in tails:
+        i = 0
+        while True:
+            if i == len(u):
+                word = int(rng.integers(0, 2 ** 64, dtype=np.uint64))
+                u += [(word >> shift) & 0xFFFF for shift in (0, 16, 32, 48)]
+            t = tail[i] if i < len(tail) else 0
+            if u[i] != t:
+                above += u[i] > t
+                break
+            i += 1
+    return above
 
 
 def _error_factors(theta: float, design: str) -> tuple[np.ndarray, ...]:

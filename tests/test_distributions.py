@@ -133,6 +133,14 @@ class TestStudentT:
             with pytest.raises(ValueError):
                 t_cdf(1.0, bad)
 
+    def test_nan_statistic_rejected(self):
+        with pytest.raises(ValueError, match="t statistic"):
+            t_cdf(math.nan, 5)
+
+    def test_infinite_statistic(self):
+        assert t_cdf(math.inf, 5) == 1.0
+        assert t_cdf(-math.inf, 5) == 0.0
+
 
 class TestChiSquare:
     def test_df2_closed_form(self):
@@ -164,6 +172,12 @@ class TestChiSquare:
             chisq_sf(-1e-9, 3)
         with pytest.raises(ValueError):
             chisq_sf(1.0, 0)
+        with pytest.raises(ValueError, match="chi-square statistic"):
+            chisq_sf(math.nan, 3)
+
+    @pytest.mark.parametrize("df", [1, 24, 99_999])
+    def test_infinite_statistic_has_no_upper_tail(self, df):
+        assert chisq_sf(math.inf, df) == 0.0
 
     def test_monotone_in_x(self):
         for df in (1, 5, 30):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,9 +26,57 @@ def rng_for(seed=0):
     return np.random.Generator(np.random.Philox(seed))
 
 
-def genotypes(u, maf):
-    """Binomial(2, maf) genotypes of uniforms u by inverse CDF."""
-    return (u > (1.0 - maf) ** 2) + (u > 1.0 - maf ** 2).astype(float)
+def words(bit_generator, n):
+    """The next n 64-bit words of a bit generator, as ``Generator.integers`` reads them."""
+    if isinstance(bit_generator, np.random.MT19937):
+        # 32-bit outputs, the first of each pair the high half
+        halves = [int(v) for v in bit_generator.random_raw(2 * n)]
+        return [high << 32 | low for high, low in zip(halves[::2], halves[1::2])]
+    return [int(v) for v in bit_generator.random_raw(n)]
+
+
+def quarters(ws):
+    """The little-endian 16-bit quarters of 64-bit words: base-65,536 digits."""
+    return [w >> shift & 0xFFFF for w in ws for shift in (0, 16, 32, 48)]
+
+
+def genotypes(bit_generator, m, j, maf):
+    """m x j genotypes [U > t1] + [U > t2], cell by cell, from a bit generator's stream.
+
+    Per block of rows, the cells' leading digits are the quarters of one run
+    of words; a cell whose digits leave a threshold open reads one more word
+    at a time, and both thresholds read the same digits. Digits are compared
+    with each threshold's exact value. Also returns, per cell that read
+    more words, how many thresholds its leading digit left open.
+    """
+    thresholds = [Fraction((1.0 - maf) ** 2), Fraction(1.0 - maf ** 2)]
+    block = simulation._GENOTYPE_BLOCK
+    g = np.zeros((m, j))
+    tied = []
+    for start in range(0, m, block):
+        k = min(block, m - start)
+        leading = quarters(words(bit_generator, -(-k * j // 4)))
+        for cell in range(k * j):
+            digits = leading[cell:cell + 1]
+            open_after_one = 0
+            for t in thresholds:
+                n, prefix = 1, digits[0]
+                while True:
+                    # U lies in [prefix, prefix + 1) / 65536^n
+                    scale = 65536 ** n
+                    if prefix * t.denominator > t.numerator * scale:
+                        g[start + cell // j, cell % j] += 1
+                        break
+                    if (prefix + 1) * t.denominator <= t.numerator * scale:
+                        break
+                    open_after_one += n == 1
+                    if n == len(digits):
+                        digits += quarters(words(bit_generator, 1))
+                    prefix = prefix * 65536 + digits[n]
+                    n += 1
+            if len(digits) > 1:
+                tied.append(open_after_one)
+    return g, tied
 
 
 def truth(j, rng, theta=0.1):
@@ -155,15 +204,43 @@ class TestGenerate:
     @pytest.mark.parametrize("m", [5, simulation._GENOTYPE_BLOCK,
                                    2 * simulation._GENOTYPE_BLOCK + 17])
     def test_genotype_gram_is_that_of_one_draw(self, m):
-        # the blocked Gram and column sums equal, bit for bit, those of one
-        # m x j inverse-CDF draw from the same stream, which they use up exactly
-        rng = rng_for(2)
+        # the blocked Gram and column sums equal, bit for bit, those of the
+        # cell-by-cell digit draw from the same stream, which they use up exactly
+        rng, ref = rng_for(2), rng_for(2)
         gram, sums = simulation._genotype_gram(rng, m, 3, 0.3)
-        ref = rng_for(2)
-        g = genotypes(ref.random((m, 3)), 0.3)
+        g, _ = genotypes(ref.bit_generator, m, 3, 0.3)
         np.testing.assert_array_equal(gram, g.T @ g)
         np.testing.assert_array_equal(sums, g.sum(axis=0))
         assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("maf, open_thresholds", [(0.3, 1), (0.5, 1), (1e-6, 2)])
+    def test_tied_leading_digits_are_refined(self, maf, open_thresholds):
+        # about 2 cells in 65,536 tie a threshold's leading digit and read more
+        # digits; at maf = 0.5 the thresholds 0.25 and 0.75 have one digit, so
+        # the later ones compare with 0; at maf = 1e-6 both thresholds lead
+        # with 65,535, so such a cell leaves both open and both compare the
+        # same later digits
+        m, j = 80_000, 5
+        rng, ref = rng_for(15), rng_for(15)
+        gram, sums = simulation._genotype_gram(rng, m, j, maf)
+        g, tied = genotypes(ref.bit_generator, m, j, maf)
+        assert tied and set(tied) == {open_thresholds}
+        np.testing.assert_array_equal(gram, g.T @ g)
+        np.testing.assert_array_equal(sums, g.sum(axis=0))
+        assert rng.random() == ref.random()
+
+    def test_draw_reads_whole_64_bit_words_of_any_bit_generator(self):
+        # MT19937 makes 32-bit outputs; each word joins two, so no quarter is
+        # always zero, as it would be in the upper half of its raw outputs
+        m = 2 * simulation._GENOTYPE_BLOCK + 17
+        rng = np.random.Generator(np.random.MT19937(16))
+        ref = np.random.Generator(np.random.MT19937(16))
+        gram, sums = simulation._genotype_gram(rng, m, 3, 0.3)
+        g, _ = genotypes(ref.bit_generator, m, 3, 0.3)
+        np.testing.assert_array_equal(gram, g.T @ g)
+        np.testing.assert_array_equal(sums, g.sum(axis=0))
+        assert rng.random() == ref.random()
+        assert np.all(np.abs(sums / m - 0.6) < 4 * math.sqrt(2 * 0.3 * 0.7 / m))
 
     def test_gram_factor_matches_genotypes(self):
         # the stored factor is that of the centred Gram matrix of the drawn genotypes
@@ -172,7 +249,7 @@ class TestGenerate:
         raw = generate_individual_data(spec, rng_a)
         rng_b.random(5)  # the invalid flags ...
         rng_b.uniform(0.03, 0.1, 5)  # ... and gamma precede the genotypes
-        g = genotypes(rng_b.random((200, 5)), spec.maf)
+        g, _ = genotypes(rng_b.bit_generator, 200, 5, spec.maf)
         gc = g - g.mean(axis=0)
         np.testing.assert_allclose(raw.chol_x @ raw.chol_x.T, gc.T @ gc, rtol=1e-12,
                                    atol=1e-12 * np.abs(gc.T @ gc).max())
