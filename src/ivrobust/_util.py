@@ -6,7 +6,8 @@ import math
 import numpy as np
 
 # float64 elements of one stacked rows x J array: a lockstep group of S-stages, a
-# chunk of an M-scale solve and a chunk of bootstrap rows stay under it (8 MB)
+# chunk of an M-scale solve or of the prune's test, and a chunk of bootstrap rows
+# stay under it (8 MB)
 _ELEMENT_BUDGET = 1 << 20
 
 

@@ -6,12 +6,15 @@ S-stage searches random exact-fit candidates for the smallest M-scale of the
 residuals under a bisquare loss tuned for 50% breakdown (C_S = 1.548); an
 efficiency-tuned M-stage (C_M = 4.685) then iterates reweighted least squares
 at that fixed scale. M-scales are solved by safeguarded Newton steps inside a
-bracket (bisection only for rows the step cap does not settle). After the
-last refinement step only candidates that can still hold the smallest scale
-are solved, in the spirit of Salibian-Barrera & Yohai (2006), "A fast
-algorithm for S-regression estimates"; the winner is the one a solve of every
-candidate would pick. Slope uncertainty comes from the standard M-estimation
-sandwich, post-processed the same way as the weighted least-squares fits
+closed-form bracket (bisection only for rows the step cap does not settle);
+one function evaluates the M-scale equation for both the solve and the
+prune, with each row summed as its own dot product, so a row gets the same
+scale alone or in any batch. After the last refinement step only candidates
+that can still hold the smallest scale are solved, in the spirit of
+Salibian-Barrera & Yohai (2006), "A fast algorithm for S-regression
+estimates"; the winner is the one a solve of every candidate would pick.
+Slope uncertainty comes from the standard M-estimation sandwich,
+post-processed the same way as the weighted least-squares fits
 (multiplicative random effects). Every weighted least-squares step of both
 stages, and the inverse of the sandwich's bread, is the closed form of
 :func:`ivrobust.wls._wls_rows`.
@@ -61,6 +64,7 @@ _NEWTON_MAX_ITER = 16
 _BISECT_STEPS = 64
 _EPS = float(np.finfo(float).eps)
 _PRUNE_MARGIN = 1e-9
+_HI_PER_MAX = math.sqrt(6.0) / C_S  # g(max|r| * _HI_PER_MAX) < 0: the bracket's upper end
 _DUST = 4.0 * _EPS  # residuals within 4 ulps of the fit's magnitude are zero
 
 
@@ -87,22 +91,45 @@ def _u2(r, c: float) -> np.ndarray:
     return np.minimum(np.abs(np.asarray(r, dtype=float)) / c, 1.0) ** 2
 
 
-def _rho_norm(u) -> np.ndarray:
-    # the C_S loss scaled to max 1: 1 - (1 - min(u^2/C_S^2, 1))^3
-    return 1.0 - (1.0 - _u2(u, C_S)) ** 3
+def _g_and_slope(r: np.ndarray, s: np.ndarray, out: list[np.ndarray]):
+    """g(s) = mean(rho_norm(|r| / s)) - BREAKDOWN of each row of ``r``, and its slope term.
+
+    rho_norm(t) = 1 - (1 - u^2)^3, u^2 = min((t / C_S)^2, 1), is the C_S loss
+    scaled to max 1. The slope term is mean(u^2 (1 - u^2)^2), so that g'(s) =
+    -(6 / s) * slope; a clipped u^2 = 1 drops out of both. Each row's sums are
+    its own dot products (``np.vecdot``), so a row's g does not depend on the
+    other rows at any J. ``out`` holds three work arrays of at least len(r)
+    rows, so that no call allocates an array of the rows' size (three arrays
+    within the element budget: one block of three times it raised the peak
+    resident memory of a fit at J = 25,000 by 20 MB).
+    """
+    k, n = r.shape
+    u2, w, w2 = (b[:k] for b in out)
+    np.divide(r, (C_S * s)[:, None], out=u2)
+    np.square(u2, out=u2)
+    np.minimum(u2, 1.0, out=u2)
+    np.subtract(1.0, u2, out=w)
+    np.multiply(w, w, out=w2)
+    return (1.0 - BREAKDOWN) - np.vecdot(w2, w) / n, np.vecdot(w2, u2) / n
 
 
 def _m_scale_batch(resid: np.ndarray) -> np.ndarray:
     """Row-wise M-scales; an exact fit (fewer than BREAKDOWN * n nonzero residuals) is 0.
 
-    Every other row solves g(s) = mean(rho_norm(|r| / s)) - BREAKDOWN = 0, where g
-    does not increase in s, by Newton steps kept inside a bracket [lo, hi]
-    with g(lo) >= 0 >= g(hi); a step that leaves the bracket, or is not
-    finite, is replaced by the bracket midpoint. Rows that the iteration cap
-    does not settle finish by bisection of their bracket. The rows are solved
-    in chunks of at most _ELEMENT_BUDGET elements. Every operation is
-    row-wise, so a row's scale does not depend on the other rows of the batch
-    or on the chunking. Iterates stay above lo = min|r| / C_S > 0, so only an exact fit is 0.
+    Every other row solves g(s) = 0 (:func:`_g_and_slope`), where g does not
+    increase in s, by Newton steps from s = max|r| kept inside a bracket
+    [lo, hi] with g(lo) >= 0 >= g(hi); a step that leaves the bracket, or is
+    not finite, is replaced by the bracket midpoint. The bracket is closed
+    form: at lo = min nonzero |r| / C_S every nonzero term is 1, and at hi =
+    max|r| sqrt(6) / C_S every u^2 <= 1/6, so that every term is at most
+    1 - (5/6)^3 < 0.43 and g(hi) < 0 beyond any rounding. A row settles when
+    its step moves s by at most 4 ulps or its bracket narrows to 8 ulps (a
+    root where the computed g alternates in sign by an ulp); rows that the
+    iteration cap does not settle finish by bisection of their bracket. The
+    rows are solved in chunks of at most _ELEMENT_BUDGET elements. Every
+    operation is row-wise, so a row's scale does not depend on the other rows
+    of the batch or on the chunking. Iterates stay above lo > 0, so only an
+    exact fit is 0.
     """
     chunks = _row_chunks(*resid.shape)
     if len(chunks) == 1:
@@ -112,10 +139,6 @@ def _m_scale_batch(resid: np.ndarray) -> np.ndarray:
 
 def _m_scale_chunk(resid: np.ndarray) -> np.ndarray:
     """:func:`_m_scale_batch` on rows that stay within the element budget."""
-    if len(resid) == 1:
-        # past J = 8,192 einsum sums a lone row in chunks, in another order than
-        # a row of a batch: solve it as a pair
-        return _m_scale_chunk(np.repeat(resid, 2, axis=0))[:1]
     a = np.abs(resid)
     n = a.shape[1]
     nonzero = np.count_nonzero(a, axis=1)
@@ -123,63 +146,36 @@ def _m_scale_chunk(resid: np.ndarray) -> np.ndarray:
     # with exactly BREAKDOWN * n nonzero residuals g is 0 on all of (0, lo]:
     # the smallest root is lo itself
     plateau = nonzero == BREAKDOWN * n
-    solve = ~exact
     min_nz = np.where(a > 0.0, a, np.inf).min(axis=1)
-    lo = np.where(solve, min_nz / C_S, 1.0)
-    hi = np.maximum(a.max(axis=1), lo)
-    # preallocated work buffers: no per-iteration allocation of batch size
-    u2_buf = np.empty_like(a)
-    w_buf = np.empty_like(a)
-    w2_buf = np.empty_like(a)
-
-    def g_and_slope(rows: np.ndarray, s: np.ndarray):
-        # g(s) and mean(u^2 (1 - u^2)^2) over u^2 = (|r| / (C_S s))^2 < 1, so
-        # that g'(s) = -(6 / s) * slope; clipped u^2 = 1 drops out of both
-        k = len(rows)
-        u2 = np.divide(rows, (C_S * s)[:, None], out=u2_buf[:k])
-        np.square(u2, out=u2)
-        np.minimum(u2, 1.0, out=u2)
-        w = np.subtract(1.0, u2, out=w_buf[:k])
-        w2 = np.multiply(w, w, out=w2_buf[:k])
-        g = (1.0 - BREAKDOWN) - np.einsum("ij,ij->i", w2, w) / n
-        return g, np.einsum("ij,ij->i", w2, u2) / n
-
-    # an overflowing C_S * s or |r| / (C_S s) gives u^2 = 0 or a clipped u^2 = 1, and a
-    # Newton step that divides by zero or overflows lands outside the bracket
+    lo = np.where(exact, 1.0, min_nz / C_S)
+    s = np.maximum(a.max(axis=1), lo)
+    buf = [np.empty_like(a) for _ in range(3)]  # the work arrays of every g evaluation
+    # an overflowing hi, C_S * s or |r| / (C_S s) gives u^2 = 0 or a clipped u^2 = 1, and
+    # a Newton step that divides by zero or overflows lands outside the bracket
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # every nonzero residual sits at or past C_S at s = lo, so g(lo) >= 0;
-        # expand hi until g(hi) <= 0
-        for _ in range(200):
-            need = solve & (g_and_slope(a, hi)[0] > 0.0)
-            if not np.any(need):
-                break
-            hi = np.where(need, hi * 2.0, hi)
-
-        s = hi.copy()
-        pending = solve & ~plateau
+        hi = s * _HI_PER_MAX
+        pending = ~exact & ~plateau
         for _ in range(_NEWTON_MAX_ITER):
             if not np.any(pending):
                 break
-            g, slope = g_and_slope(a, s)
+            g, slope = _g_and_slope(a, s, buf)
             above = g > 0.0
             np.copyto(lo, s, where=pending & above)
             np.copyto(hi, s, where=pending & ~above)
             step = s + g * s / (6.0 * slope)
             inside = (step >= lo) & (step <= hi)
             step = np.where(inside, step, 0.5 * (lo + hi))
-            settled = np.abs(step - s) <= 4.0 * _EPS * step
+            settled = (np.abs(step - s) <= 4.0 * _EPS * step) | (hi - lo <= 8.0 * _EPS * step)
             np.copyto(s, step, where=pending)
             pending &= ~settled
         if np.any(pending):
             left = np.flatnonzero(pending)
-            if len(left) == 1:  # bisected as a pair too
-                left = left.repeat(2)
             rows = a[left]
             b_lo = lo[left]
             b_hi = hi[left]
             for _ in range(_BISECT_STEPS):
                 mid = 0.5 * (b_lo + b_hi)
-                above = g_and_slope(rows, mid)[0] > 0.0
+                above = _g_and_slope(rows, mid, buf)[0] > 0.0
                 b_lo = np.where(above, mid, b_lo)
                 b_hi = np.where(above, b_hi, mid)
             s[left] = 0.5 * (b_lo + b_hi)
@@ -193,15 +189,15 @@ def _contending_scales(resid: np.ndarray, prev_scales: np.ndarray, active: np.nd
 
     Rows ``lo:hi`` of each (lo, hi) in ``segments`` belong to one fit. In each
     fit, the active row with the smallest previous scale is solved first,
-    giving s_ref (one solve for the reference rows of all fits). g(s) =
-    mean(rho_norm(|r| / s)) - BREAKDOWN does not increase in s, so a row with
-    g(s_ref) > 0 has its root above s_ref and cannot be its fit's minimum;
-    only rows with g(s_ref) <= _PRUNE_MARGIN are solved, again in one solve.
-    The margin sits far above the rounding error of g (a mean of terms in
-    [0, 1]), so a row whose solved scale could round to or below s_ref, such
-    as a near-duplicate candidate whose residuals differ from the reference
-    row's in the last bits, is never skipped, and each fit's first minimum is
-    the one a solve of every row finds. Every exact fit's scale is 0.
+    giving s_ref (one solve for the reference rows of all fits). g does not
+    increase in s (:func:`_g_and_slope`, evaluated one row chunk at a time), so
+    a row with g(s_ref) > 0 has its root above s_ref and cannot be its fit's
+    minimum; only rows with g(s_ref) <= _PRUNE_MARGIN are solved, again in one
+    solve. The margin sits far above the rounding error of g (a mean of terms
+    in [0, 1]), so a row whose solved scale could round to or below s_ref,
+    such as a near-duplicate candidate whose residuals differ from the
+    reference row's in the last bits, is never skipped, and each fit's first
+    minimum is the one a solve of every row finds. Every exact fit's scale is 0.
     """
     exact = np.count_nonzero(resid, axis=1) < BREAKDOWN * resid.shape[1]
     scales = np.where(exact, 0.0, np.inf)
@@ -216,8 +212,12 @@ def _contending_scales(resid: np.ndarray, prev_scales: np.ndarray, active: np.nd
     fit_ref = np.full(len(segments), np.inf)
     fit_ref[list(refs)] = _m_scale_batch(resid[ref_rows])
     s_ref = np.repeat(fit_ref, [hi - lo for lo, hi in segments])
+    chunks = _row_chunks(*resid.shape)
+    buf = [np.empty(resid[chunks[0]].shape) for _ in range(3)]
+    g = np.empty(len(resid))
     with np.errstate(over="ignore"):  # |r| / s_ref = inf scores like any |r| > C_S s_ref
-        g = _rho_norm(resid / s_ref[:, None]).mean(axis=1) - BREAKDOWN
+        for rows in chunks:
+            g[rows] = _g_and_slope(resid[rows], s_ref[rows], buf)[0]
     keep = live & (g <= _PRUNE_MARGIN)
     keep[ref_rows] = True
     scales[keep] = _m_scale_batch(resid[keep])

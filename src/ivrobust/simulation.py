@@ -308,8 +308,10 @@ def _error_factors(theta: float, design: str) -> tuple[np.ndarray, ...]:
 
     Two samples hold the exposure's error of variance 2 and the outcome's of
     variance (1 + theta)^2 + theta^2 + 1; one sample holds both, with
-    covariance 1 + 2 theta. Raises ValueError naming ``theta`` when that
-    variance overflows or the joint covariance has no Cholesky factor.
+    covariance 1 + 2 theta, whose factor [[sqrt 2, 0], [(1 + 2 theta) / sqrt 2,
+    sqrt 1.5]] is written in closed form (the covariance's determinant is 3 at
+    any theta). Raises ValueError naming ``theta`` when the outcome's variance
+    overflows.
     """
     try:
         var_y = (1.0 + theta) ** 2 + theta ** 2 + 1.0
@@ -318,15 +320,9 @@ def _error_factors(theta: float, design: str) -> tuple[np.ndarray, ...]:
     if not math.isfinite(var_y):
         raise ValueError(f"theta = {theta!r} overflows the outcome's error variance")
     if design == "two_sample":
-        return np.linalg.cholesky(np.array([[2.0]])), np.linalg.cholesky(np.array([[var_y]]))
-    cov = 1.0 + 2.0 * theta
-    try:
-        return (np.linalg.cholesky(np.array([[2.0, cov], [cov, var_y]])),)
-    except np.linalg.LinAlgError:
-        raise ValueError(
-            f"theta = {theta!r} leaves the one-sample error covariance without a "
-            "Cholesky factor in double precision"
-        ) from None
+        return np.array([[math.sqrt(2.0)]]), np.array([[math.sqrt(var_y)]])
+    return (np.array([[math.sqrt(2.0), 0.0], [(1.0 + 2.0 * theta) / math.sqrt(2.0),
+                                               math.sqrt(1.5)]]),)
 
 
 def _draw_sample(rng: np.random.Generator, m: int, j: int, maf: float, mix: np.ndarray):

@@ -300,7 +300,7 @@ class TestSimulate:
         assert code == EXIT_PARSE
         assert "scenario 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", [["--theta", "1e200"], ["--theta", "1e8", "--one-sample"]])
+    @pytest.mark.parametrize("extra", [["--theta", "1e200"], ["--theta", "1e200", "--one-sample"]])
     def test_theta_the_error_model_cannot_hold_exit_code(self, extra, capsys):
         code = main(["simulate", "--scenario", "1", "--n", "200", "--j", "3", "--n-sim", "2",
                      "--methods", "ivw", *extra])

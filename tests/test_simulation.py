@@ -159,15 +159,25 @@ class TestScenarioSpec:
             ScenarioSpec(scenario=1, design="three_sample")
 
     def test_theta_the_error_model_cannot_hold_rejected(self):
-        # (1 + theta)^2 overflows; the one-sample covariance [[2, 1 + 2 theta],
-        # [1 + 2 theta, var_y]] has determinant 3, lost to rounding at theta = 1e8
+        # (1 + theta)^2 overflows the outcome's error variance, in either design
         for theta in (1e200, 1e154):
-            with pytest.raises(ValueError, match="theta"):
-                ScenarioSpec(scenario=1, theta=theta)
-        with pytest.raises(ValueError, match="theta"):
-            ScenarioSpec(scenario=1, theta=1e8, design="one_sample")
-        ScenarioSpec(scenario=1, theta=1e8)
+            for design in ("two_sample", "one_sample"):
+                with pytest.raises(ValueError, match="theta"):
+                    ScenarioSpec(scenario=1, theta=theta, design=design)
+        for design in ("two_sample", "one_sample"):
+            ScenarioSpec(scenario=1, theta=1e8, design=design)
         ScenarioSpec(scenario=1, theta=-0.5, design="one_sample")
+
+    @pytest.mark.parametrize("theta", [1e7, 1e9, 1e10])
+    def test_one_sample_factor_is_closed_form(self, theta):
+        # the covariance [[2, 1 + 2 theta], [1 + 2 theta, var_y]] has determinant 3, so
+        # its factor's last entry is sqrt(1.5) at any theta; a factorization lost it to
+        # cancellation (22.6 at theta = 1e9)
+        (mix,) = simulation._error_factors(theta, "one_sample")
+        assert mix[1, 1] == math.sqrt(1.5)
+        cov = 1.0 + 2.0 * theta
+        np.testing.assert_allclose(mix @ mix.T, [[2.0, cov], [cov, (1.0 + theta) ** 2
+                                                              + theta ** 2 + 1.0]], rtol=1e-15)
 
 
 class TestGenerate:
