@@ -6,8 +6,9 @@ import math
 import numpy as np
 
 # float64 elements of one stacked rows x J array: a lockstep group of S-stages, a
-# chunk of an M-scale solve or of the prune's test, and a chunk of bootstrap rows
-# stay under it (8 MB)
+# chunk of an M-scale solve, of the IRLS steps or of the prune's test, and a block
+# of bootstrap draws stay under it (8 MB); the bootstrap's draws depend on it once
+# draws x J exceeds it
 _ELEMENT_BUDGET = 1 << 20
 
 
@@ -41,4 +42,4 @@ def _cell(value, width: int, spec: str = ".4f") -> str:
 def _row_chunks(rows: int, j: int) -> list[slice]:
     """Slices of ``rows`` rows of J elements, each within _ELEMENT_BUDGET or one row."""
     step = max(1, _ELEMENT_BUDGET // j)
-    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]

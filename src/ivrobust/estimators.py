@@ -22,10 +22,10 @@ import numpy as np
 
 from ._util import as_seed_sequence
 from .exceptions import EstimationError
-from .median_methods import _bootstrap_rows, _median_fit
+from .median_methods import _check_draws, _median_fits
 from .penalization import cochran_q_egger, cochran_q_ivw, penalize_weights
 from .robust_mm import _mm_fits
-from .summary_data import SummarySet, harmonize, ratio_estimates
+from .summary_data import SummarySet, harmonize
 from .wls import Estimate, WeightVector, egger, inverse_variance_weights, ivw
 
 # id: (intercept, robust, penalized)
@@ -55,8 +55,9 @@ _STREAMS = {
 }
 
 
-def _check_methods(methods) -> tuple[str, ...]:
-    """``methods`` as a tuple; ValueError for an unknown or a repeated method id."""
+def _check_methods(methods, bootstrap_draws: int | None = None) -> tuple[str, ...]:
+    """``methods`` as a tuple; ValueError for an unknown or a repeated method id, or,
+    given ``bootstrap_draws``, for fewer than 2 draws when a median is requested."""
     methods = tuple(methods)
     unknown = [m for m in methods if m not in ALL_METHODS]
     if unknown:
@@ -64,6 +65,8 @@ def _check_methods(methods) -> tuple[str, ...]:
                          f"choose from {', '.join(ALL_METHODS)}")
     if len(set(methods)) != len(methods):
         raise ValueError("duplicate method ids requested")
+    if bootstrap_draws is not None and any(m in _MEDIANS for m in methods):
+        _check_draws(bootstrap_draws)
     return methods
 
 
@@ -81,19 +84,16 @@ def _fit_each(s: SummarySet, methods, *, effects: str = "multiplicative_random",
               ) -> Iterator[tuple[str, Estimate | EstimationError]]:
     """Yield ``(method, Estimate or the EstimationError it raised)`` in request order.
 
-    The inverse-variance weights, each reference fit, each penalized weight
-    vector, the ratio estimates and the medians' bootstrap rows are computed
-    when a method first needs them, so their errors are those of the methods
-    that use them; one that raised is recomputed by the next method needing
-    it, which is deterministic because the only random draws, the bootstrap
-    rows, come from their own fixed stream. The three medians share those
-    rows: the bootstrap holds the weights fixed, so each median's standard
-    error is the one it gets alone. All requested robust methods are fitted
-    together, in lockstep S-stages (:func:`ivrobust.robust_mm._mm_fits`),
-    when the first of them is needed; each keeps its own stream and its own
-    error, so its result too is the one it gets alone.
+    The inverse-variance weights, each reference fit and each penalized
+    weight vector are computed when a method first needs them, so their
+    errors are those of the methods that use them; one that raised is
+    recomputed by the next method needing it. The requested medians
+    (:func:`ivrobust.median_methods._median_fits`, one bootstrap pass) and
+    the requested robust methods (:func:`ivrobust.robust_mm._mm_fits`,
+    lockstep S-stages) are each fitted together when the first of them is
+    needed; each keeps its own error, and its result is the one it gets alone.
     """
-    methods = _check_methods(methods)
+    methods = _check_methods(methods, bootstrap_draws)
     hs = s if s.harmonized else harmonize(s)
     root = as_seed_sequence(seed)
 
@@ -113,10 +113,6 @@ def _fit_each(s: SummarySet, methods, *, effects: str = "multiplicative_random",
         return penalize_weights(base(), report)
 
     @cache
-    def ratios() -> np.ndarray:
-        return ratio_estimates(hs).theta
-
-    @cache
     def robust_fits() -> dict[str, Estimate | EstimationError]:
         fits, requests = {}, {}
         for name in (m for m in methods if m in _ROBUST):
@@ -132,21 +128,20 @@ def _fit_each(s: SummarySet, methods, *, effects: str = "multiplicative_random",
         return fits
 
     @cache
-    def bootstrap() -> tuple[np.ndarray, np.ndarray]:
-        return _bootstrap_rows(hs, bootstrap_draws, _stream(root, "bootstrap"))
+    def median_fits() -> dict[str, Estimate | EstimationError]:
+        return _median_fits(hs, [m for m in methods if m in _MEDIANS], bootstrap_draws,
+                            _stream(root, "bootstrap"))
 
     def fit(name: str) -> Estimate:
-        if name in _MEDIANS:
-            return _median_fit(hs, name, ratios, bootstrap)
-        intercept, robust, penalized = _REGRESSIONS[name]
-        if not (robust or penalized):
-            return reference(intercept)
-        if robust:
-            result = robust_fits()[name]
+        if name in _MEDIANS or name in _ROBUST:
+            result = (median_fits() if name in _MEDIANS else robust_fits())[name]
             if isinstance(result, EstimationError):
                 raise result
             return result
-        w = penalized_weights(intercept) if penalized else base()
+        intercept, _, penalized = _REGRESSIONS[name]
+        if not penalized:
+            return reference(intercept)
+        w = penalized_weights(intercept)
         est = egger(hs, w) if intercept else ivw(hs, w, effects=effects)
         return dataclasses.replace(est, method=name)
 

@@ -7,13 +7,21 @@ version of) the sample median, consistent when at least half the total
 weight sits on valid instruments. Standard errors come from a parametric
 bootstrap that redraws the summary associations from their sampling
 distributions while holding the weights fixed.
+
+The medians of one set are fitted together: one sort of the ratio estimates
+serves every point estimate, and one bootstrap pass draws, sorts and weighs
+each block of at most ``_util._ELEMENT_BUDGET`` draws once for all of them.
+Past one block (draws x J > 2^20) the draws depend on the block layout.
 """
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
 from ._util import _row_chunks, as_seed_sequence
-from .exceptions import DegenerateInstrumentError, InsufficientInstrumentsError
+from .exceptions import (DegenerateInstrumentError, EstimationError,
+                         InsufficientInstrumentsError)
 from .penalization import cochran_q_ivw
 from .summary_data import SummarySet, ratio_estimates
 from .wls import Estimate, WeightVector, _estimate
@@ -70,20 +78,7 @@ def _sort_rows(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     are not strictly increasing holds a tie, +-0.0 or a NaN, and is sorted
     again stably; every other row has one sorting permutation, so order and
     values equal a stable argsort's bit for bit on every input.
-    Rows are sorted in chunks of at most ``_util._ELEMENT_BUDGET``
-    elements; past one chunk, the values are sorted in place in ``theta``'s
-    buffer.
     """
-    chunks = _row_chunks(*theta.shape)
-    if len(chunks) == 1:
-        return _sort_chunk(theta)
-    order = np.empty(theta.shape, dtype=np.intp)
-    for rows in chunks:
-        order[rows], theta[rows] = _sort_chunk(theta[rows])
-    return order, theta
-
-
-def _sort_chunk(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(theta, axis=1)
     th = np.sort(theta, axis=1)
     strict = th[:, 1:] > th[:, :-1]
@@ -120,31 +115,39 @@ def _weigh_rows(sorted_rows: tuple[np.ndarray, np.ndarray], w: np.ndarray) -> np
     return np.where(k < 0, th[:, 0], est)
 
 
-def _bootstrap_rows(s: SummarySet, draws: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Sort step of the parametric bootstrap: ``draws`` sorted rows of ratio estimates.
-
-    Each row redraws every association from a normal centred at its
-    estimate with its reported standard error and forms the ratios. The
-    rows do not depend on the weights, so one set serves every weighted
-    median of ``s``. The ratios are formed in the outcome draws' buffer
-    (and sorted there past one row chunk, see :func:`_sort_rows`).
-    """
+def _check_draws(draws: int) -> None:
     if draws < 2:
         raise ValueError(f"bootstrap needs at least 2 draws, got {draws}")
+
+
+def _bootstrap_sds(s: SummarySet, weights: list[np.ndarray], draws: int, seed) -> list[float]:
+    """Sample SDs of the bootstrap weighted medians of ``s``, one per normalized weight vector.
+
+    The draws come in blocks of :func:`ivrobust._util._row_chunks` rows from
+    one stream: a block's exposure values, then its outcome values, then the
+    redraws of exposure values that were exactly zero. Each block is sorted
+    once and weighed under every weight vector before the next is drawn. A
+    non-finite SD is an SE that :func:`ivrobust.wls._estimate` reports as absent.
+    """
     rng = np.random.Generator(np.random.Philox(as_seed_sequence(seed)))
-    bx = _normal(rng, s.beta_x, s.se_x, (draws, s.j))
-    ratio = _normal(rng, s.beta_y, s.se_y, (draws, s.j))
-    # a ratio needs a nonzero denominator; redraw the measure-zero exact hits
-    zero = bx == 0.0
-    while np.any(zero):
-        locs = np.broadcast_to(s.beta_x, bx.shape)[zero]
-        scales = np.broadcast_to(s.se_x, bx.shape)[zero]
-        bx[zero] = _normal(rng, locs, scales, locs.shape)
-        zero = bx == 0.0
-    with np.errstate(over="ignore"):  # an overflowing ratio gives a non-finite SE
-        ratio /= bx
-    del bx
-    return _sort_rows(ratio)
+    medians = np.empty((len(weights), draws))
+    for rows in _row_chunks(draws, s.j):
+        shape = (rows.stop - rows.start, s.j)
+        bx = _normal(rng, s.beta_x, s.se_x, shape)
+        ratio = _normal(rng, s.beta_y, s.se_y, shape)
+        # a ratio needs a nonzero denominator; redraw the measure-zero exact hits
+        while np.any(zero := bx == 0.0):
+            cols = np.nonzero(zero)[1]
+            bx[zero] = _normal(rng, s.beta_x[cols], s.se_x[cols], cols.shape)
+        with np.errstate(over="ignore"):  # an overflowing ratio gives a non-finite SE
+            ratio /= bx
+        del bx, zero
+        block = _sort_rows(ratio)
+        del ratio  # a block's draws are released before it is weighed
+        for median, w in zip(medians, weights):
+            median[rows] = _weigh_rows(block, w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [float(np.std(median, ddof=1)) for median in medians]
 
 
 def _normal(rng: np.random.Generator, loc, scale, size) -> np.ndarray:
@@ -153,17 +156,6 @@ def _normal(rng: np.random.Generator, loc, scale, size) -> np.ndarray:
     z *= scale
     z += loc
     return z
-
-
-def _bootstrap_sd(sorted_rows: tuple[np.ndarray, np.ndarray], w: np.ndarray) -> float:
-    # weigh step: sample SD of the bootstrap rows' medians under normalized weights w;
-    # a non-finite SE is one that _estimate reports as absent
-    order, th = sorted_rows
-    medians = np.empty(th.shape[0])
-    for rows in _row_chunks(*th.shape):
-        medians[rows] = _weigh_rows((order[rows], th[rows]), w)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.std(medians, ddof=1))
 
 
 def bootstrap_se(s: SummarySet, weights, draws: int = 1000, seed=None) -> float:
@@ -175,7 +167,8 @@ def bootstrap_se(s: SummarySet, weights, draws: int = 1000, seed=None) -> float:
     at the values supplied here. Returns the sample standard deviation
     (denominator ``draws - 1``) of the replicated medians.
     """
-    return _bootstrap_sd(_bootstrap_rows(s, draws, seed), _normalized(weights, s.j))
+    _check_draws(draws)
+    return _bootstrap_sds(s, [_normalized(weights, s.j)], draws, seed)[0]
 
 
 def _estimator_weights(s: SummarySet, method: str, factor=1.0) -> np.ndarray:
@@ -190,35 +183,49 @@ def _estimator_weights(s: SummarySet, method: str, factor=1.0) -> np.ndarray:
     return raw
 
 
-def _penalized_weights(s: SummarySet, ratios) -> np.ndarray:
-    method = "penalized_weighted_median"
-    reference = weighted_median(ratios(), _estimator_weights(s, method))
-    return _estimator_weights(s, method, cochran_q_ivw(s, reference).factor_j)
+def _median_fits(s: SummarySet, methods, draws: int, seed
+                 ) -> dict[str, Estimate | EstimationError]:
+    """The requested medians of ``s``, fitted together: each one's Estimate or its error.
 
-
-# each median's weights from its summary set and a thunk for its ratio estimates
-_WEIGHTS = {
-    "simple_median": lambda s, ratios: np.ones(s.j),
-    "weighted_median": lambda s, ratios: _estimator_weights(s, "weighted_median"),
-    "penalized_weighted_median": _penalized_weights,
-}
-
-
-def _median_fit(s: SummarySet, method: str, ratios, bootstrap) -> Estimate:
-    """One median method: the weighted median of the ratio estimates and its bootstrap SE.
-
-    ``ratios`` and ``bootstrap`` are thunks for the ratio estimates and the
-    sorted bootstrap rows of ``s``, so that a caller can share both between
-    the three medians and draw the rows only once the weights stand.
+    Each median's weights and point estimate come first; a failure of its
+    weights or of the ratio estimates is its own error. One bootstrap pass
+    then serves every median with an estimate; it holds the weights fixed, so
+    each median's result is the one it gets alone.
     """
-    weights = _WEIGHTS[method](s, ratios)
-    estimate = weighted_median(ratios(), weights)
-    return _estimate(method, estimate, _bootstrap_sd(bootstrap(), _normalized(weights, s.j)))
+    _check_draws(draws)
+
+    @cache
+    def ratios() -> tuple[np.ndarray, np.ndarray]:  # a failure is raised anew per caller
+        return _sort_rows(ratio_estimates(s).theta[None, :])
+
+    def median(w: np.ndarray) -> float:  # of the ratio estimates, w normalized
+        return float(_weigh_rows(ratios(), w)[0])
+
+    fits, weighed = {}, {}  # weighed: each median's (normalized weights, estimate)
+    for method in methods:
+        try:
+            if method == "simple_median":
+                w = np.ones(s.j)
+            elif method == "weighted_median":
+                w = _estimator_weights(s, method)
+            else:  # a failure of the ratio estimates outranks one of the weights here
+                ratios()
+                reference = median(_normalized(_estimator_weights(s, method), s.j))
+                w = _estimator_weights(s, method, cochran_q_ivw(s, reference).factor_j)
+            w = _normalized(w, s.j)
+            weighed[method] = (w, median(w))
+        except EstimationError as exc:
+            fits[method] = exc
+    sds = _bootstrap_sds(s, [w for w, _ in weighed.values()], draws, seed) if weighed else []
+    fits.update((m, _estimate(m, est, sd)) for (m, (_, est)), sd in zip(weighed.items(), sds))
+    return {method: fits[method] for method in methods}
 
 
-def _standalone_fit(s: SummarySet, method: str, draws: int, seed) -> Estimate:
-    return _median_fit(s, method, lambda: ratio_estimates(s).theta,
-                       lambda: _bootstrap_rows(s, draws, seed))
+def _alone(s: SummarySet, method: str, draws: int, seed) -> Estimate:
+    result = _median_fits(s, (method,), draws, seed)[method]
+    if isinstance(result, EstimationError):
+        raise result
+    return result
 
 
 def simple_median(s: SummarySet, draws: int = 1000, seed=None) -> Estimate:
@@ -226,7 +233,7 @@ def simple_median(s: SummarySet, draws: int = 1000, seed=None) -> Estimate:
 
     Consistent when at least half the variants are valid instruments.
     """
-    return _standalone_fit(s, "simple_median", draws, seed)
+    return _alone(s, "simple_median", draws, seed)
 
 
 def weighted_median_estimate(s: SummarySet, draws: int = 1000, seed=None) -> Estimate:
@@ -236,7 +243,7 @@ def weighted_median_estimate(s: SummarySet, draws: int = 1000, seed=None) -> Est
     delta-method variances of the ratio estimates; consistent when valid
     instruments carry at least half the total weight.
     """
-    return _standalone_fit(s, "weighted_median", draws, seed)
+    return _alone(s, "weighted_median", draws, seed)
 
 
 def penalized_weighted_median(s: SummarySet, draws: int = 1000, seed=None) -> Estimate:
@@ -247,4 +254,4 @@ def penalized_weighted_median(s: SummarySet, draws: int = 1000, seed=None) -> Es
     one-degree-of-freedom heterogeneity statistic and the weights are
     multiplied by min(1, 20 p_j) before the final median and its bootstrap.
     """
-    return _standalone_fit(s, "penalized_weighted_median", draws, seed)
+    return _alone(s, "penalized_weighted_median", draws, seed)

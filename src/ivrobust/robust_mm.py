@@ -24,9 +24,9 @@ variant, so 500 draws at J = 25 are at most 25 distinct fits. Each distinct
 subset is checked, refined and solved once, in the order of its first draw.
 Several fits of one summary set (``run_methods`` asks for up to four) run
 their S-stages in lockstep: each draws its candidates from its own stream,
-and each round's M-scale solve, IRLS weights and prune step run once over
-the stacked candidate rows of all of them, in groups whose stacked rows stay
-within a fixed element budget. Every step of the search is row-wise (a
+and each round's M-scale solve and prune step run once over the stacked
+candidate rows of all of them, in groups whose stacked rows stay within a
+fixed element budget. Every step of the search is row-wise (a
 candidate's residuals, reweighted fit and M-scale depend on its own subset
 alone, at any J), so a fit's winner is, bit for bit, the one it finds alone
 and the one a search over all its draws finds.
@@ -131,10 +131,7 @@ def _m_scale_batch(resid: np.ndarray) -> np.ndarray:
     of the batch or on the chunking. Iterates stay above lo > 0, so only an
     exact fit is 0.
     """
-    chunks = _row_chunks(*resid.shape)
-    if len(chunks) == 1:
-        return _m_scale_chunk(resid)
-    return np.concatenate([_m_scale_chunk(resid[rows]) for rows in chunks])
+    return np.concatenate([_m_scale_chunk(resid[rows]) for rows in _row_chunks(*resid.shape)])
 
 
 def _m_scale_chunk(resid: np.ndarray) -> np.ndarray:
@@ -322,16 +319,16 @@ def _s_stage(fits):
 
     ``fits`` lists the (design, response, candidate coefficients, residuals) of
     fits on one set, the candidates from :func:`_candidates`. Their rows are
-    stacked, one segment per fit, and each round's M-scale solve, IRLS weights
-    and prune step (:func:`_contending_scales`) run once over all rows, while
-    each fit's reweighted least squares, prune reference and argmin stay in its
-    own segment; an exact fit (scale 0) is left as it is. Every step is
-    row-wise, so a fit's winner, its (coefficients, scale), is the one it gets
-    alone and the one a solve of every draw finds.
+    stacked, one segment per fit, and each round's M-scale solve and prune
+    step (:func:`_contending_scales`) run once over all rows, while each fit's
+    reweighted least squares, prune reference and argmin stay in its own
+    segment; an exact fit (scale 0) is left as it is. Every step is row-wise,
+    so a fit's winner, its (coefficients, scale), is the one it gets alone and
+    the one a solve of every draw finds.
     """
     if not fits:
         return []
-    coefs = [f[2] for f in fits]
+    coefs = [f[2] for f in fits]  # each fit's candidates, stepped in place
     bounds = np.cumsum([0] + [len(c) for c in coefs]).tolist()
     segments = list(zip(bounds[:-1], bounds[1:]))
     resid = fits[0][3] if len(fits) == 1 else np.concatenate([f[3] for f in fits])
@@ -340,14 +337,9 @@ def _s_stage(fits):
         active = scales > 0.0
         if not np.any(active):
             break
-        safe = np.where(active, scales, 1.0)
-        with np.errstate(over="ignore"):  # an infinite standardized residual weighs 0
-            irls_w = _weight(resid / safe[:, None], C_S)
-        irls_w[~active] = 0.0
         for i, (lo, hi) in enumerate(segments):
             if np.any(active[lo:hi]):
-                coefs[i] = _reweighted(irls_w[lo:hi], *fits[i][:2], coefs[i], resid[lo:hi],
-                                       active[lo:hi])
+                _reweighted(*fits[i][:2], coefs[i], resid[lo:hi], scales[lo:hi], active[lo:hi])
         if step + 1 < REFINE_STEPS:
             new_scales = _m_scale_batch(resid)
         else:
@@ -358,18 +350,22 @@ def _s_stage(fits):
     return [(c[b - lo].copy(), float(scales[b])) for c, b, (lo, _) in zip(coefs, best, segments)]
 
 
-def _reweighted(irls_w, design, response, coefs, resid, active):
-    """One fit's reweighted least-squares step: the new coefficients; ``resid`` in place.
-
-    A row whose Gram matrix is singular, or whose step overflows, or that is
-    not active keeps its fit.
-    """
-    updated, _, ok = _wls_rows(irls_w, design, response)
-    with np.errstate(over="ignore", invalid="ignore"):
-        stepped = _residuals(updated, design, response)
-    take = (active & ok & np.isfinite(stepped).all(axis=1))[:, None]
-    np.copyto(resid, stepped, where=take)
-    return np.where(take, updated, coefs)
+def _reweighted(design, response, coefs, resid, scales, active):
+    """One fit's reweighted least-squares step, in place in ``coefs`` and ``resid``, one
+    row chunk at a time. A row whose Gram matrix is singular, or whose step
+    overflows, or that is not active keeps its fit."""
+    for rows in _row_chunks(*resid.shape):
+        live = active[rows]
+        safe = np.where(live, scales[rows], 1.0)
+        with np.errstate(over="ignore"):  # an infinite standardized residual weighs 0
+            irls_w = _weight(resid[rows] / safe[:, None], C_S)
+        irls_w[~live] = 0.0
+        updated, _, ok = _wls_rows(irls_w, design, response)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stepped = _residuals(updated, design, response)
+        take = (live & ok & np.isfinite(stepped).all(axis=1))[:, None]
+        np.copyto(resid[rows], stepped, where=take)
+        np.copyto(coefs[rows], updated, where=take)
 
 
 def _m_stage(design, response, beta, s_star: float):

@@ -567,7 +567,7 @@ def run_study(spec: ScenarioSpec, methods=ALL_METHODS, *, threads: int = 1,
     processes, and the report is identical to the single-threaded one for a
     fixed seed.
     """
-    methods = _check_methods(methods)
+    methods = _check_methods(methods, bootstrap_draws)
     if not methods:
         raise ValueError("at least one method is required")
     if threads < 1:

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ivrobust import estimators
+from ivrobust import _util, estimators
 from ivrobust.estimators import ALL_METHODS, run_methods
 from ivrobust.median_methods import bootstrap_se, penalized_weighted_median
 from ivrobust.exceptions import (
@@ -86,6 +86,14 @@ class TestRegistry:
                 for name in subset:
                     assert got[name] == alone[name]
 
+    def test_medians_alone_or_together_past_one_block(self, summary, monkeypatch):
+        # with several blocks of draws the SEs move, but each median's still does not
+        # depend on which other medians are requested
+        monkeypatch.setattr(_util, "_ELEMENT_BUDGET", 7 * summary.j)
+        alone = {m: run_methods(summary, (m,), seed=11, bootstrap_draws=200)[m]
+                 for m in MEDIANS}
+        assert run_methods(summary, MEDIANS, seed=11, bootstrap_draws=200) == alone
+
     def test_median_se_is_bootstrap_se_on_the_shared_stream(self, summary):
         hs = harmonize(summary)
         stream = estimators._stream(np.random.SeedSequence(11), "bootstrap")
@@ -141,22 +149,22 @@ class TestRegistry:
         with pytest.raises(InsufficientInstrumentsError, match="egger needs at least 3"):
             run_methods(s, ("ivw", "egger", "simple_median"), seed=1, bootstrap_draws=50)
 
-    def test_first_requested_failure_wins_and_stops(self, monkeypatch):
+    def test_first_requested_failure_wins_and_stops(self):
         # reference fits are computed on demand, so the median requested first
         # reports its own error even though the egger reference would also fail
-        calls = []
-        real = estimators._median_fit
-
-        def median_fit(s, method, *args):
-            if method == "weighted_median":
-                calls.append(method)
-            return real(s, method, *args)
-
-        monkeypatch.setattr(estimators, "_median_fit", median_fit)
         s = make_set([0.0, 0.1], [0.01] * 2, [0.01, 0.02], [0.05] * 2)
         with pytest.raises(DegenerateInstrumentError, match="zero exposure association"):
             run_methods(s, ("ivw", "simple_median", "egger", "weighted_median"), seed=1)
-        assert calls == []
+
+    def test_draw_count_checked_before_any_method(self, summary):
+        # a request with a median rejects too few draws before its first method fits,
+        # whichever median would fail first; one without medians accepts any count
+        tiny = make_set([1e-170] * 3, [0.01] * 3, [0.01, 0.02, 0.05], [0.05] * 3)
+        for s in (summary, tiny):
+            fits = estimators._fit_each(s, ("ivw", "weighted_median"), seed=1, bootstrap_draws=1)
+            with pytest.raises(ValueError, match="at least 2 draws"):
+                next(fits)
+        assert run_methods(summary, ("ivw", "robust_ivw"), seed=1, bootstrap_draws=0)
 
     def test_effects_reach_only_the_origin_methods(self, summary):
         fixed = run_methods(summary, effects="fixed", seed=5, bootstrap_draws=50)

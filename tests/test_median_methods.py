@@ -1,6 +1,8 @@
 """Weighted-median mechanics, a brute-force oracle, and bootstrap behavior."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -214,26 +216,61 @@ class TestBootstrap:
             stream = np.random.SeedSequence(seed, spawn_key=(4, 1))
             assert bootstrap_se(s, np.ones(12), draws=300, seed=stream) == equal
 
-    @pytest.mark.parametrize("budget", [1, 20, 49 * 12])
-    def test_chunked_rows_are_bit_identical(self, budget, monkeypatch):
-        # sorted in place and weighed per row chunk: the rows and every SE
-        # are those of one chunk
+    @pytest.mark.parametrize("budget", [1, 20, 49 * 12, 100 * 12])
+    def test_blocks_are_drawn_and_weighed_in_stream_order(self, budget, monkeypatch):
+        # each block of budget // J rows draws its exposure values, then its outcome
+        # values, then its exact-zero redraws from the one stream; a budget of
+        # draws x J or more is one block
         s = harmonize(random_summary(np.random.default_rng(5), j=12))
         w = np.random.default_rng(6).uniform(0.1, 1.0, 12)
-        whole = median_methods._bootstrap_rows(s, 100, 9)
         monkeypatch.setattr(_util, "_ELEMENT_BUDGET", budget)
-        assert len(_util._row_chunks(100, 12)) > 1
-        chunked = median_methods._bootstrap_rows(s, 100, 9)
-        np.testing.assert_array_equal(chunked[0], whole[0])
-        assert chunked[1].tobytes() == whole[1].tobytes()
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(9)))
+        ratios = []
+        step = max(1, budget // 12)
+        for lo in range(0, 100, step):
+            shape = (min(step, 100 - lo), 12)
+            bx = rng.standard_normal(shape) * s.se_x + s.beta_x
+            by = rng.standard_normal(shape) * s.se_y + s.beta_y
+            while np.any(bx == 0.0):
+                rows, cols = np.nonzero(bx == 0.0)
+                bx[rows, cols] = rng.standard_normal(len(cols)) * s.se_x[cols] + s.beta_x[cols]
+            ratios.append(by / bx)
+        ratios = np.concatenate(ratios)
         for weights in (w / w.sum(), np.full(12, 1 / 12)):
-            assert (median_methods._bootstrap_sd(chunked, weights)
-                    == median_methods._bootstrap_sd(whole, weights))
+            medians = []
+            normalized = weights / weights.sum()
+            for row in ratios:
+                order = np.argsort(row, kind="stable")
+                ws = normalized[order]
+                mid = np.cumsum(ws) - 0.5 * ws
+                k = int(np.sum(mid < 0.5)) - 1
+                a, b = row[order[k]], row[order[k + 1]]
+                medians.append(row[order[0]] if k < 0 else
+                               a + (b - a) * ((0.5 - mid[k]) / (mid[k + 1] - mid[k])))
+            assert bootstrap_se(s, weights, draws=100, seed=9) == np.std(medians, ddof=1)
+
+    def test_bootstrap_holds_one_block_of_draws(self):
+        # the three medians at J = 20,000 with 200 draws: holding both draws whole
+        # takes 16 bytes x draws x J; a block stays within the 8 MB element budget
+        s = harmonize(random_summary(np.random.default_rng(8), j=20_000))
+        tracemalloc.start()
+        try:
+            for method in (simple_median, weighted_median_estimate, penalized_weighted_median):
+                method(s, draws=200, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 200 * 20_000
 
     def test_draw_count_validated(self):
         s = ratio_set([0.1, 0.2, 0.3])
         with pytest.raises(ValueError):
             bootstrap_se(s, np.ones(3), draws=1)
+        # checked before any weights: a set whose weights all underflow still gets it
+        tiny = make_set([1e-170] * 3, [0.01] * 3, [0.01, 0.02, 0.05], [0.05] * 3)
+        for method in (simple_median, weighted_median_estimate, penalized_weighted_median):
+            with pytest.raises(ValueError, match="at least 2 draws"):
+                method(tiny, draws=1, seed=1)
 
 
 class TestEstimators:

@@ -488,6 +488,21 @@ class TestRunStudy:
         assert pools == ([] if workers is None else [workers])
         assert report.to_table() == serial.to_table()
 
+    def test_draw_count_checked_before_any_data(self, monkeypatch):
+        # a request with a median needs at least 2 bootstrap draws, checked before
+        # replicate 0 draws its data; a request without medians accepts any count
+        def no_data(*args):
+            raise AssertionError("data drawn before the draw count was checked")
+
+        spec = ScenarioSpec(scenario=1, n=600, j=3, n_sim=2, seed=2)
+        serial = run_study(spec, ("ivw",), bootstrap_draws=1)
+        monkeypatch.setattr(simulation, "generate_individual_data", no_data)
+        with pytest.raises(ValueError, match="at least 2 draws"):
+            run_study(spec, ("ivw", "simple_median"), bootstrap_draws=1)
+        with pytest.raises(ValueError, match="at least 2 draws"):
+            run_study(spec, ("ivw", "simple_median"), threads=2, bootstrap_draws=1)
+        assert serial.row("ivw").na_count == 0
+
     def test_na_accounting_for_degenerate_robust_fits(self):
         # at j = 3 any two-point candidate zeroes out 2 of 3 residuals, which
         # the 50% breakdown scale flags as an exact fit: the intercept-based
