@@ -8,14 +8,13 @@ weight sits on valid instruments. Standard errors come from a parametric
 bootstrap that redraws the summary associations from their sampling
 distributions while holding the weights fixed.
 
-The medians of one set are fitted together: one sort of the ratio estimates
-serves every point estimate, and one bootstrap pass draws, sorts and weighs
-each block of at most ``_util._ELEMENT_BUDGET`` draws once for all of them.
-Past one block (draws x J > 2^20) the draws depend on the block layout.
+The medians of one set are fitted together: one bootstrap pass draws, sorts
+and weighs each block of at most ``_util._ELEMENT_BUDGET`` draws once for all
+of them. Past one block (draws x J > 2^20) the draws depend on the block layout.
 """
 from __future__ import annotations
 
-from functools import cache
+import math
 
 import numpy as np
 
@@ -188,19 +187,11 @@ def _median_fits(s: SummarySet, methods, draws: int, seed
     """The requested medians of ``s``, fitted together: each one's Estimate or its error.
 
     Each median's weights and point estimate come first; a failure of its
-    weights or of the ratio estimates is its own error. One bootstrap pass
-    then serves every median with an estimate; it holds the weights fixed, so
-    each median's result is the one it gets alone.
+    weights, of the ratio estimates or a non-finite estimate is its own error.
+    One bootstrap pass then serves every median with an estimate; it holds the
+    weights fixed, so each median's result is the one it gets alone.
     """
     _check_draws(draws)
-
-    @cache
-    def ratios() -> tuple[np.ndarray, np.ndarray]:  # a failure is raised anew per caller
-        return _sort_rows(ratio_estimates(s).theta[None, :])
-
-    def median(w: np.ndarray) -> float:  # of the ratio estimates, w normalized
-        return float(_weigh_rows(ratios(), w)[0])
-
     fits, weighed = {}, {}  # weighed: each median's (normalized weights, estimate)
     for method in methods:
         try:
@@ -208,12 +199,14 @@ def _median_fits(s: SummarySet, methods, draws: int, seed
                 w = np.ones(s.j)
             elif method == "weighted_median":
                 w = _estimator_weights(s, method)
-            else:  # a failure of the ratio estimates outranks one of the weights here
-                ratios()
-                reference = median(_normalized(_estimator_weights(s, method), s.j))
+            else:
+                reference = weighted_median(ratio_estimates(s).theta,
+                                            _estimator_weights(s, method))
                 w = _estimator_weights(s, method, cochran_q_ivw(s, reference).factor_j)
-            w = _normalized(w, s.j)
-            weighed[method] = (w, median(w))
+            estimate = weighted_median(ratio_estimates(s).theta, w)
+            if not math.isfinite(estimate):  # near-overflow ratios interpolate to inf or NaN
+                raise DegenerateInstrumentError(f"{method}: estimate is not finite ({estimate!r})")
+            weighed[method] = (_normalized(w, s.j), estimate)
         except EstimationError as exc:
             fits[method] = exc
     sds = _bootstrap_sds(s, [w for w, _ in weighed.values()], draws, seed) if weighed else []

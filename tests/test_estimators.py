@@ -9,7 +9,8 @@ import pytest
 
 from ivrobust import _util, estimators
 from ivrobust.estimators import ALL_METHODS, run_methods
-from ivrobust.median_methods import bootstrap_se, penalized_weighted_median
+from ivrobust.median_methods import (bootstrap_se, penalized_weighted_median, simple_median,
+                                     weighted_median_estimate)
 from ivrobust.exceptions import (
     DegenerateInstrumentError,
     EstimationError,
@@ -93,6 +94,21 @@ class TestRegistry:
         alone = {m: run_methods(summary, (m,), seed=11, bootstrap_draws=200)[m]
                  for m in MEDIANS}
         assert run_methods(summary, MEDIANS, seed=11, bootstrap_draws=200) == alone
+
+    def test_non_finite_estimate_fails_only_its_own_median(self):
+        # the equal-weight median interpolates between -1e308 and 1e308 and overflows;
+        # the weighted median puts all weight on the first variant and stays finite
+        s = make_set([1.0, 1e-170], [0.1, 0.1], [-1e308, 1e138], [1.0, 1.0], harmonized=True)
+        pair = ("simple_median", "weighted_median")
+        joint = dict(estimators._fit_each(s, pair, seed=3, bootstrap_draws=30))
+        assert isinstance(joint["simple_median"], DegenerateInstrumentError)
+        assert joint["weighted_median"].theta == -1e308
+        for name in pair:
+            ((_, alone),) = estimators._fit_each(s, (name,), seed=3, bootstrap_draws=30)
+            assert type(alone) is type(joint[name]) and str(alone) == str(joint[name])
+        with pytest.raises(DegenerateInstrumentError, match="simple_median: estimate is not"):
+            simple_median(s, draws=30, seed=3)
+        assert weighted_median_estimate(s, draws=30, seed=3) == joint["weighted_median"]
 
     def test_median_se_is_bootstrap_se_on_the_shared_stream(self, summary):
         hs = harmonize(summary)
