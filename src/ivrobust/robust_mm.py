@@ -221,7 +221,8 @@ def _contending_scales(resid: np.ndarray, prev_scales: np.ndarray, active: np.nd
     return scales
 
 
-def _residuals(coefs: np.ndarray, design: np.ndarray, response: np.ndarray) -> np.ndarray:
+def _residuals(coefs: np.ndarray, design: np.ndarray, response: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Residuals of each row of ``coefs``, with rounding dust set to exactly zero.
 
     A finite residual within a few ulps of |response| + |fitted| is what
@@ -229,11 +230,12 @@ def _residuals(coefs: np.ndarray, design: np.ndarray, response: np.ndarray) -> n
     the M-scale see an exact fit of more than half the points. The fitted
     values are formed column by column: a BLAS ``coefs @ design.T`` rounds a
     row differently depending on the other rows of its batch at large J.
+    The residuals are written into ``out`` when it is given.
     """
     fitted = coefs[:, :1] * design[:, 0]
     if design.shape[1] == 2:
         fitted += coefs[:, 1:] * design[:, 1]
-    resid = response - fitted
+    resid = np.subtract(response, fitted, out=out)
     # scaled before the sum, so the bound overflows only with an infinite fit; the
     # bound reuses the fitted values' buffer, and |resid| <= bound is tested as
     # -bound <= resid <= bound, so that no third rows x J array is formed
@@ -253,10 +255,11 @@ def _candidates(s: SummarySet, design, response, rng):
     singular, or whose exact fit or residuals overflow, is redrawn, so only
     finite residuals reach the scale solves. The pair (b, a) of an intercept
     fit is taken as (a, b), a < b: both give the same line. Each round checks
-    and solves once each distinct subset of the draws it introduces, and the
-    rows of the final draws are gathered at the end; both steps are
-    row-wise, so the redraws and the rows are those of a check of every
-    draw in every round.
+    and solves once each distinct subset of the draws it introduces, in the
+    order of its first draw, so a search that needs no redraw returns its one
+    round's fits as they are; after redraws the rows of the final draws are
+    gathered from all rounds. Both steps are row-wise, so the redraws and the
+    rows are those of a check of every draw in every round.
     """
     j = s.j
     p = design.shape[1]
@@ -270,7 +273,11 @@ def _candidates(s: SummarySet, design, response, rng):
         # one integer key per subset; np.unique(idx, axis=0) costs more than it saves
         key[draws] = sub[:, 0] * j + sub[:, -1]
         _, first, back = np.unique(key[draws], return_index=True, return_inverse=True)
-        parts.append(_elemental_fits(s, design, response, sub[first]))
+        # np.unique lists the subsets in key order: solve them in first-draw order,
+        # and map each draw to its subset's row there
+        order = np.argsort(first)
+        back = np.argsort(order)[back]
+        parts.append(_elemental_fits(s, design, response, sub[first[order]]))
         at[draws] = solved + back
         solved += len(first)
         bad = parts[-1][0][back]
@@ -283,19 +290,24 @@ def _candidates(s: SummarySet, design, response, rng):
             "no random subset gives a non-singular, finite exact fit; exposure "
             "associations are too degenerate or too extreme"
         )
-    if len(parts) > 1:
-        _, first = np.unique(key, return_index=True)
+    if len(parts) == 1:
+        return parts[0][1:]
+    _, first = np.unique(key, return_index=True)
     rows = at[np.sort(first)]
-    _, coefs, resid = (part[0][rows] if len(part) == 1 else np.concatenate(part)[rows]
-                       for part in zip(*parts))
+    _, coefs, resid = (np.concatenate(part)[rows] for part in zip(*parts))
     return coefs, resid
 
 
 def _elemental_fits(s: SummarySet, design, response, sub):
-    """(singular or non-finite, coefficients, residuals) of the exact fits to subsets ``sub``."""
+    """(singular or non-finite, coefficients, residuals) of the exact fits to subsets ``sub``.
+
+    The residuals are formed one row chunk at a time in the returned array, so
+    that no second array of all the subsets' rows is held beside it.
+    """
     x = s.beta_x
     y = s.beta_y
     i0 = sub[:, 0]
+    resid = np.empty((len(sub), len(response)))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if design.shape[1] == 1:
             bad = design[i0, 0] == 0.0
@@ -306,12 +318,14 @@ def _elemental_fits(s: SummarySet, design, response, sub):
                 | (x[i0] == x[i1])
             slope = (y[i1] - y[i0]) / (x[i1] - x[i0])
             coefs = np.column_stack([y[i0] - slope * x[i0], slope])
-        resid = _residuals(coefs, design, response)
-    # candidates interpolate their own subset points; zero those residuals
-    # explicitly so rounding dust cannot mask an exact fit
-    resid[np.arange(len(sub))[:, None], sub] = 0.0
-    bad |= ~(np.isfinite(coefs).all(axis=1) & np.isfinite(resid).all(axis=1))
-    return bad, coefs, resid
+        finite = np.isfinite(coefs).all(axis=1)
+        for rows in _row_chunks(*resid.shape):
+            chunk = _residuals(coefs[rows], design, response, out=resid[rows])
+            # candidates interpolate their own subset points; zero those residuals
+            # explicitly so rounding dust cannot mask an exact fit
+            chunk[np.arange(len(chunk))[:, None], sub[rows]] = 0.0
+            finite[rows] &= np.isfinite(chunk).all(axis=1)
+    return bad | ~finite, coefs, resid
 
 
 def _s_stage(fits):

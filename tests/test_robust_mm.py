@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -513,6 +514,26 @@ class TestDistinctSubsets:
                 sub = np.sort(rng.choice(rows, size=k, replace=False))
                 np.testing.assert_array_equal(robust_mm._residuals(coefs[sub], design, response),
                                               full[sub])
+
+    def test_candidates_hold_one_copy_of_the_residuals(self):
+        # the residuals are formed one row chunk at a time into the returned array, and a
+        # search without redraws returns its fits as solved: a through-origin search at
+        # J = 20,000 holds little beyond that one rows x J array
+        j = 20_000
+        rng = np.random.default_rng(j)
+        beta_x = rng.uniform(0.03, 0.1, j)
+        s = make_set(beta_x, [0.01] * j, 0.1 * beta_x + rng.normal(0.0, 0.02, j),
+                     rng.uniform(0.01, 0.03, j))
+        design, response = _design(s, inverse_variance_weights(s).w, False)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            _, resid = robust_mm._candidates(s, design, response, philox(j, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert resid.shape == (len(resid), j)
+        assert peak - entry < 1.3 * resid.nbytes
 
     def test_same_result_as_solving_every_draw(self):
         for seed in range(50):

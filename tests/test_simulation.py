@@ -1,9 +1,14 @@
 """Data generation: the exact sufficient-statistic law, extraction oracles, study aggregation."""
 from __future__ import annotations
 
+import concurrent.futures
 import io
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -482,11 +487,23 @@ class TestRunStudy:
 
         spec = ScenarioSpec(scenario=1, n=600, j=3, n_sim=n_sim, seed=2)
         serial = run_study(spec, ("ivw",), bootstrap_draws=40)
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", InProcessPool)
+        # run_study imports the pool class when it starts workers
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(simulation.os, "cpu_count", lambda: cpus)
         report = run_study(spec, ("ivw",), threads=threads, bootstrap_draws=40)
         assert pools == ([] if workers is None else [workers])
         assert report.to_table() == serial.to_table()
+
+    def test_import_loads_no_worker_machinery(self):
+        # only run_study's worker pool needs multiprocessing: importing the package and its
+        # command line, as every analyze and every one-worker study does, loads none of it
+        env = dict(os.environ, PYTHONPATH=str(Path(simulation.__file__).resolve().parents[1]))
+        code = ("import sys, ivrobust, ivrobust.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith("
+                "('concurrent.futures.process', 'multiprocessing'))))")
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True)
+        assert result.stdout.strip() == "[]"
 
     def test_draw_count_checked_before_any_data(self, monkeypatch):
         # a request with a median needs at least 2 bootstrap draws, checked before
