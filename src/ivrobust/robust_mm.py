@@ -5,14 +5,18 @@ regressor beta_x * sqrt(w), intercept column sqrt(w)). A high-breakdown
 S-stage searches random exact-fit candidates for the smallest M-scale of the
 residuals under a bisquare loss tuned for 50% breakdown (C_S = 1.548); an
 efficiency-tuned M-stage (C_M = 4.685) then iterates reweighted least squares
-at that fixed scale. M-scales are solved by safeguarded Newton steps inside a
-closed-form bracket (bisection only for rows the step cap does not settle);
-one function evaluates the M-scale equation for both the solve and the
-prune, with each row summed as its own dot product, so a row gets the same
-scale alone or in any batch. After the last refinement step only candidates
-that can still hold the smallest scale are solved, in the spirit of
-Salibian-Barrera & Yohai (2006), "A fast algorithm for S-regression
-estimates"; the winner is the one a solve of every candidate would pick.
+at that fixed scale. The search is the fast-S refinement of Salibian-Barrera
+& Yohai (2006), "A fast algorithm for S-regression estimates": each
+candidate starts from the MAD of its residuals about zero, and each
+reweighting step but the last is followed by one fixed-point step of the
+M-scale equation instead of a solve. After the last step only candidates
+that can still hold the smallest scale get an exact M-scale; the winner is
+the one an exact solve of every candidate would pick. M-scales are solved
+by safeguarded Newton steps inside a closed-form bracket (bisection only for
+rows the step cap does not settle); one function evaluates the M-scale
+equation for the fixed-point step, the solve and the prune, with each row
+summed as its own dot product, so a row gets the same scale alone or in any
+batch.
 Slope uncertainty comes from the standard M-estimation sandwich,
 post-processed the same way as the weighted least-squares fits
 (multiplicative random effects). Every weighted least-squares step of both
@@ -24,12 +28,12 @@ variant, so 500 draws at J = 25 are at most 25 distinct fits. Each distinct
 subset is checked, refined and solved once, in the order of its first draw.
 Several fits of one summary set (``run_methods`` asks for up to four) run
 their S-stages in lockstep: each draws its candidates from its own stream,
-and each round's M-scale solve and prune step run once over the stacked
-candidate rows of all of them, in groups whose stacked rows stay within a
-fixed element budget. Every step of the search is row-wise (a
-candidate's residuals, reweighted fit and M-scale depend on its own subset
-alone, at any J), so a fit's winner is, bit for bit, the one it finds alone
-and the one a search over all its draws finds.
+and each round's scale step, and the last round's prune and solves, run
+once over the stacked candidate rows of all of them, in groups whose stacked
+rows stay within a fixed element budget. Every step of the search is
+row-wise (a candidate's residuals, reweighted fit and M-scale depend on its
+own subset alone, at any J), so a fit's winner is, bit for bit, the one it
+finds alone and the one a search over all its draws finds.
 """
 from __future__ import annotations
 
@@ -180,21 +184,60 @@ def _m_scale_chunk(resid: np.ndarray) -> np.ndarray:
     return np.where(exact, 0.0, s)
 
 
+def _approx_scales(resid: np.ndarray, scales: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise approximate M-scales of the refinement; an exact fit is 0.
+
+    Without ``scales`` each row's scale is the MAD about zero, 1.4826
+    median|r|, the median read off a sort of the row; with them, it is one
+    fixed-point step s sqrt(1 + 2 g(s)) of the M-scale equation from the
+    row's scale s (:func:`_g_and_slope`), the scale update of Salibian-Barrera
+    & Yohai's refinement. A row with fewer than BREAKDOWN * n nonzero
+    residuals is 0, as in :func:`_m_scale_chunk`; every other row is raised
+    to the bracket's lower end, min nonzero |r| / C_S. Without that floor a
+    step from a scale far above a row's residuals, whose terms of g all round
+    to 0, would give g = -BREAKDOWN and a scale of 0: a spurious exact fit.
+    The rows are taken one chunk of at most _ELEMENT_BUDGET elements at a
+    time, and every operation is row-wise.
+    """
+    n = resid.shape[1]
+    out = np.empty(len(resid))
+    chunks = _row_chunks(*resid.shape)
+    buf = [np.empty(resid[chunks[0]].shape) for _ in range(3)]
+    # the scale of an exact fit (0) divides by zero, and a scale past C_S * s's range
+    # overflows: both rows end at 0 or the floor (np.fmax drops a NaN)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for rows in chunks:
+            if scales is not None:
+                g = _g_and_slope(resid[rows], scales[rows], buf)[0]
+                s = scales[rows] * np.sqrt(1.0 + 2.0 * g)
+            a = np.abs(resid[rows], out=buf[0][:rows.stop - rows.start])
+            if scales is None:
+                a.sort(axis=1)
+                s = 1.4826 * (0.5 * a[:, (n - 1) // 2] + 0.5 * a[:, n // 2])
+            exact = np.count_nonzero(a, axis=1) < BREAKDOWN * n
+            np.copyto(a, np.inf, where=a == 0.0)
+            out[rows] = np.where(exact, 0.0, np.fmax(s, a.min(axis=1) / C_S))
+    return out
+
+
 def _contending_scales(resid: np.ndarray, prev_scales: np.ndarray, active: np.ndarray,
                        segments) -> np.ndarray:
     """M-scales of the active rows that can hold their fit's smallest one, +inf elsewhere.
 
     Rows ``lo:hi`` of each (lo, hi) in ``segments`` belong to one fit. In each
-    fit, the active row with the smallest previous scale is solved first,
-    giving s_ref (one solve for the reference rows of all fits). g does not
-    increase in s (:func:`_g_and_slope`, evaluated one row chunk at a time), so
-    a row with g(s_ref) > 0 has its root above s_ref and cannot be its fit's
-    minimum; only rows with g(s_ref) <= _PRUNE_MARGIN are solved, again in one
-    solve. The margin sits far above the rounding error of g (a mean of terms
-    in [0, 1]), so a row whose solved scale could round to or below s_ref,
-    such as a near-duplicate candidate whose residuals differ from the
-    reference row's in the last bits, is never skipped, and each fit's first
-    minimum is the one a solve of every row finds. Every exact fit's scale is 0.
+    fit, the active row with the smallest previous scale (the approximate
+    scale the last reweighting step used, :func:`_approx_scales`) is solved
+    first, giving s_ref (one solve for the reference rows of all fits); any row
+    would serve, and a small previous scale makes a small s_ref, and so few
+    contenders, likely. g does not increase in s (:func:`_g_and_slope`,
+    evaluated one row chunk at a time), so a row with g(s_ref) > 0 has its
+    root above s_ref and cannot be its fit's minimum; only rows with g(s_ref)
+    <= _PRUNE_MARGIN are solved, again in one solve. The margin sits far
+    above the rounding error of g (a mean of terms in [0, 1]), so a row whose
+    solved scale could round to or below s_ref, such as a near-duplicate
+    candidate whose residuals differ from the reference row's in the last
+    bits, is never skipped, and each fit's first minimum is the one a solve
+    of every row finds. Every exact fit's scale is 0.
     """
     exact = np.count_nonzero(resid, axis=1) < BREAKDOWN * resid.shape[1]
     scales = np.where(exact, 0.0, np.inf)
@@ -333,12 +376,16 @@ def _s_stage(fits):
 
     ``fits`` lists the (design, response, candidate coefficients, residuals) of
     fits on one set, the candidates from :func:`_candidates`. Their rows are
-    stacked, one segment per fit, and each round's M-scale solve and prune
-    step (:func:`_contending_scales`) run once over all rows, while each fit's
-    reweighted least squares, prune reference and argmin stay in its own
-    segment; an exact fit (scale 0) is left as it is. Every step is row-wise,
-    so a fit's winner, its (coefficients, scale), is the one it gets alone and
-    the one a solve of every draw finds.
+    stacked, one segment per fit. Each row starts from its MAD about zero
+    (:func:`_approx_scales`) and takes REFINE_STEPS reweighting steps; after
+    each step but the last its scale takes one fixed-point step, and after the
+    last the rows that can still hold their fit's smallest scale get exact
+    M-scales (:func:`_contending_scales`). The scale steps, the prune and the
+    solves run once over all rows, while each fit's reweighted least squares,
+    prune reference and argmin stay in its own segment; an exact fit (scale 0)
+    is left as it is. Every step is row-wise, so a fit's winner, its
+    (coefficients, exact scale), is the one it gets alone and the one an exact
+    solve of every draw after the same refinement finds.
     """
     if not fits:
         return []
@@ -346,7 +393,7 @@ def _s_stage(fits):
     bounds = np.cumsum([0] + [len(c) for c in coefs]).tolist()
     segments = list(zip(bounds[:-1], bounds[1:]))
     resid = fits[0][3] if len(fits) == 1 else np.concatenate([f[3] for f in fits])
-    scales = _m_scale_batch(resid)
+    scales = _approx_scales(resid)
     for step in range(REFINE_STEPS):
         active = scales > 0.0
         if not np.any(active):
@@ -355,7 +402,7 @@ def _s_stage(fits):
             if np.any(active[lo:hi]):
                 _reweighted(*fits[i][:2], coefs[i], resid[lo:hi], scales[lo:hi], active[lo:hi])
         if step + 1 < REFINE_STEPS:
-            new_scales = _m_scale_batch(resid)
+            new_scales = _approx_scales(resid, scales)
         else:
             # only each fit's argmin of the last solve is used
             new_scales = _contending_scales(resid, scales, active, segments)
@@ -430,12 +477,15 @@ def mm_regress(s: SummarySet, weights: WeightVector | None = None,
     """Bounded-influence regression of outcome on exposure associations.
 
     The S-stage refines N_CANDIDATES random exact-fit subsets (each distinct
-    one once) by REFINE_STEPS reweighting steps under the C_S loss and keeps
-    the one with the smallest M-scale; the M-stage iterates reweighted least
-    squares under the C_M loss at that scale until the largest coefficient
-    change is at most M_STEP_TOL relative, or M_STEP_MAX_ITER times. This is
-    the one-fit case of the lockstep fits that ``run_methods`` runs for all
-    requested robust methods, and gives the same fit bit for bit.
+    one once) by REFINE_STEPS reweighting steps under the C_S loss, starting
+    from the MAD of the residuals about zero with one fixed-point scale update
+    between steps, and keeps the one with the smallest exact M-scale after
+    the last step (solved only for the candidates that can still hold it);
+    the M-stage iterates reweighted least squares under the C_M loss at that
+    scale until the largest coefficient change is at most M_STEP_TOL
+    relative, or M_STEP_MAX_ITER times. This is the one-fit case of the
+    lockstep fits that ``run_methods`` runs for all requested robust methods,
+    and gives the same fit bit for bit.
 
     Parameters
     ----------

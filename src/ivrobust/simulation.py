@@ -62,10 +62,11 @@ from .summary_data import SummarySet, harmonize
 from .wls import Estimate, instrument_strength
 
 DESIGNS = ("one_sample", "two_sample")
-_BALANCED_RANGE = (-0.1, 0.1)
-_DIRECTIONAL_RANGE = (0.0, 0.1)
-_CONFOUNDED_RANGE = (-0.1, 0.1)
+# each scenario's invalid effects: balanced and directional direct effects alpha
+# (scenarios 2 and 3), effects through the confounder phi (scenario 4)
+_PLEIOTROPY_RANGES = {2: (-0.1, 0.1), 3: (0.0, 0.1), 4: (-0.1, 0.1)}
 _MAX_REGENERATIONS = 100
+_FLOAT_MAX = float(np.finfo(float).max)
 # genotype blocks are float32: a block's G'G entries and column sums are
 # integers of at most 4 * _GENOTYPE_BLOCK = 8,192, far below 2^24, so every
 # partial sum of a BLAS product (G'G, and the sums as ones @ G) is exact in
@@ -126,6 +127,18 @@ class ScenarioSpec:
         lo, hi = self.gamma_range
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ValueError(f"gamma_range must be an ordered finite pair, got {self.gamma_range!r}")
+        # the largest exposure effect gamma + phi and outcome effect alpha + theta b_x + phi
+        # of the scenario, whose one kind of invalid effect (alpha or phi) is at most pleio
+        pleio = max(map(abs, _PLEIOTROPY_RANGES.get(self.scenario, (0.0,))))
+        b_x = max(abs(lo), abs(hi)) + pleio * (self.scenario == 4)
+        b_y = pleio + abs(self.theta) * b_x
+        if not _sum_of_squares_bound(per_sample, self.j, b_x, 2.0) < _FLOAT_MAX:
+            raise ValueError(f"gamma_range = {self.gamma_range!r} at n = {self.n} can overflow "
+                             f"the exposure's sum of squares")
+        if not _sum_of_squares_bound(per_sample, self.j, b_y,
+                                     _outcome_variance(self.theta)) < _FLOAT_MAX:
+            raise ValueError(f"theta = {self.theta!r} with gamma_range = {self.gamma_range!r} "
+                             f"at n = {self.n} can overflow the outcome's sum of squares")
         if self.n_sim < 1:
             raise ValueError(f"n_sim must be >= 1, got {self.n_sim}")
 
@@ -193,10 +206,9 @@ def generate_individual_data(spec: ScenarioSpec, rng: np.random.Generator) -> Ra
     alpha = np.zeros(j)
     phi = np.zeros(j)
     if spec.scenario in (2, 3):
-        lo, hi = _BALANCED_RANGE if spec.scenario == 2 else _DIRECTIONAL_RANGE
-        alpha = np.where(invalid, rng.uniform(lo, hi, j), 0.0)
+        alpha = np.where(invalid, rng.uniform(*_PLEIOTROPY_RANGES[spec.scenario], j), 0.0)
     elif spec.scenario == 4:
-        phi = np.where(invalid, rng.uniform(*_CONFOUNDED_RANGE, j), 0.0)
+        phi = np.where(invalid, rng.uniform(*_PLEIOTROPY_RANGES[4], j), 0.0)
     mix = _error_factors(spec.theta, spec.design)
     if spec.design == "two_sample":
         m = spec.n // 2
@@ -302,6 +314,26 @@ def _settle(rng: np.random.Generator, tails: list[list[int]]) -> int:
     return above
 
 
+def _sum_of_squares_bound(m: int, j: int, effect: float, var: float) -> float:
+    """A bound on a phenotype's total sum of squares in a sample of m individuals.
+
+    With J effects of at most ``effect`` in magnitude, genotype variances of
+    at most 1/2 and an error variance ``var``, the expected sum is at most
+    m (J effect^2 / 2 + var); the chi-square factor 1 + 2 sqrt(40 / m) + 80 / m
+    (Laurent & Massart: its upper tail past it is below e^-40) widens it for
+    the draw. Python float products give inf on overflow.
+    """
+    return m * (j * effect * effect / 2.0 + var) * (1.0 + 2.0 * math.sqrt(40.0 / m) + 80.0 / m)
+
+
+def _outcome_variance(theta: float) -> float:
+    """The outcome's error variance (1 + theta)^2 + theta^2 + 1; inf when it overflows."""
+    try:
+        return (1.0 + theta) ** 2 + theta ** 2 + 1.0
+    except OverflowError:
+        return math.inf
+
+
 def _error_factors(theta: float, design: str) -> tuple[np.ndarray, ...]:
     """Cholesky factors of the errors' covariance, one per association sample.
 
@@ -312,10 +344,7 @@ def _error_factors(theta: float, design: str) -> tuple[np.ndarray, ...]:
     any theta). Raises ValueError naming ``theta`` when the outcome's variance
     overflows.
     """
-    try:
-        var_y = (1.0 + theta) ** 2 + theta ** 2 + 1.0
-    except OverflowError:
-        var_y = math.inf
+    var_y = _outcome_variance(theta)
     if not math.isfinite(var_y):
         raise ValueError(f"theta = {theta!r} overflows the outcome's error variance")
     if design == "two_sample":
@@ -380,7 +409,8 @@ def extract_summary(raw: RawStudy, design: str) -> GeneratedStudy:
     effect_y = raw.alpha + raw.theta * effect_x + raw.phi
     beta_x, se_x, r2 = _associations(raw.chol_x, effect_x, raw.score_x, raw.rss_x, m)
     beta_y, se_y, _ = _associations(raw.chol_y, effect_y, raw.score_y, raw.rss_y, m)
-    f_overall = (r2 / k) / ((1.0 - r2) / (m - k - 1))
+    # an R^2 that rounds to 1 is an F of inf
+    f_overall = (r2 / k) / ((1.0 - r2) / (m - k - 1)) if r2 < 1.0 else math.inf
     f_uni = float(np.mean((beta_x / se_x) ** 2))
     ids = [f"g{i + 1}" for i in range(k)]
     summary = SummarySet.from_arrays(beta_x, se_x, beta_y, se_y, ids=ids)

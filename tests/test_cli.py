@@ -307,6 +307,12 @@ class TestSimulate:
         assert code == EXIT_PARSE
         assert "theta" in capsys.readouterr().err
 
+    def test_theta_whose_sums_of_squares_overflow_exit_code(self, capsys):
+        code = main(["simulate", "--scenario", "1", "--theta", "1e153", "--n", "2000",
+                     "--n-sim", "1", "--methods", "ivw"])
+        assert code == EXIT_PARSE
+        assert "theta = 1e+153" in capsys.readouterr().err
+
     def test_one_sample_flag(self, capsys):
         code = main(["simulate", "--scenario", "1", "--n", "301", "--j", "4",
                      "--n-sim", "1", "--seed", "3", "--methods", "ivw",

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -172,6 +173,36 @@ class TestScenarioSpec:
         for design in ("two_sample", "one_sample"):
             ScenarioSpec(scenario=1, theta=1e8, design=design)
         ScenarioSpec(scenario=1, theta=-0.5, design="one_sample")
+
+    def test_theta_whose_sums_of_squares_overflow_rejected(self):
+        # theta^2 times the sample size overflows the outcome's residual sum of squares:
+        # the study warned "overflow encountered in square" and raised "se_y must be finite"
+        for kw in (dict(theta=1e152), dict(theta=1e153, n=2_000),
+                   dict(theta=5e151, design="one_sample")):
+            with pytest.raises(ValueError, match=rf"theta = .* at n = {kw.get('n', 40_000)}"):
+                ScenarioSpec(scenario=1, **kw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scenario in (1, 4):
+                spec = ScenarioSpec(scenario=scenario, prop_invalid=0.0 if scenario == 1 else 0.3,
+                                    theta=5e151, n_sim=2)
+                report = run_study(spec, ("ivw", "egger"))
+                assert report.row("ivw").mean == pytest.approx(5e151, rel=0.2)
+
+    def test_gamma_range_whose_sums_of_squares_overflow_rejected(self):
+        with pytest.raises(ValueError, match=r"gamma_range = \(1e\+200, 1e\+200\) at n = 2000"):
+            ScenarioSpec(scenario=1, gamma_range=(1e200, 1e200), n=2_000, j=5)
+        with pytest.raises(ValueError, match="gamma_range"):
+            ScenarioSpec(scenario=2, prop_invalid=0.3, gamma_range=(-1e160, 0.1), j=5)
+
+    def test_r_squared_of_one_is_an_f_of_inf(self):
+        # gamma = 1e150 leaves the exposure's residual sum of squares below an ulp of its
+        # total: 1 - R^2 rounds to 0, and the F statistic divided by it
+        spec = ScenarioSpec(scenario=1, gamma_range=(1e150, 1e150), n=2_000, j=5, n_sim=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_study(spec, ("ivw",))
+        assert report.mean_r_squared == 1.0 and report.mean_f == math.inf
 
     @pytest.mark.parametrize("theta", [1e7, 1e9, 1e10])
     def test_one_sample_factor_is_closed_form(self, theta):
