@@ -21,11 +21,14 @@ Slope uncertainty comes from the standard M-estimation sandwich,
 post-processed the same way as the weighted least-squares fits
 (multiplicative random effects). Every weighted least-squares step of both
 stages, and the inverse of the sandwich's bread, is the closed form of
-:func:`ivrobust.wls._wls_rows`.
+:func:`ivrobust.wls._wls_rows` (the M-stage's on scalar sums, ``_wls_solve``).
 
 The random draws repeat elemental subsets: through the origin a subset is one
-variant, so 500 draws at J = 25 are at most 25 distinct fits. Each distinct
-subset is checked, refined and solved once, in the order of its first draw.
+variant, so 500 draws at J = 25 are at most 25 distinct fits. Draws are
+redrawn until their indices give non-singular, finite exact fits, and then
+until the residuals of each distinct subset, formed once in the order of its
+first draw, are finite; each subset is refined and solved once. A candidate's
+scale is its only state: 0 marks an exact fit, which no step moves.
 Several fits of one summary set (``run_methods`` asks for up to four) run
 their S-stages in lockstep: each draws its candidates from its own stream,
 and each round's scale step, and the last round's prune and solves, run
@@ -220,14 +223,16 @@ def _approx_scales(resid: np.ndarray, scales: np.ndarray | None = None) -> np.nd
     return out
 
 
-def _contending_scales(resid: np.ndarray, prev_scales: np.ndarray, active: np.ndarray,
-                       segments) -> np.ndarray:
-    """M-scales of the active rows that can hold their fit's smallest one, +inf elsewhere.
+def _contending_scales(resid: np.ndarray, prev_scales: np.ndarray, segments) -> np.ndarray:
+    """M-scales of the rows that can hold their fit's smallest one, +inf elsewhere.
 
-    Rows ``lo:hi`` of each (lo, hi) in ``segments`` belong to one fit. In each
-    fit, the active row with the smallest previous scale (the approximate
-    scale the last reweighting step used, :func:`_approx_scales`) is solved
-    first, giving s_ref (one solve for the reference rows of all fits); any row
+    Rows ``lo:hi`` of each (lo, hi) in ``segments`` belong to one fit. An exact
+    fit (fewer than BREAKDOWN * n nonzero residuals) is 0, whatever its
+    previous scale: the scale is a candidate row's only state, and a row whose
+    previous scale was 0 was not stepped, so it is still exact. In each fit,
+    the other row with the smallest previous scale (the approximate scale the
+    last reweighting step used, :func:`_approx_scales`) is solved first,
+    giving s_ref (one solve for the reference rows of all fits); any row
     would serve, and a small previous scale makes a small s_ref, and so few
     contenders, likely. g does not increase in s (:func:`_g_and_slope`,
     evaluated one row chunk at a time), so a row with g(s_ref) > 0 has its
@@ -237,11 +242,11 @@ def _contending_scales(resid: np.ndarray, prev_scales: np.ndarray, active: np.nd
     solved scale could round to or below s_ref, such as a near-duplicate
     candidate whose residuals differ from the reference row's in the last
     bits, is never skipped, and each fit's first minimum is the one a solve
-    of every row finds. Every exact fit's scale is 0.
+    of every row finds.
     """
     exact = np.count_nonzero(resid, axis=1) < BREAKDOWN * resid.shape[1]
     scales = np.where(exact, 0.0, np.inf)
-    live = active & ~exact
+    live = ~exact
     prev = np.where(live, prev_scales, np.inf)
     refs = {i: lo + int(np.argmin(prev[lo:hi]))
             for i, (lo, hi) in enumerate(segments) if np.any(live[lo:hi])}
@@ -294,63 +299,53 @@ def _residuals(coefs: np.ndarray, design: np.ndarray, response: np.ndarray,
 def _candidates(s: SummarySet, design, response, rng):
     """One fit's distinct elemental subsets, in first-draw order: (coefficients, residuals).
 
-    N_CANDIDATES subsets are drawn from ``rng``. A draw whose subset is
-    singular, or whose exact fit or residuals overflow, is redrawn, so only
-    finite residuals reach the scale solves. The pair (b, a) of an intercept
-    fit is taken as (a, b), a < b: both give the same line. Each round checks
-    and solves once each distinct subset of the draws it introduces, in the
-    order of its first draw, so a search that needs no redraw returns its one
-    round's fits as they are; after redraws the rows of the final draws are
-    gathered from all rounds. Both steps are row-wise, so the redraws and the
-    rows are those of a check of every draw in every round.
+    N_CANDIDATES subsets are drawn from ``rng``, and redrawn in rounds. Each
+    round sorts every draw's indices (the pair (b, a) of an intercept fit is
+    taken as (a, b), a < b: both give the same line) and redraws the draws
+    whose subset is singular or whose exact fit overflows, which their indices
+    alone decide (:func:`_exact_fits`). Once no draw is flagged, the residuals
+    of each distinct subset are formed once, in the order of its first draw,
+    one row chunk at a time in the returned array, with explicit zeros at the
+    subset's own points; only the draws whose subset's residuals overflow are
+    redrawn for another round. So only finite residuals reach the scale
+    solves, and every step is row-wise: the rows are those of a search that
+    solves every draw.
     """
     j = s.j
-    p = design.shape[1]
-    idx = rng.integers(0, j, size=(N_CANDIDATES, p))
-    key = np.empty(N_CANDIDATES, dtype=idx.dtype)
-    at = np.empty(N_CANDIDATES, dtype=np.intp)  # each draw's row among the solved subsets
-    parts, solved = [], 0
-    draws = np.arange(N_CANDIDATES)  # the draws a round introduces
+    idx = rng.integers(0, j, size=(N_CANDIDATES, design.shape[1]))
     for _ in range(_SUBSET_RETRY_ROUNDS):
-        sub = np.sort(idx[draws], axis=1)
-        # one integer key per subset; np.unique(idx, axis=0) costs more than it saves
-        key[draws] = sub[:, 0] * j + sub[:, -1]
-        _, first, back = np.unique(key[draws], return_index=True, return_inverse=True)
-        # np.unique lists the subsets in key order: solve them in first-draw order,
-        # and map each draw to its subset's row there
-        order = np.argsort(first)
-        back = np.argsort(order)[back]
-        parts.append(_elemental_fits(s, design, response, sub[first[order]]))
-        at[draws] = solved + back
-        solved += len(first)
-        bad = parts[-1][0][back]
+        idx.sort(axis=1)
+        bad, coefs = _exact_fits(s, design, idx)
         if not np.any(bad):
-            break
-        draws = draws[bad]
-        idx[draws] = rng.integers(0, j, size=(len(draws), p))
-    else:
-        raise SingularDesignError(
-            "no random subset gives a non-singular, finite exact fit; exposure "
-            "associations are too degenerate or too extreme"
-        )
-    if len(parts) == 1:
-        return parts[0][1:]
-    _, first = np.unique(key, return_index=True)
-    rows = at[np.sort(first)]
-    _, coefs, resid = (np.concatenate(part)[rows] for part in zip(*parts))
-    return coefs, resid
+            # one integer key per subset; np.unique(idx, axis=0) costs more than it saves
+            key = idx[:, 0] * j + idx[:, -1]
+            first = np.sort(np.unique(key, return_index=True)[1])
+            coefs, sub = coefs[first], idx[first]
+            resid = np.empty((len(first), len(response)))
+            finite = np.empty(len(first), dtype=bool)
+            for rows in _row_chunks(*resid.shape):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    chunk = _residuals(coefs[rows], design, response, out=resid[rows])
+                # candidates interpolate their own subset points; zero those residuals
+                # explicitly so rounding dust cannot mask an exact fit
+                chunk[np.arange(len(chunk))[:, None], sub[rows]] = 0.0
+                finite[rows] = np.isfinite(chunk).all(axis=1)
+            if np.all(finite):
+                return coefs, resid
+            bad = np.isin(key, key[first[~finite]])
+            del resid  # before the next round forms another
+        idx[bad] = rng.integers(0, j, size=(np.count_nonzero(bad), design.shape[1]))
+    raise SingularDesignError(
+        "no random subset gives a non-singular, finite exact fit; exposure "
+        "associations are too degenerate or too extreme"
+    )
 
 
-def _elemental_fits(s: SummarySet, design, response, sub):
-    """(singular or non-finite, coefficients, residuals) of the exact fits to subsets ``sub``.
-
-    The residuals are formed one row chunk at a time in the returned array, so
-    that no second array of all the subsets' rows is held beside it.
-    """
+def _exact_fits(s: SummarySet, design, sub):
+    """(singular or non-finite, coefficients) of the exact fits to the sorted subsets ``sub``."""
     x = s.beta_x
     y = s.beta_y
     i0 = sub[:, 0]
-    resid = np.empty((len(sub), len(response)))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if design.shape[1] == 1:
             bad = design[i0, 0] == 0.0
@@ -361,14 +356,7 @@ def _elemental_fits(s: SummarySet, design, response, sub):
                 | (x[i0] == x[i1])
             slope = (y[i1] - y[i0]) / (x[i1] - x[i0])
             coefs = np.column_stack([y[i0] - slope * x[i0], slope])
-        finite = np.isfinite(coefs).all(axis=1)
-        for rows in _row_chunks(*resid.shape):
-            chunk = _residuals(coefs[rows], design, response, out=resid[rows])
-            # candidates interpolate their own subset points; zero those residuals
-            # explicitly so rounding dust cannot mask an exact fit
-            chunk[np.arange(len(chunk))[:, None], sub[rows]] = 0.0
-            finite[rows] &= np.isfinite(chunk).all(axis=1)
-    return bad | ~finite, coefs, resid
+    return bad | ~np.isfinite(coefs).all(axis=1), coefs
 
 
 def _s_stage(fits):
@@ -382,8 +370,9 @@ def _s_stage(fits):
     last the rows that can still hold their fit's smallest scale get exact
     M-scales (:func:`_contending_scales`). The scale steps, the prune and the
     solves run once over all rows, while each fit's reweighted least squares,
-    prune reference and argmin stay in its own segment; an exact fit (scale 0)
-    is left as it is. Every step is row-wise, so a fit's winner, its
+    prune reference and argmin stay in its own segment. A row's scale is its
+    only state: an exact fit (scale 0) is never stepped, and every scale pass
+    gives it 0 again. Every step is row-wise, so a fit's winner, its
     (coefficients, exact scale), is the one it gets alone and the one an exact
     solve of every draw after the same refinement finds.
     """
@@ -395,28 +384,24 @@ def _s_stage(fits):
     resid = fits[0][3] if len(fits) == 1 else np.concatenate([f[3] for f in fits])
     scales = _approx_scales(resid)
     for step in range(REFINE_STEPS):
-        active = scales > 0.0
-        if not np.any(active):
-            break
         for i, (lo, hi) in enumerate(segments):
-            if np.any(active[lo:hi]):
-                _reweighted(*fits[i][:2], coefs[i], resid[lo:hi], scales[lo:hi], active[lo:hi])
+            if np.any(scales[lo:hi] > 0.0):
+                _reweighted(*fits[i][:2], coefs[i], resid[lo:hi], scales[lo:hi])
         if step + 1 < REFINE_STEPS:
-            new_scales = _approx_scales(resid, scales)
+            scales = _approx_scales(resid, scales)
         else:
             # only each fit's argmin of the last solve is used
-            new_scales = _contending_scales(resid, scales, active, segments)
-        scales = np.where(active, new_scales, scales)
+            scales = _contending_scales(resid, scales, segments)
     best = [lo + int(np.argmin(scales[lo:hi])) for lo, hi in segments]
     return [(c[b - lo].copy(), float(scales[b])) for c, b, (lo, _) in zip(coefs, best, segments)]
 
 
-def _reweighted(design, response, coefs, resid, scales, active):
+def _reweighted(design, response, coefs, resid, scales):
     """One fit's reweighted least-squares step, in place in ``coefs`` and ``resid``, one
     row chunk at a time. A row whose Gram matrix is singular, or whose step
-    overflows, or that is not active keeps its fit."""
+    overflows, or whose scale is 0 (an exact fit) keeps its fit."""
     for rows in _row_chunks(*resid.shape):
-        live = active[rows]
+        live = scales[rows] > 0.0
         safe = np.where(live, scales[rows], 1.0)
         with np.errstate(over="ignore"):  # an infinite standardized residual weighs 0
             irls_w = _weight(resid[rows] / safe[:, None], C_S)
@@ -577,7 +562,15 @@ def _search_inputs(s: SummarySet, weights, intercept: bool, seed, effects: str):
 
 def _mm_result(s: SummarySet, design, response, beta, s_star: float, effects: str,
                method: str | None) -> tuple[RobustFit, Estimate]:
-    """The M-stage from an S-stage winner (scale 0: an exact fit), its RobustFit and Estimate."""
+    """The M-stage from an S-stage winner (scale 0: an exact fit), its RobustFit and Estimate.
+
+    An infinite scale would weigh every residual 1 and make the M-stage least
+    squares, so it is the fit's DegenerateInstrumentError.
+    """
+    if not math.isfinite(s_star):
+        raise DegenerateInstrumentError(
+            "the S-scale of the residuals overflows; the outcome associations are too extreme"
+        )
     intercept = design.shape[1] == 2
     exact = s_star == 0.0
     effects = "multiplicative_random" if intercept else effects

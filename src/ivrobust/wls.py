@@ -6,9 +6,13 @@ regression whose intercept captures directional pleiotropy, plus the I^2
 heterogeneity of the scaled exposure associations, which indicates how far
 the intercept model is attenuated by weak instruments.
 
-Every one- and two-coefficient weighted least-squares fit of the package,
-here and in the MM-regression stages of :mod:`ivrobust.robust_mm`, goes
-through one closed-form kernel, batched over rows of weights.
+The intercept fits (``egger`` and the intercept precondition of the robust
+fits), the S-stage's reweighting steps and the sandwich's bread in
+:mod:`ivrobust.robust_mm` go through one closed-form kernel, batched over rows
+of weights (:func:`_wls_rows`); the M-stage's steps use the same closed form on
+scalar sums (:func:`_wls_solve`). The zero-intercept sums of ``ivw``, and of
+the robust fits' check that some weighted exposure association is nonzero,
+are taken directly.
 
 Standard errors follow a multiplicative random-effects model: the raw
 regression standard error is divided by min(sigma_hat, 1), so heterogeneity

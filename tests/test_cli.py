@@ -248,6 +248,12 @@ class TestAnalyze:
             main(["analyze", csv_path, "--methods", "ivw,mode"])
         assert exc.value.code == 2
 
+    def test_empty_method_list_rejected_by_parser(self, csv_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", csv_path, "--methods", ","])
+        assert exc.value.code == EXIT_PARSE
+        assert "argument --methods: no methods given" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("value, width, spec, text", [
     (0.13155752, 9, ".4f", "   0.1316"),

@@ -500,7 +500,7 @@ class TestSStagePruning:
                     solved_last = sum(sizes)
                 with monkeypatch.context() as m:
                     m.setattr(robust_mm, "_contending_scales",
-                              lambda resid, prev, active, segments: _m_scale_batch(resid))
+                              lambda resid, prev, segments: _m_scale_batch(resid))
                     (full,) = s_stage(s, [(design, response,
                                             np.random.Generator(np.random.Philox(seed)))])
                 np.testing.assert_array_equal(pruned[0], full[0])
@@ -552,11 +552,13 @@ def full_s_stage(s, design, response, rng):
                     | (x[i0] == x[i1])
                 slope = (y[i1] - y[i0]) / (x[i1] - x[i0])
                 coefs = np.column_stack([y[i0] - slope * x[i0], slope])
-            resid = robust_mm._residuals(coefs, design, response)
-        resid[np.arange(n)[:, None], idx] = 0.0
-        bad |= ~(np.isfinite(coefs).all(axis=1) & np.isfinite(resid).all(axis=1))
-        if not bad.any():
-            break
+            bad |= ~np.isfinite(coefs).all(axis=1)
+            if not bad.any():  # overflowing residuals are redrawn once no fit is singular
+                resid = robust_mm._residuals(coefs, design, response)
+                resid[np.arange(n)[:, None], idx] = 0.0
+                bad = ~np.isfinite(resid).all(axis=1)
+                if not bad.any():
+                    break
         idx[bad] = rng.integers(0, j, size=(int(bad.sum()), p))
     scales = approx_scales(resid)
     for _ in range(robust_mm.REFINE_STEPS):
@@ -864,6 +866,45 @@ class TestOverflowingFits:
         assert egger_fit.theta == pytest.approx(-4.9, rel=1e-15)
         for est in (ivw_fit, egger_fit):
             assert est.warnings == ("standard error unavailable", "exact fit")
+
+    def test_overflowing_residuals_are_redrawn_after_singular_draws(self, monkeypatch):
+        # variant 0's ratio is finite, but its fit overflows at variant 4; variant 5's
+        # zero exposure is singular. Singular draws are redrawn first, then the draws
+        # whose subset's residuals overflow; each other subset comes back once, in the
+        # order of its first draw. With few draws that order depends on the redraws:
+        # redrawing both kinds in one round gives another order at seeds 25 and 37
+        monkeypatch.setattr(robust_mm, "N_CANDIDATES", 6)
+        x = np.array([1e-10, 1.0, 2.0, 3.0, 4e10, 0.0])
+        y = np.array([1e290, 1.0, 2.0, 3.0, 4.0, 1.0])
+        s = make_set(x, [0.01] * 6, y, [1.0] * 6)
+        design, response = _design(s, inverse_variance_weights(s).w, False)
+        for seed in range(40):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                coefs, resid = robust_mm._candidates(s, design, response, philox(seed, 0))
+            rng = philox(seed, 0)
+            idx = rng.integers(0, 6, size=(6, 1))
+            while np.any((idx == 5) | (idx == 0)):
+                flagged = idx == (5 if np.any(idx == 5) else 0)
+                idx[flagged] = rng.integers(0, 6, size=np.count_nonzero(flagged))
+            _, first = np.unique(idx, return_index=True)
+            order = idx[np.sort(first), 0]
+            np.testing.assert_array_equal(coefs[:, 0], y[order] / x[order])
+            assert np.all(np.isfinite(resid)) and resid.shape == (len(order), 6)
+
+
+class TestInfiniteScale:
+    # residuals near the largest double: the S-scale overflows to inf
+    SET = dict(beta_x=[1.0, 2.0, 3.0, 4.0, 5.0], se_x=[0.1] * 5,
+               beta_y=[1.7e308, -1.6e308, 1.5e308, 1e300, -1.2e308], se_y=[1.0] * 5)
+
+    def test_mm_regress_raises(self):
+        with pytest.raises(DegenerateInstrumentError, match="S-scale"):
+            mm_regress(make_set(**self.SET), seed=1)
+
+    def test_run_methods_raises(self):
+        with pytest.raises(DegenerateInstrumentError, match="S-scale"):
+            run_methods(make_set(**self.SET), ("robust_ivw",), seed=1)
 
 
 class TestNormalConsistency:

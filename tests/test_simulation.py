@@ -604,6 +604,12 @@ class TestRunStudy:
         assert with_all.egger_intercept_rejection_pct is not None
         assert 0.0 <= with_all.joint_rejection_pct <= 100.0
 
+    def test_table_prints_joint_rejection(self):
+        spec = ScenarioSpec(scenario=1, n=600, j=4, n_sim=2, seed=6)
+        report = run_study(spec, ("simple_median", "robust_ivw"), bootstrap_draws=40)
+        line = f"joint simple_median & robust_ivw rejection: {report.joint_rejection_pct:.1f}%"
+        assert line in report.to_table().splitlines()
+
     def test_report_structure_and_csv(self):
         spec = ScenarioSpec(scenario=2, prop_invalid=0.3, n=800, j=6, n_sim=2, seed=31)
         report = run_study(spec, SMALL_METHODS, bootstrap_draws=40)

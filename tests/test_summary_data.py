@@ -165,6 +165,11 @@ class TestCsv:
         with pytest.raises(CsvParseError, match="row 2"):
             read_csv(io.StringIO(bad))
 
+    def test_unexpected_column_reports_row_one(self):
+        bad = "id,beta_x,se_x,beta_y,se_y,pval\nrs1,0.1,0.01,0.02,0.05,0.3\n"
+        with pytest.raises(CsvParseError, match=r"^row 1: unexpected column\(s\) pval$"):
+            read_csv(io.StringIO(bad))
+
     def test_header_only_rejected(self):
         with pytest.raises(CsvParseError, match="no variants"):
             read_csv(io.StringIO("id,beta_x,se_x,beta_y,se_y\n"))
