@@ -13,6 +13,7 @@ precondition failures (for example too few variants for an intercept model).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -190,9 +191,7 @@ def _estimate_dict(est: Estimate) -> dict:
 
 
 def _print_csv(estimates) -> None:
-    import csv as _csv
-
-    writer = _csv.DictWriter(sys.stdout, _FIELDS, extrasaction="ignore", lineterminator="\n")
+    writer = csv.DictWriter(sys.stdout, _FIELDS, extrasaction="ignore", lineterminator="\n")
     writer.writeheader()
     writer.writerows(map(_estimate_dict, estimates))
 

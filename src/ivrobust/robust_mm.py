@@ -481,7 +481,10 @@ def mm_regress(s: SummarySet, weights: WeightVector | None = None,
         Analysis weights, inverse-variance by default; applied by scaling
         each observation by sqrt(w).
     intercept : bool
-        Fit a free intercept (needs J >= 3; J >= 2 without).
+        Fit a free intercept. The fit needs at least p + ceil(J / 2) positively
+        weighted variants (p = 2 with an intercept, 1 without: J >= 4 and
+        J >= 2 when every weight is positive); with fewer, every elemental fit
+        would be an exact fit, so it raises InsufficientInstrumentsError.
     seed : int, SeedSequence, optional
         Drives the random subset search; identical seeds give bit-identical
         fits regardless of thread count.
@@ -540,13 +543,19 @@ def _search_inputs(s: SummarySet, weights, intercept: bool, seed, effects: str):
     """A fit's weighted design, response and search stream, after its preconditions."""
     if effects not in EFFECTS_MODELS:
         raise ValueError(f"effects must be one of {EFFECTS_MODELS}, got {effects!r}")
-    minimum = 3 if intercept else 2
-    if s.j < minimum:
-        raise InsufficientInstrumentsError(
-            f"mm_regress needs at least {minimum} variants "
-            f"{'with' if intercept else 'without'} an intercept, got {s.j}"
-        )
     w = _resolve_weights(s, weights)
+    # an elemental fit passes through p positively weighted variants and every
+    # zero-weight one, so it leaves at most k - p residuals nonzero: with fewer
+    # than BREAKDOWN * J of them every candidate would be an exact fit
+    p = 2 if intercept else 1
+    k = int(np.count_nonzero(w))
+    minimum = p + math.ceil(BREAKDOWN * s.j)
+    if k < minimum:
+        raise InsufficientInstrumentsError(
+            f"mm_regress needs at least {minimum} positively weighted variants of J = {s.j} "
+            f"{'with' if intercept else 'without'} an intercept, got {k}: with fewer, every "
+            "elemental fit leaves under half the residuals nonzero and is an exact fit"
+        )
     design, response = _design(s, w, intercept)
     if intercept:
         _intercept_fit(design, response)

@@ -47,9 +47,12 @@ streams are independent, and the report does not depend on thread count.
 """
 from __future__ import annotations
 
+import csv
 import math
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import IO
 
@@ -468,10 +471,6 @@ def _replicate(spec: ScenarioSpec, rep: int, methods: tuple[str, ...],
     )
 
 
-def _replicate_args(args) -> _ReplicateRecord:
-    return _replicate(*args)
-
-
 def _outcome(fit: Estimate | EstimationError) -> tuple[float, float, bool]:
     # (estimate, SE, rejects zero): a failed fit is NA in all three, an
     # estimate without SE only in its SE; neither rejects
@@ -515,33 +514,27 @@ class SimulationReport:
 
     def to_csv(self, dest: str | Path | IO[str]) -> None:
         """Write rows = methods (then diagnostics), columns = metrics."""
-        if hasattr(dest, "write"):
-            self._write_csv(dest)
-            return
-        with open(dest, "w", newline="", encoding="utf-8") as fh:
-            self._write_csv(fh)
-
-    def _write_csv(self, fh: IO[str]) -> None:
-        import csv as _csv
-
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(["name", "mean", "sd", "mean_se", "power_pct", "na_count"])
-        for r in self.rows:
-            writer.writerow([
-                r.method, _fmt(r.mean), _fmt(r.sd), _fmt(r.mean_se),
-                _fmt(r.power_pct), r.na_count,
-            ])
-        if self.joint_rejection_pct is not None:
-            writer.writerow(["joint_simple_median_robust_ivw", "", "", "",
-                             _fmt(self.joint_rejection_pct), ""])
-        if self.egger_intercept_rejection_pct is not None:
-            writer.writerow(["egger_intercept_test", "", "", "",
-                             _fmt(self.egger_intercept_rejection_pct), ""])
-        writer.writerow(["mean_f_statistic", _fmt(self.mean_f), "", "", "", ""])
-        writer.writerow(["mean_r_squared", _fmt(self.mean_r_squared), "", "", "", ""])
-        writer.writerow(["mean_i_squared", _fmt(self.mean_i_squared), "", "", "", ""])
-        writer.writerow(["mean_invalid_count", _fmt(self.mean_invalid_count), "", "", "", ""])
-        writer.writerow(["regenerated_datasets", self.regenerated_datasets, "", "", "", ""])
+        with (nullcontext(dest) if hasattr(dest, "write")
+              else open(dest, "w", newline="", encoding="utf-8")) as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["name", "mean", "sd", "mean_se", "power_pct", "na_count"])
+            for r in self.rows:
+                writer.writerow([
+                    r.method, _fmt(r.mean), _fmt(r.sd), _fmt(r.mean_se),
+                    _fmt(r.power_pct), r.na_count,
+                ])
+            if self.joint_rejection_pct is not None:
+                writer.writerow(["joint_simple_median_robust_ivw", "", "", "",
+                                 _fmt(self.joint_rejection_pct), ""])
+            if self.egger_intercept_rejection_pct is not None:
+                writer.writerow(["egger_intercept_test", "", "", "",
+                                 _fmt(self.egger_intercept_rejection_pct), ""])
+            writer.writerow(["mean_f_statistic", _fmt(self.mean_f), "", "", "", ""])
+            writer.writerow(["mean_r_squared", _fmt(self.mean_r_squared), "", "", "", ""])
+            writer.writerow(["mean_i_squared", _fmt(self.mean_i_squared), "", "", "", ""])
+            writer.writerow(["mean_invalid_count", _fmt(self.mean_invalid_count),
+                             "", "", "", ""])
+            writer.writerow(["regenerated_datasets", self.regenerated_datasets, "", "", "", ""])
 
     def to_table(self) -> str:
         """Aligned text rendering of the report."""
@@ -603,11 +596,11 @@ def run_study(spec: ScenarioSpec, methods=ALL_METHODS, *, threads: int = 1,
         raise ValueError("at least one method is required")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    tasks = [(spec, rep, methods, bootstrap_draws) for rep in range(spec.n_sim)]
+    replicate = partial(_replicate, spec, methods=methods, bootstrap_draws=bootstrap_draws)
     # a pool starts all its workers at once: no more than there are replicates or CPUs
     workers = min(threads, spec.n_sim, os.cpu_count() or 1)
     if workers == 1:
-        records = [_replicate_args(t) for t in tasks]
+        records = list(map(replicate, range(spec.n_sim)))
     else:
         # imported here: only a pool needs multiprocessing, which would cost every
         # import of the package 15-25 ms and about 1.9 MB
@@ -615,7 +608,7 @@ def run_study(spec: ScenarioSpec, methods=ALL_METHODS, *, threads: int = 1,
 
         chunk = max(1, spec.n_sim // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_replicate_args, tasks, chunksize=chunk))
+            records = list(pool.map(replicate, range(spec.n_sim), chunksize=chunk))
     outcomes = {name: [_outcome(r.fits[name]) for r in records] for name in methods}
     rows = []
     for name in methods:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -232,7 +233,9 @@ def read_csv(source: str | Path | IO[str]) -> SummarySet:
     wrong field count, a value ``float`` rejects, an invalid variant) is
     re-read from the start by the row walker, which also reads open file
     objects. Both accept the same inputs and return the same set, and every
-    error comes from the walker.
+    error comes from the walker. The walker stops at the first wrong field
+    count, value ``float`` rejects or field past ``csv.field_size_limit()``,
+    and reports an invalid variant in the rows before it first.
     """
     if hasattr(source, "read"):
         return _parse_csv(source)
@@ -300,78 +303,56 @@ def _parse_csv(fh: IO[str]) -> SummarySet:
     ids: list[str] = []
     lines: list[int] = []
     cols: tuple[list[float], ...] = ([], [], [], [])
-    rows = _rows(reader, ids, cols, lines)
-    header = next(rows, None)
-    if header is None:
-        raise CsvParseError("empty input: header row is missing")
-    header = [col.strip() for col in header]
-    if header != list(CSV_COLUMNS):
-        missing = [c for c in CSV_COLUMNS if c not in header]
-        if missing:
-            raise CsvParseError(f"row 1: missing column(s) {', '.join(missing)}")
-        extra = [c for c in header if c not in CSV_COLUMNS]
-        if extra:
-            raise CsvParseError(f"row 1: unexpected column(s) {', '.join(extra)}")
-        raise CsvParseError(
-            f"row 1: columns must appear in the order {','.join(CSV_COLUMNS)}"
-        )
-    for row in rows:
-        row_num = reader.line_num
-        if not row:
-            continue
-        if len(row) != len(CSV_COLUMNS):
-            _check_rows(ids, cols, lines)
+    # a structural fault ends the walk; an invalid variant read before it wins
+    fault = None
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise CsvParseError("empty input: header row is missing")
+        header = [col.strip() for col in header]
+        if header != list(CSV_COLUMNS):
+            missing = [c for c in CSV_COLUMNS if c not in header]
+            if missing:
+                raise CsvParseError(f"row 1: missing column(s) {', '.join(missing)}")
+            extra = [c for c in header if c not in CSV_COLUMNS]
+            if extra:
+                raise CsvParseError(f"row 1: unexpected column(s) {', '.join(extra)}")
             raise CsvParseError(
-                f"row {row_num}: expected {len(CSV_COLUMNS)} fields, got {len(row)}")
-        for name, cell, col in zip(_VALUES, row[1:], cols):
+                f"row 1: columns must appear in the order {','.join(CSV_COLUMNS)}"
+            )
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(CSV_COLUMNS):
+                fault = (f"row {reader.line_num}: expected {len(CSV_COLUMNS)} fields, "
+                         f"got {len(row)}")
+                break
             try:
-                col.append(float(cell))
+                for name, cell, col in zip(_VALUES, row[1:], cols):
+                    col.append(float(cell))
             except ValueError:
-                _check_rows(ids, cols, lines)
-                raise CsvParseError(
-                    f"row {row_num}: non-numeric value {cell.strip()!r} for {name}"
-                ) from None
-        ids.append(row[0].strip())
-        lines.append(row_num)
+                fault = f"row {reader.line_num}: non-numeric value {cell.strip()!r} for {name}"
+                break
+            ids.append(row[0].strip())
+            lines.append(reader.line_num)
+    except csv.Error as exc:  # a field longer than csv.field_size_limit()
+        fault = f"row {reader.line_num}: {exc}"
+    cols = tuple(np.array(col[:len(ids)], dtype=float) for col in cols)
+    invalid = _first_fault(ids, cols)
+    if invalid is not None:
+        fault = f"row {lines[invalid[0]]}: {invalid[1]}"
+    if fault is not None:
+        raise CsvParseError(fault)
     if not ids:
         raise CsvParseError("no variants: input has a header but no data rows")
-    cols = tuple(np.array(col) for col in cols)
-    _check_rows(ids, cols, lines)
     return object.__new__(SummarySet)._store(tuple(ids), cols, False, check=False)
-
-
-def _rows(reader, ids, cols, lines):
-    # the reader's rows; a csv.Error (a field longer than csv.field_size_limit())
-    # becomes a CsvParseError for its row, after any fault in the rows before it
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            _check_rows(ids, cols, lines)
-            raise CsvParseError(f"row {reader.line_num}: {exc}") from None
-        yield row
-
-
-def _check_rows(ids, cols, lines) -> None:
-    # the first invalid row of those fully read, as a row-by-row check finds it
-    fault = _first_fault(ids, [np.asarray(col[:len(ids)], dtype=float) for col in cols])
-    if fault is not None:
-        raise CsvParseError(f"row {lines[fault[0]]}: {fault[1]}")
 
 
 def write_csv(s: SummarySet, dest: str | Path | IO[str]) -> None:
     """Write a summary set as CSV; numbers round-trip through :func:`read_csv`."""
-    if hasattr(dest, "write"):
-        _write_csv(s, dest)
-        return
-    with open(dest, "w", newline="", encoding="utf-8") as fh:
-        _write_csv(s, fh)
-
-
-def _write_csv(s: SummarySet, fh: IO[str]) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for vid, *values in zip(s.ids, *(col.tolist() for col in s._cols)):
-        writer.writerow([vid, *map(repr, values)])
+    with (nullcontext(dest) if hasattr(dest, "write")
+          else open(dest, "w", newline="", encoding="utf-8")) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for vid, *values in zip(s.ids, *(col.tolist() for col in s._cols)):
+            writer.writerow([vid, *map(repr, values)])

@@ -61,6 +61,10 @@ class TestRegistry:
         a = run_methods(summary, seed=7, bootstrap_draws=200)
         b = run_methods(summary, seed=7, bootstrap_draws=200)
         assert a == b
+        # without a seed each call draws its bootstrap from fresh entropy
+        fresh = [run_methods(summary, ("simple_median",), bootstrap_draws=50)["simple_median"]
+                 for _ in range(2)]
+        assert fresh[0].theta == fresh[1].theta and fresh[0].se != fresh[1].se
 
     def test_subset_leaves_method_results_unchanged(self, summary):
         # stochastic methods read fixed streams, so dropping other

@@ -158,13 +158,18 @@ class TestWeightedMedian:
             got = weighted_median(corrupted, np.ones(25))
             assert keep.min() - 1e-9 <= got <= keep.max() + 1e-9
 
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            weighted_median([1.0, 2.0], np.array([0.0, 0.0]))
-        with pytest.raises(ValueError):
-            weighted_median([1.0, 2.0], np.array([1.0, -0.1]))
-        with pytest.raises(ValueError):
-            weighted_median([1.0, 2.0], np.ones(3))
+    @pytest.mark.parametrize("theta, weights, message", [
+        ([1.0, 2.0], [0.0, 0.0], "at least one weight must be strictly positive"),
+        ([1.0, 2.0], [1.0, -0.1], "weights must be finite and >= 0"),
+        ([1.0, 2.0], np.ones(3), "got 3 weights for 2 values"),
+        ([], [], "theta must be a non-empty 1-d vector"),
+        ([[1.0, 2.0]], [1.0, 1.0], "theta must be a non-empty 1-d vector"),
+        ([1.0, np.nan], [1.0, 1.0], "theta must be finite"),
+        ([1.0, -np.inf], [1.0, 1.0], "theta must be finite"),
+    ])
+    def test_rejects_bad_inputs(self, theta, weights, message):
+        with pytest.raises(ValueError, match=message):
+            weighted_median(theta, np.asarray(weights, dtype=float))
 
     @pytest.mark.filterwarnings("error")
     def test_weights_whose_sum_overflows(self):

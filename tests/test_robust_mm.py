@@ -679,22 +679,25 @@ class TestLockstep:
                     assert got[1:] == other[1:]
 
     def test_singular_member_fails_alone(self, monkeypatch):
-        # positive weights on only two variants leave nearly every subset of an
-        # intercept fit singular; the search gives up after _SUBSET_RETRY_ROUNDS
-        # rounds of redraws
+        # all but two exposure associations are equal: an intercept fit's pair is
+        # singular unless it holds one of those two, about 1 draw in 10 at J = 40,
+        # so its search gives up after _SUBSET_RETRY_ROUNDS rounds of redraws
+        # while the ratio fits of the same set run as they would alone
         monkeypatch.setattr(robust_mm, "_SUBSET_RETRY_ROUNDS", 20)
         for seed in range(0, 30, 3):
-            s = s_stage_case(seed)
+            rng = np.random.default_rng(seed)
+            x = np.full(40, 0.1)
+            x[:2] = rng.uniform(0.03, 0.3, 2)
+            s = line_set(x, 0.1 * x + rng.normal(0.0, 0.01, 40))
             iv = inverse_variance_weights(s)
-            other = WeightVector(iv.w * np.random.default_rng(seed + 1000).uniform(0.1, 1.0, s.j))
-            two = WeightVector(np.where(np.arange(s.j) < 2, iv.w, 0.0))
-            fits = [(iv, False), (iv, True), (two, True), (other, False), (other, True)]
+            other = WeightVector(iv.w * rng.uniform(0.1, 1.0, s.j))
+            fits = [(iv, False), (iv, True), (other, False)]
             requests = [(w, intercept, [seed, k], "multiplicative_random", None)
                         for k, (w, intercept) in enumerate(fits)]
             joint = robust_mm._mm_fits(s, requests)
-            assert isinstance(joint[2], SingularDesignError)
+            assert isinstance(joint[1], SingularDesignError)
             for k, request in enumerate(requests):
-                if k != 2:
+                if k != 1:
                     assert joint[k] == mm_regress(s, *request[:4])
 
     def test_last_round_solves_once_for_all_fits(self, monkeypatch):
@@ -854,16 +857,21 @@ class TestOverflowingFits:
         assert est.warnings == ("standard error unavailable", "M-step did not converge")
 
     def test_overflowing_candidates_are_redrawn(self):
-        # y / x overflows for the subnormal beta_x; such subsets must never
-        # reach the scale solves, which would warn on inf and NaN residuals
+        # y / x overflows for the subnormal beta_x, and so does the slope
+        # between two subnormal ones; such subsets must never reach the scale
+        # solves, which would warn on inf and NaN residuals
         s = make_set([1e-310, 0.1, 0.2], [0.01] * 3, [1.0, 0.01, 0.02], [0.05] * 3)
+        s4 = make_set([1e-310, 2e-310, 0.1, 0.2], [0.01] * 4, [1.0, 0.05, 0.06, 0.07],
+                      [0.05] * 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             ivw_fit = run_methods(s, ("robust_ivw",), seed=1)["robust_ivw"]
-            egger_fit = run_methods(s, ("robust_egger",), seed=1)["robust_egger"]
-        # the last two variants lie on y = 0.1 x: either one's ratio is an exact fit
+            egger_fit = run_methods(s4, ("robust_egger",), seed=1)["robust_egger"]
+        # the last two variants of s lie on y = 0.1 x: either one's ratio is an
+        # exact fit; the last three of s4 lie on y = 0.05 + 0.1 x
         assert ivw_fit.theta == pytest.approx(0.1, rel=1e-15)
-        assert egger_fit.theta == pytest.approx(-4.9, rel=1e-15)
+        assert egger_fit.theta == pytest.approx(0.1, rel=1e-14)
+        assert egger_fit.intercept == pytest.approx(0.05, rel=1e-14)
         for est in (ivw_fit, egger_fit):
             assert est.warnings == ("standard error unavailable", "exact fit")
 
@@ -905,6 +913,67 @@ class TestInfiniteScale:
     def test_run_methods_raises(self):
         with pytest.raises(DegenerateInstrumentError, match="S-scale"):
             run_methods(make_set(**self.SET), ("robust_ivw",), seed=1)
+
+
+def three_variant_set(seed):
+    """Three variants on y = 0.1 x with noise; an intercept fit can only be exact."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.05, 0.15, 3)
+    return make_set(x, [0.01] * 3, 0.1 * x + rng.normal(0.0, 0.02, 3), [0.02] * 3,
+                    harmonized=True)
+
+
+def ten_variant_set(outliers):
+    """Ten variants near y = 0.1 x; the last six shifted by 2 when ``outliers``."""
+    rng = np.random.default_rng(7)
+    x = rng.uniform(0.05, 0.15, 10)
+    y = 0.1 * x + rng.normal(0.0, 0.01, 10)
+    if outliers:
+        y[4:] += 2.0 * np.array([1, -1, 1, -1, 1, 1])
+    return make_set(x, [0.01] * 10, y, [0.02] * 10, harmonized=True)
+
+
+class TestExactFitsOnly:
+    # with k positive weights an elemental fit through p of them leaves at most
+    # k - p residuals nonzero; under BREAKDOWN * J every candidate is an exact
+    # fit, and the search reported the line through its first draw
+    def test_three_variant_intercept_fit_raises(self):
+        for seed in range(4):
+            s = three_variant_set(seed)
+            with pytest.raises(InsufficientInstrumentsError,
+                               match=r"at least 4 positively weighted variants of J = 3 with an "
+                                     r"intercept, got 3: .* exact fit"):
+                mm_regress(s, intercept=True, seed=seed)
+            with pytest.raises(InsufficientInstrumentsError, match="got 3"):
+                run_methods(s, ("robust_egger",), seed=seed)
+            assert mm_regress(s, seed=seed)[0].scale > 0.0  # J >= 2 suffices without
+
+    def test_zero_weights_leave_too_few_variants(self):
+        s = ten_variant_set(outliers=False)
+        four = WeightVector(np.where(np.arange(10) < 4, inverse_variance_weights(s).w, 0.0))
+        for seed in range(3):
+            with pytest.raises(InsufficientInstrumentsError,
+                               match="at least 6 positively weighted variants of J = 10 "
+                                     "without an intercept, got 4"):
+                mm_regress(s, four, seed=seed)
+        six = WeightVector(np.where(np.arange(10) < 6, inverse_variance_weights(s).w, 0.0))
+        fit, est = mm_regress(s, six, seed=0)
+        assert not fit.exact_fit and est.se_reported
+
+    def test_penalized_fit_with_six_zero_factors_raises(self):
+        # the six outliers' Cochran Q tails underflow: their penalized weights are 0
+        s = ten_variant_set(outliers=True)
+        with pytest.raises(InsufficientInstrumentsError, match="got 4"):
+            run_methods(s, ("penalized_robust_ivw",), seed=0)
+        assert run_methods(s, ("robust_ivw",), seed=0)["robust_ivw"].se_reported
+
+    def test_four_variant_intercept_fit_reports_se(self):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(0.05, 0.15, 4)
+        s = line_set(x, 0.1 * x + rng.normal(0.0, 0.02, 4), se_y=0.02)
+        fit, est = mm_regress(s, intercept=True, seed=1)
+        assert not fit.exact_fit and fit.scale > 0.0
+        assert est.se_reported and math.isfinite(est.se) and est.warnings == ()
 
 
 class TestNormalConsistency:

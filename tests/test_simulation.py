@@ -24,6 +24,7 @@ from ivrobust.simulation import (
     generate_individual_data,
     run_study,
 )
+from ivrobust.wls import Estimate
 
 SMALL_METHODS = ("ivw", "egger", "simple_median", "weighted_median")
 
@@ -146,23 +147,28 @@ class TestScenarioSpec:
         spec = ScenarioSpec(scenario=1)
         assert spec.n == 40_000 and spec.j == 25 and spec.design == "two_sample"
 
-    def test_validation(self):
-        with pytest.raises(ValueError, match="scenario"):
-            ScenarioSpec(scenario=5)
-        with pytest.raises(ValueError, match="prop_invalid"):
-            ScenarioSpec(scenario=2, prop_invalid=1.5)
-        with pytest.raises(ValueError, match="scenario 1"):
-            ScenarioSpec(scenario=1, prop_invalid=0.3)
-        with pytest.raises(ValueError, match="even"):
-            ScenarioSpec(scenario=1, n=40_001)
-        with pytest.raises(ValueError, match="too small"):
-            ScenarioSpec(scenario=1, n=40, j=25)
-        with pytest.raises(ValueError, match="maf"):
-            ScenarioSpec(scenario=1, maf=0.0)
-        with pytest.raises(ValueError, match="n_sim"):
-            ScenarioSpec(scenario=1, n_sim=0)
-        with pytest.raises(ValueError, match="design"):
-            ScenarioSpec(scenario=1, design="three_sample")
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(scenario=5), "scenario must be 1..4, got 5"),
+        (dict(scenario=1, theta=math.nan), "theta must be finite"),
+        (dict(scenario=1, theta=-math.inf), "theta must be finite"),
+        (dict(scenario=2, prop_invalid=1.5), r"prop_invalid must lie in \[0, 1\], got 1.5"),
+        (dict(scenario=1, prop_invalid=0.3), "scenario 1 has no invalid instruments"),
+        (dict(scenario=1, design="three_sample"), "design must be one of"),
+        (dict(scenario=1, j=0), "j must be >= 1, got 0"),
+        (dict(scenario=1, n=40_001), "two-sample design needs an even n"),
+        (dict(scenario=1, n=40, j=25), "n too small"),
+        (dict(scenario=1, maf=0.0), r"maf must lie in \(0, 1\), got 0.0"),
+        (dict(scenario=1, gamma_range=(0.1, 0.03)),
+         r"gamma_range must be an ordered finite pair, got \(0.1, 0.03\)"),
+        (dict(scenario=1, gamma_range=(0.03, math.inf)),
+         r"gamma_range must be an ordered finite pair, got \(0.03, inf\)"),
+        (dict(scenario=1, gamma_range=(math.nan, 0.1)),
+         r"gamma_range must be an ordered finite pair, got \(nan, 0.1\)"),
+        (dict(scenario=1, n_sim=0), "n_sim must be >= 1, got 0"),
+    ])
+    def test_validation(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec(**kwargs)
 
     def test_theta_the_error_model_cannot_hold_rejected(self):
         # (1 + theta)^2 overflows the outcome's error variance, in either design
@@ -552,9 +558,9 @@ class TestRunStudy:
         assert serial.row("ivw").na_count == 0
 
     def test_na_accounting_for_degenerate_robust_fits(self):
-        # at j = 3 any two-point candidate zeroes out 2 of 3 residuals, which
-        # the 50% breakdown scale flags as an exact fit: the intercept-based
-        # robust methods report no SE and never reject
+        # at j = 3 every two-point candidate would zero out 2 of 3 residuals, an
+        # exact fit by the 50% breakdown scale: the intercept-based robust methods
+        # refuse the set, so each replicate is NA and their mean is NA too
         spec = ScenarioSpec(scenario=1, n=600, j=3, n_sim=2, seed=5)
         report = run_study(spec, ("robust_egger", "penalized_robust_egger", "ivw"),
                            bootstrap_draws=40)
@@ -563,7 +569,31 @@ class TestRunStudy:
             assert row.na_count == 2
             assert row.power_pct == 0.0
             assert math.isnan(row.mean_se)
-            assert np.isfinite(row.mean)
+            assert math.isnan(row.mean)
+        assert report.row("ivw").na_count == 0
+
+    def test_estimates_without_se_count_as_na_but_keep_their_mean(self, monkeypatch):
+        # an estimate without SE is NA in mean_se and na_count, never rejects,
+        # and still counts towards the mean and SD
+        real_fit_each = simulation._fit_each
+
+        def drop_egger_se(s, methods, **kwargs):
+            for name, fit in real_fit_each(s, methods, **kwargs):
+                if name == "egger":
+                    fit = Estimate(method=name, theta=fit.theta, se_reported=False,
+                                   warnings=("standard error unavailable",))
+                yield name, fit
+
+        spec = ScenarioSpec(scenario=1, n=600, j=5, n_sim=3, seed=5)
+        full = run_study(spec, ("ivw", "egger")).row("egger")
+        monkeypatch.setattr(simulation, "_fit_each", drop_egger_se)
+        report = run_study(spec, ("ivw", "egger"))
+        row = report.row("egger")
+        assert row.na_count == 3 and row.power_pct == 0.0
+        assert math.isnan(row.mean_se)
+        assert (row.mean, row.sd) == (full.mean, full.sd)
+        assert math.isfinite(row.mean) and math.isfinite(row.sd)
+        assert report.egger_intercept_rejection_pct == 0.0
         assert report.row("ivw").na_count == 0
 
     def test_failing_methods_are_na_and_the_rest_still_run(self):

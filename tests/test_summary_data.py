@@ -69,8 +69,9 @@ class TestSummarySet:
         s = SummarySet.from_arrays(
             beta_x=[0.1, 0.2], se_x=[0.01, 0.02], beta_y=[0.01, 0.02], se_y=[0.05, 0.04]
         )
-        assert s.j == 2
+        assert s.j == len(s) == 2
         assert s.ids == ("v1", "v2")
+        assert s.__eq__((s.ids, s._cols)) is NotImplemented and s != "v1"
 
 
 class TestHarmonize:
@@ -307,6 +308,8 @@ class TestCsvRowNumbers:
             SummarySet.from_arrays([-0.1], [0.01], [0.0], [0.05], harmonized=True)
         with pytest.raises(ValueError, match="2 ids for 1 variants"):
             SummarySet.from_arrays([0.1], [0.01], [0.0], [0.05], ids=["a", "b"])
+        with pytest.raises(ValueError, match="must be equal-length 1-d sequences"):
+            SummarySet.from_arrays([0.1, 0.2], [0.01], [0.0, 0.0], [0.05, 0.05])
 
 
 # cells of a generated CSV: the valid forms (padding, "1_0", unicode ids), the

@@ -14,6 +14,7 @@ from ivrobust.exceptions import (
 from ivrobust.distributions import normal_quantile, t_quantile
 from ivrobust.summary_data import harmonize
 from ivrobust.wls import (
+    Estimate,
     WeightVector,
     _wls_rows,
     egger,
@@ -111,9 +112,33 @@ class TestIvw:
         assert b.se == pytest.approx(k * a.se, rel=1e-12)
         assert b.p_value == pytest.approx(a.p_value, rel=1e-10)
 
-    def test_custom_weight_length_checked(self):
-        with pytest.raises(ValueError):
-            ivw(WORKED, weights=WeightVector(np.ones(2)))
+    @pytest.mark.parametrize("call, message", [
+        (lambda: ivw(WORKED, weights=WeightVector(np.ones(2))), "got 2 weights for 3 variants"),
+        (lambda: ivw(WORKED, effects="random"), "effects must be one of"),
+        (lambda: WeightVector([]), "weights must form a non-empty 1-d vector"),
+        (lambda: WeightVector(np.ones((3, 1))), "weights must form a non-empty 1-d vector"),
+    ])
+    def test_invalid_arguments_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+class TestEstimate:
+    @pytest.mark.parametrize("fields, message", [
+        (dict(theta=math.inf, se_reported=False), "ivw: estimate must be finite, got inf"),
+        (dict(theta=0.1, se=0.0, ci_low=0.0, ci_high=0.2),
+         "ivw: reported se must be finite and > 0"),
+        (dict(theta=0.1, se=None), "ivw: reported se must be finite and > 0"),
+        (dict(theta=0.1, se=0.05, ci_low=0.1, ci_high=0.2),
+         "ivw: interval must bracket the estimate"),
+        (dict(theta=0.1, se=0.05, se_reported=False),
+         "ivw: unreported se must leave se/ci/p unset"),
+        (dict(theta=0.1, p_value=0.5, se_reported=False),
+         "ivw: unreported se must leave se/ci/p unset"),
+    ])
+    def test_inconsistent_fields_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            Estimate(method="ivw", **fields)
 
 
 class TestEgger:
