@@ -35,7 +35,6 @@ from .simulation import (
 )
 from .summary_data import (
     SummarySet,
-    VariantAssociation,
     harmonize,
     ratio_estimates,
     read_csv,
@@ -57,7 +56,6 @@ __all__ = [
     "SimulationReport",
     "SingularDesignError",
     "SummarySet",
-    "VariantAssociation",
     "WeightVector",
     "bootstrap_se",
     "cochran_q_egger",

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._util import _cell
 from .estimators import ALL_METHODS, _check_methods, run_methods
-from .exceptions import CsvParseError, DegenerateInstrumentError, EstimationError
+from .exceptions import DegenerateInstrumentError, EstimationError
 from .penalization import _ivw_q
 from .distributions import chisq_sf
 from .simulation import ScenarioSpec, run_study
@@ -115,9 +115,6 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return _cmd_analyze(args)
         return _cmd_simulate(args)
-    except CsvParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except EstimationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

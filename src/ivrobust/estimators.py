@@ -26,7 +26,7 @@ from .median_methods import _check_draws, _median_fits
 from .penalization import cochran_q_egger, cochran_q_ivw, penalize_weights
 from .robust_mm import _mm_fits
 from .summary_data import SummarySet, harmonize
-from .wls import Estimate, WeightVector, egger, inverse_variance_weights, ivw
+from .wls import EFFECTS_MODELS, Estimate, WeightVector, egger, inverse_variance_weights, ivw
 
 # id: (intercept, robust, penalized)
 _REGRESSIONS = {
@@ -92,8 +92,11 @@ def _fit_each(s: SummarySet, methods, *, effects: str = "multiplicative_random",
     the requested robust methods (:func:`ivrobust.robust_mm._mm_fits`,
     lockstep S-stages) are each fitted together when the first of them is
     needed; each keeps its own error, and its result is the one it gets alone.
+    An unknown ``effects`` raises ValueError before any method fits.
     """
     methods = _check_methods(methods, bootstrap_draws)
+    if effects not in EFFECTS_MODELS:
+        raise ValueError(f"effects must be one of {EFFECTS_MODELS}, got {effects!r}")
     hs = s if s.harmonized else harmonize(s)
     root = as_seed_sequence(seed)
 

@@ -232,17 +232,17 @@ def _contending_scales(resid: np.ndarray, prev_scales: np.ndarray, segments) -> 
     previous scale was 0 was not stepped, so it is still exact. In each fit,
     the other row with the smallest previous scale (the approximate scale the
     last reweighting step used, :func:`_approx_scales`) is solved first,
-    giving s_ref (one solve for the reference rows of all fits); any row
-    would serve, and a small previous scale makes a small s_ref, and so few
-    contenders, likely. g does not increase in s (:func:`_g_and_slope`,
-    evaluated one row chunk at a time), so a row with g(s_ref) > 0 has its
-    root above s_ref and cannot be its fit's minimum; only rows with g(s_ref)
-    <= _PRUNE_MARGIN are solved, again in one solve. The margin sits far
-    above the rounding error of g (a mean of terms in [0, 1]), so a row whose
-    solved scale could round to or below s_ref, such as a near-duplicate
-    candidate whose residuals differ from the reference row's in the last
-    bits, is never skipped, and each fit's first minimum is the one a solve
-    of every row finds.
+    giving s_ref (one solve for the reference rows of all fits, whose scales
+    they keep); any row would serve, and a small previous scale makes a small
+    s_ref, and so few contenders, likely. g does not increase in s
+    (:func:`_g_and_slope`, evaluated one row chunk at a time), so a row with
+    g(s_ref) > 0 has its root above s_ref and cannot be its fit's minimum;
+    only the other rows with g(s_ref) <= _PRUNE_MARGIN are solved, again in
+    one solve. The margin sits far above the rounding error of g (a mean of
+    terms in [0, 1]), so a row whose solved scale could round to or below
+    s_ref, such as a near-duplicate candidate whose residuals differ from the
+    reference row's in the last bits, is never skipped, and each fit's first
+    minimum is the one a solve of every row finds.
     """
     exact = np.count_nonzero(resid, axis=1) < BREAKDOWN * resid.shape[1]
     scales = np.where(exact, 0.0, np.inf)
@@ -253,9 +253,10 @@ def _contending_scales(resid: np.ndarray, prev_scales: np.ndarray, segments) -> 
     if not refs:
         return scales
     ref_rows = list(refs.values())
+    scales[ref_rows] = _m_scale_batch(resid[ref_rows])
     # a fit without a live row divides by inf, and none of its rows is kept
     fit_ref = np.full(len(segments), np.inf)
-    fit_ref[list(refs)] = _m_scale_batch(resid[ref_rows])
+    fit_ref[list(refs)] = scales[ref_rows]
     s_ref = np.repeat(fit_ref, [hi - lo for lo, hi in segments])
     chunks = _row_chunks(*resid.shape)
     buf = [np.empty(resid[chunks[0]].shape) for _ in range(3)]
@@ -264,8 +265,9 @@ def _contending_scales(resid: np.ndarray, prev_scales: np.ndarray, segments) -> 
         for rows in chunks:
             g[rows] = _g_and_slope(resid[rows], s_ref[rows], buf)[0]
     keep = live & (g <= _PRUNE_MARGIN)
-    keep[ref_rows] = True
-    scales[keep] = _m_scale_batch(resid[keep])
+    keep[ref_rows] = False  # solved above
+    if np.any(keep):
+        scales[keep] = _m_scale_batch(resid[keep])
     return scales
 
 

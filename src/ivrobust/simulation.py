@@ -114,7 +114,6 @@ class ScenarioSpec:
             raise ValueError("scenario 1 has no invalid instruments; prop_invalid must be 0")
         if self.design not in DESIGNS:
             raise ValueError(f"design must be one of {DESIGNS}, got {self.design!r}")
-        _error_factors(self.theta, self.design)
         if self.j < 1:
             raise ValueError(f"j must be >= 1, got {self.j}")
         if self.design == "two_sample" and self.n % 2:
@@ -344,14 +343,10 @@ def _error_factors(theta: float, design: str) -> tuple[np.ndarray, ...]:
     variance (1 + theta)^2 + theta^2 + 1; one sample holds both, with
     covariance 1 + 2 theta, whose factor [[sqrt 2, 0], [(1 + 2 theta) / sqrt 2,
     sqrt 1.5]] is written in closed form (the covariance's determinant is 3 at
-    any theta). Raises ValueError naming ``theta`` when the outcome's variance
-    overflows.
+    any theta). ``theta`` is a validated spec's, whose variance is finite.
     """
-    var_y = _outcome_variance(theta)
-    if not math.isfinite(var_y):
-        raise ValueError(f"theta = {theta!r} overflows the outcome's error variance")
     if design == "two_sample":
-        return np.array([[math.sqrt(2.0)]]), np.array([[math.sqrt(var_y)]])
+        return np.array([[math.sqrt(2.0)]]), np.array([[math.sqrt(_outcome_variance(theta))]])
     return (np.array([[math.sqrt(2.0), 0.0], [(1.0 + 2.0 * theta) / math.sqrt(2.0),
                                                math.sqrt(1.5)]]),)
 
@@ -416,7 +411,7 @@ def extract_summary(raw: RawStudy, design: str) -> GeneratedStudy:
     f_overall = (r2 / k) / ((1.0 - r2) / (m - k - 1)) if r2 < 1.0 else math.inf
     f_uni = float(np.mean((beta_x / se_x) ** 2))
     ids = [f"g{i + 1}" for i in range(k)]
-    summary = SummarySet.from_arrays(beta_x, se_x, beta_y, se_y, ids=ids)
+    summary = SummarySet(beta_x, se_x, beta_y, se_y, ids=ids)
     return GeneratedStudy(
         summary=summary,
         theta=raw.theta,

@@ -3,9 +3,10 @@
 A :class:`SummarySet` holds, for each candidate instrument, the estimated
 association with the exposure and with the outcome together with their
 standard errors, stored as four read-only float64 columns beside an ``ids``
-tuple; :class:`VariantAssociation` rows are built only on request. Routines
-here cover CSV ingestion/serialization, orientation of variants so exposure
-associations are non-negative, and per-variant ratio estimates with
+tuple. Each variant must have a unique, non-empty id, finite values and
+positive standard errors (:func:`_first_fault` states these rules once).
+Routines here cover CSV ingestion/serialization, orientation of variants so
+exposure associations are non-negative, and per-variant ratio estimates with
 delta-method variances, each working on whole columns.
 """
 from __future__ import annotations
@@ -26,48 +27,15 @@ CSV_COLUMNS = ("id", "beta_x", "se_x", "beta_y", "se_y")
 _VALUES = CSV_COLUMNS[1:]
 
 
-@dataclass(frozen=True)
-class VariantAssociation:
-    """Summary statistics for one genetic variant.
-
-    Parameters
-    ----------
-    id : str
-        Variant identifier, unique within a set.
-    beta_x, se_x : float
-        Association with the exposure and its standard error.
-    beta_y, se_y : float
-        Association with the outcome and its standard error.
-    """
-
-    id: str
-    beta_x: float
-    se_x: float
-    beta_y: float
-    se_y: float
-
-    def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            raise ValueError(f"variant id must be a non-empty string, got {self.id!r}")
-        for name in ("beta_x", "se_x", "beta_y", "se_y"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"variant {self.id!r}: {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-        if self.se_x <= 0.0:
-            raise ValueError(f"variant {self.id!r}: se_x must be > 0, got {self.se_x!r}")
-        if self.se_y <= 0.0:
-            raise ValueError(f"variant {self.id!r}: se_y must be > 0, got {self.se_y!r}")
-
-
 @dataclass(frozen=True, init=False, eq=False, repr=False)
 class SummarySet:
     """An ordered collection of variant associations, stored as columns.
 
-    ``SummarySet(variants, harmonized=False)`` unpacks
-    :class:`VariantAssociation` rows once; :meth:`from_arrays` takes parallel
-    sequences. Either way the set holds an ``ids`` tuple and four read-only
-    float64 columns, validated once. ``harmonized`` records that every
+    ``SummarySet(beta_x, se_x, beta_y, se_y, ids=None, harmonized=False)``
+    takes four equal-length 1-d sequences; ``ids`` default to v1, v2, ....
+    The set holds an ``ids`` tuple and four read-only float64 columns,
+    validated once: a set has at least one variant, and the first invalid one
+    raises ValueError (:func:`_first_fault`). ``harmonized`` records that every
     exposure association has been oriented to be non-negative (see
     :func:`harmonize`).
     """
@@ -76,10 +44,15 @@ class SummarySet:
     harmonized: bool
     _cols: tuple[np.ndarray, ...]
 
-    def __init__(self, variants, harmonized: bool = False):
-        variants = tuple(variants)
-        cols = [[getattr(v, name) for v in variants] for name in _VALUES]
-        self._store(tuple(v.id for v in variants), cols, harmonized, check=True)
+    def __init__(self, beta_x, se_x, beta_y, se_y, ids=None, harmonized: bool = False):
+        cols = [np.array(c, dtype=float) for c in (beta_x, se_x, beta_y, se_y)]
+        if len({c.shape for c in cols}) != 1 or cols[0].ndim != 1:
+            raise ValueError("beta_x, se_x, beta_y, se_y must be equal-length 1-d sequences")
+        j = cols[0].size
+        ids = tuple(f"v{i + 1}" for i in range(j)) if ids is None else tuple(map(str, ids))
+        if len(ids) != j:
+            raise ValueError(f"got {len(ids)} ids for {j} variants")
+        self._store(ids, cols, harmonized, check=True)
 
     def _store(self, ids, cols, harmonized, check: bool) -> "SummarySet":
         cols = tuple(np.asarray(c, dtype=float) for c in cols)
@@ -111,35 +84,21 @@ class SummarySet:
         """Number of variants."""
         return len(self.ids)
 
-    @property
-    def variants(self) -> tuple[VariantAssociation, ...]:
-        """The rows as :class:`VariantAssociation` objects, built on demand."""
-        cols = [col.tolist() for col in self._cols]
-        return tuple(VariantAssociation(*row) for row in zip(self.ids, *cols))
-
     # writable copies: changing one never alters the set
     beta_x = property(lambda self: self._cols[0].copy())
     se_x = property(lambda self: self._cols[1].copy())
     beta_y = property(lambda self: self._cols[2].copy())
     se_y = property(lambda self: self._cols[3].copy())
 
-    @classmethod
-    def from_arrays(cls, beta_x, se_x, beta_y, se_y, ids=None,
-                    harmonized: bool = False) -> "SummarySet":
-        """Build a set from parallel sequences; ids default to v1, v2, ..."""
-        cols = [np.array(c, dtype=float) for c in (beta_x, se_x, beta_y, se_y)]
-        if len({c.shape for c in cols}) != 1 or cols[0].ndim != 1:
-            raise ValueError("beta_x, se_x, beta_y, se_y must be equal-length 1-d sequences")
-        j = cols[0].size
-        ids = tuple(f"v{i + 1}" for i in range(j)) if ids is None else tuple(map(str, ids))
-        if len(ids) != j:
-            raise ValueError(f"got {len(ids)} ids for {j} variants")
-        return object.__new__(cls)._store(ids, cols, harmonized, check=True)
-
 
 def _first_fault(ids, cols) -> tuple[int, str] | None:
-    # position and message of the first invalid variant: a repeated id first,
-    # then the checks of VariantAssociation in its order; None if all valid
+    """Position and message of the first invalid variant; None if all are valid.
+
+    The variant rules, checked for each variant in this order: its id is not
+    an earlier variant's, its id is not empty, each value is finite (in column
+    order), ``se_x > 0``, then ``se_y > 0``. The columns are checked at once,
+    and a message is built only for the first faulty variant.
+    """
     bad = ~np.isfinite(np.stack(cols)).all(axis=0) | (cols[1] <= 0.0) | (cols[3] <= 0.0)
     if not bad.any() and all(ids) and len(set(ids)) == len(ids):
         return None
@@ -147,11 +106,15 @@ def _first_fault(ids, cols) -> tuple[int, str] | None:
     for k, vid in enumerate(ids):
         if vid in seen:
             return k, f"duplicate variant id {vid!r}"
-        if bad[k] or not vid:
-            try:
-                VariantAssociation(vid, *(float(col[k]) for col in cols))
-            except ValueError as exc:
-                return k, str(exc)
+        if not vid:
+            return k, f"variant id must be a non-empty string, got {vid!r}"
+        if bad[k]:
+            values = dict(zip(_VALUES, (float(col[k]) for col in cols)))
+            for name, value in values.items():
+                if not math.isfinite(value):
+                    return k, f"variant {vid!r}: {name} must be finite, got {value!r}"
+            name = "se_x" if values["se_x"] <= 0.0 else "se_y"
+            return k, f"variant {vid!r}: {name} must be > 0, got {values[name]!r}"
         seen.add(vid)
     return None
 

@@ -3,15 +3,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ivrobust.summary_data import SummarySet, VariantAssociation
+from ivrobust.summary_data import SummarySet
 
 
 def make_set(beta_x, se_x, beta_y, se_y, harmonized=False):
-    variants = tuple(
-        VariantAssociation(f"v{i + 1}", float(bx), float(sx), float(by), float(sy))
-        for i, (bx, sx, by, sy) in enumerate(zip(beta_x, se_x, beta_y, se_y))
-    )
-    return SummarySet(variants, harmonized=harmonized)
+    return SummarySet(beta_x, se_x, beta_y, se_y, harmonized=harmonized)
 
 
 def random_set(rng, j=12):

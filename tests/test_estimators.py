@@ -186,6 +186,17 @@ class TestRegistry:
                 next(fits)
         assert run_methods(summary, ("ivw", "robust_ivw"), seed=1, bootstrap_draws=0)
 
+    @pytest.mark.parametrize("methods", [("egger", "ivw"), ("egger",), ("simple_median",),
+                                         ("robust_egger", "ivw"), ()])
+    def test_effects_checked_before_any_method(self, summary, methods):
+        # no request accepts an unknown effects model, even one whose methods ignore it
+        message = r"effects must be one of \('fixed', 'multiplicative_random'\), got 'bogus'"
+        fits = estimators._fit_each(summary, methods, effects="bogus", seed=1)
+        with pytest.raises(ValueError, match=message):
+            next(fits)
+        with pytest.raises(ValueError, match=message):
+            run_methods(summary, methods, effects="bogus", seed=1)
+
     def test_effects_reach_only_the_origin_methods(self, summary):
         fixed = run_methods(summary, effects="fixed", seed=5, bootstrap_draws=50)
         default = run_methods(summary, seed=5, bootstrap_draws=50)
@@ -295,15 +306,15 @@ class TestExtremeFiniteValues:
 
     @pytest.mark.parametrize("method", ["ivw", "penalized_ivw"])
     def test_interval_rounding_onto_estimate_reports_no_se(self, method):
-        s = SummarySet.from_arrays([1, 1.5, 2], [0.01] * 3, [1e8, 1.5e8, 2e8], [1e-10] * 3)
+        s = SummarySet([1, 1.5, 2], [0.01] * 3, [1e8, 1.5e8, 2e8], [1e-10] * 3)
         est = run_methods(s, (method,), seed=1)[method]
         assert est.theta == 1e8
         assert not est.se_reported and est.se is None and est.p_value is None
         assert est.warnings == ("standard error unavailable", "interval collapsed")
 
     def test_overflowing_moments(self):
-        s = SummarySet.from_arrays([1e200, 2e200, 3e200], [1.0] * 3,
-                                   [1e200, 2e200, 3e200], [1.0] * 3)
+        s = SummarySet([1e200, 2e200, 3e200], [1.0] * 3,
+                       [1e200, 2e200, 3e200], [1.0] * 3)
         with pytest.raises(DegenerateInstrumentError, match="ivw: estimate is not finite"):
             run_methods(s, ("ivw",), seed=1)
         with pytest.raises(SingularDesignError, match="inverse Gram matrix"):
@@ -332,7 +343,7 @@ class TestExtremeFiniteValues:
                 run_methods(s, (method,), seed=1)
 
     def test_egger_intercept_se_overflow_leaves_it_unset(self):
-        s = SummarySet.from_arrays(
+        s = SummarySet(
             [-1.2e180, 3.4e180, 5.0e180, -2.1e180, -3.6e180, -2.7e180], [1e-187] * 6,
             [-2.5e-96, 6.9e-96, 1.0e-95, -4.3e-96, -7.3e-96, -5.6e-96],
             [1.1e158, 3.7e157, 1.6e157, 7.7e157, 9.2e157, 2.6e157])
@@ -350,9 +361,9 @@ class TestExtremeFiniteValues:
     def test_dominant_variant_leaves_no_intercept_model(self):
         # one weight ~1e254 beside others down to ~1e-298: sw * sxx overflows, yet
         # intercept and slope are not separable, and every intercept model says so
-        s = SummarySet.from_arrays([0.1, 0.2, 0.3, 0.4, 0.5], [0.01] * 5,
-                                   [0.01, 0.05, -0.02, 0.08, 0.02],
-                                   [1e-127, 1e149, 3e148, 5e147, 8e148])
+        s = SummarySet([0.1, 0.2, 0.3, 0.4, 0.5], [0.01] * 5,
+                       [0.01, 0.05, -0.02, 0.08, 0.02],
+                       [1e-127, 1e149, 3e148, 5e147, 8e148])
         for method in ("egger", "robust_egger", "penalized_egger", "penalized_robust_egger"):
             with pytest.raises(SingularDesignError, match="not separable"):
                 run_methods(s, (method,), seed=1)

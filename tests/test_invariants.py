@@ -41,7 +41,7 @@ def extreme_sets(draw) -> SummarySet:
     assume(all(map(math.isfinite, beta_y)))
     se_x = draw(st.lists(MAGNITUDE, min_size=j, max_size=j))
     se_y = draw(st.lists(MAGNITUDE, min_size=j, max_size=j))
-    return SummarySet.from_arrays(pool, se_x, beta_y, se_y)
+    return SummarySet(pool, se_x, beta_y, se_y)
 
 
 @settings(max_examples=800, deadline=None)

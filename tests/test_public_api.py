@@ -19,7 +19,6 @@ AGREED = [
     "SimulationReport",
     "SingularDesignError",
     "SummarySet",
-    "VariantAssociation",
     "WeightVector",
     "bootstrap_se",
     "cochran_q_egger",

@@ -14,7 +14,6 @@ from ivrobust import summary_data
 from ivrobust.exceptions import CsvParseError, DegenerateInstrumentError
 from ivrobust.summary_data import (
     SummarySet,
-    VariantAssociation,
     _parse_csv,
     _read_blocks,
     harmonize,
@@ -26,38 +25,32 @@ from ivrobust.summary_data import (
 from _helpers import make_set, random_set
 
 
-class TestVariantAssociation:
-    def test_rejects_nonpositive_se(self):
-        with pytest.raises(ValueError):
-            VariantAssociation("rs1", 0.1, 0.0, 0.0, 0.05)
-        with pytest.raises(ValueError):
-            VariantAssociation("rs1", 0.1, 0.01, 0.0, -0.05)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            VariantAssociation("rs1", float("nan"), 0.01, 0.0, 0.05)
-        with pytest.raises(ValueError):
-            VariantAssociation("rs1", 0.1, 0.01, float("inf"), 0.05)
-
-    def test_rejects_empty_id(self):
-        with pytest.raises(ValueError):
-            VariantAssociation("", 0.1, 0.01, 0.0, 0.05)
+class TestVariantRules:
+    @pytest.mark.parametrize("columns, ids, message", [
+        ((0.1, 0.0, 0.0, 0.05), None, "variant 'v1': se_x must be > 0, got 0.0"),
+        ((0.1, 0.01, 0.0, -0.05), None, "variant 'v1': se_y must be > 0, got -0.05"),
+        ((float("nan"), 0.01, 0.0, 0.05), None, "variant 'v1': beta_x must be finite, got nan"),
+        ((0.1, 0.01, float("inf"), 0.05), None, "variant 'v1': beta_y must be finite, got inf"),
+        ((0.1, 0.01, 0.0, 0.05), [""], "variant id must be a non-empty string, got ''"),
+    ])
+    def test_each_rule_has_its_message(self, columns, ids, message):
+        with pytest.raises(ValueError) as exc:
+            SummarySet(*([c] for c in columns), ids=ids)
+        assert str(exc.value) == message
 
 
 class TestSummarySet:
     def test_duplicate_ids_rejected(self):
-        v = VariantAssociation("rs1", 0.1, 0.01, 0.0, 0.05)
-        with pytest.raises(ValueError):
-            SummarySet((v, v))
+        with pytest.raises(ValueError, match="duplicate variant id 'rs1'"):
+            SummarySet([0.1] * 2, [0.01] * 2, [0.0] * 2, [0.05] * 2, ids=["rs1", "rs1"])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            SummarySet(())
+        with pytest.raises(ValueError, match="at least one variant"):
+            SummarySet([], [], [], [])
 
     def test_harmonized_flag_checked(self):
-        v = VariantAssociation("rs1", -0.1, 0.01, 0.0, 0.05)
-        with pytest.raises(ValueError):
-            SummarySet((v,), harmonized=True)
+        with pytest.raises(ValueError, match="negative exposure association"):
+            SummarySet([-0.1], [0.01], [0.0], [0.05], harmonized=True)
 
     def test_array_views_are_copies(self):
         s = make_set([0.1, 0.2], [0.01, 0.01], [0.01, 0.02], [0.05, 0.05])
@@ -65,8 +58,8 @@ class TestSummarySet:
         a[0] = 99.0
         assert s.beta_x[0] == 0.1
 
-    def test_from_arrays(self):
-        s = SummarySet.from_arrays(
+    def test_from_columns(self):
+        s = SummarySet(
             beta_x=[0.1, 0.2], se_x=[0.01, 0.02], beta_y=[0.01, 0.02], se_y=[0.05, 0.04]
         )
         assert s.j == len(s) == 2
@@ -78,17 +71,16 @@ class TestHarmonize:
     def test_flips_both_betas(self):
         s = make_set([-0.05], [0.01], [0.02], [0.05])
         h = harmonize(s)
-        v = h.variants[0]
-        assert v.beta_x == 0.05
-        assert v.beta_y == -0.02
-        assert v.se_x == 0.01
-        assert v.se_y == 0.05
+        assert h.beta_x[0] == 0.05
+        assert h.beta_y[0] == -0.02
+        assert h.se_x[0] == 0.01
+        assert h.se_y[0] == 0.05
 
     def test_zero_beta_x_kept_unflipped(self):
         s = make_set([0.0, 0.1], [0.01, 0.01], [0.03, 0.01], [0.05, 0.05])
         h = harmonize(s)
-        assert h.variants[0].beta_x == 0.0
-        assert h.variants[0].beta_y == 0.03
+        assert h.beta_x[0] == 0.0
+        assert h.beta_y[0] == 0.03
 
     def test_idempotent(self):
         rng = np.random.default_rng(11)
@@ -223,7 +215,7 @@ class TestColumnarProperties:
     @given(summary_columns())
     def test_round_trip_harmonize_and_rows(self, drawn):
         columns, ids = drawn
-        s = SummarySet.from_arrays(**columns, ids=ids)
+        s = SummarySet(**columns, ids=ids)
         buf = io.StringIO()
         write_csv(s, buf)
         buf.seek(0)
@@ -244,18 +236,15 @@ class TestColumnarProperties:
                     ratio_estimates(t)
 
         for t in (s, h):
-            rows = t.variants
-            assert tuple(v.id for v in rows) == t.ids
-            for name in ("beta_x", "se_x", "beta_y", "se_y"):
-                assert [getattr(v, name) for v in rows] == getattr(t, name).tolist()
-            assert SummarySet(rows, harmonized=t.harmonized) == t
+            columns = [getattr(t, name) for name in ("beta_x", "se_x", "beta_y", "se_y")]
+            assert SummarySet(*columns, ids=t.ids, harmonized=t.harmonized) == t
 
     @settings(max_examples=50, deadline=None)
     @given(summary_columns())
     def test_stored_columns_read_only(self, drawn):
         columns, ids = drawn
         source = {name: np.array(col) for name, col in columns.items()}
-        s = SummarySet.from_arrays(**source, ids=ids)
+        s = SummarySet(**source, ids=ids)
         before = s.beta_x
         source["beta_x"][0] = 123.0
         copy = s.beta_x
@@ -296,20 +285,38 @@ class TestCsvRowNumbers:
         with pytest.raises(CsvParseError, match=r"^row 3: non-numeric value 'zz' for beta_y$"):
             read_csv(io.StringIO(text))
 
-    def test_messages_match_row_constructor(self):
+    def test_constructor_messages(self):
         with pytest.raises(ValueError) as exc:
-            SummarySet.from_arrays([0.1, 0.2], [0.01, 0.01], [0.0, np.nan], [0.05, 0.05],
-                                   ids=["a", "b"])
+            SummarySet([0.1, 0.2], [0.01, 0.01], [0.0, np.nan], [0.05, 0.05], ids=["a", "b"])
         assert str(exc.value) == "variant 'b': beta_y must be finite, got nan"
         with pytest.raises(ValueError, match="duplicate variant id 'a'"):
-            SummarySet.from_arrays([0.1, 0.2], [0.01, 0.01], [0.0, 0.0], [0.05, 0.05],
-                                   ids=["a", "a"])
+            SummarySet([0.1, 0.2], [0.01, 0.01], [0.0, 0.0], [0.05, 0.05], ids=["a", "a"])
         with pytest.raises(ValueError, match="harmonized set"):
-            SummarySet.from_arrays([-0.1], [0.01], [0.0], [0.05], harmonized=True)
+            SummarySet([-0.1], [0.01], [0.0], [0.05], harmonized=True)
         with pytest.raises(ValueError, match="2 ids for 1 variants"):
-            SummarySet.from_arrays([0.1], [0.01], [0.0], [0.05], ids=["a", "b"])
+            SummarySet([0.1], [0.01], [0.0], [0.05], ids=["a", "b"])
         with pytest.raises(ValueError, match="must be equal-length 1-d sequences"):
-            SummarySet.from_arrays([0.1, 0.2], [0.01], [0.0, 0.0], [0.05, 0.05])
+            SummarySet([0.1, 0.2], [0.01], [0.0, 0.0], [0.05, 0.05])
+
+
+    @pytest.mark.parametrize("row", [
+        "rs2,nan,0.01,0.02,0.05", "rs2,0.2,inf,0.02,0.05", "rs2,0.2,0.01,-inf,0.05",
+        "rs2,0.2,0.01,0.02,nan", "rs2,0.2,0.0,0.02,0.05", "rs2,0.2,-0.01,nan,0.05",
+        "rs2,0.2,0.01,0.02,-0.0", "rs2,0.2,-1,0.02,0", ",0.2,0.01,0.02,0.05",
+        "rs1,0.2,0.0,nan,0.05",
+    ])
+    def test_reader_reports_the_constructor_message(self, row, tmp_path):
+        # one statement of the variant rules: the reader adds only the row number
+        lines = ["rs1,0.1,0.01,0.02,0.05", row]
+        ids, *columns = zip(*(line.split(",") for line in lines))
+        with pytest.raises(ValueError) as built:
+            SummarySet(*([float(v) for v in col] for col in columns), ids=ids)
+        path = tmp_path / "bad.csv"
+        path.write_text(HEADER + "\n".join(lines) + "\n", encoding="utf-8")
+        for source in (path, io.StringIO(path.read_text(encoding="utf-8"))):
+            with pytest.raises(CsvParseError) as read:
+                read_csv(source)
+            assert str(read.value) == f"row 3: {built.value}"
 
 
 # cells of a generated CSV: the valid forms (padding, "1_0", unicode ids), the
