@@ -201,24 +201,20 @@ def t_quantile(p: float, df: int) -> float:
     """Inverse of :func:`t_cdf` on (0, 1).
 
     Memoized: it is a pure function of (p, df), and every Egger-type fit asks
-    for the same 0.975 quantile. Invalid arguments raise on every call.
+    for the same 0.975 quantile. Invalid arguments raise on every call; the
+    lower tail is solved as the upper one at 1 - p, so a p <= 2^-54 raises.
     """
     p = _check_prob(p)
     d = _check_df(df)
     if p == 0.5:
         return 0.0
+    if p < 0.5:  # the law is symmetric: the upper tail serves both
+        return -t_quantile(1.0 - p, d)
     start = _normal_start(p)
     # Heavy tails at small df: grow the bracket until it straddles p.
-    if p > 0.5:
-        lo, hi = 0.0, max(2.0, 2.0 * start)
-        for _ in range(_MAX_ITER):
-            if t_cdf(hi, d) >= p or hi >= 1e300:
-                break
-            hi *= 2.0
-    else:
-        hi, lo = 0.0, min(-2.0, 2.0 * start)
-        for _ in range(_MAX_ITER):
-            if t_cdf(lo, d) <= p or lo <= -1e300:
-                break
-            lo *= 2.0
+    lo, hi = 0.0, max(2.0, 2.0 * start)
+    for _ in range(_MAX_ITER):
+        if t_cdf(hi, d) >= p or hi >= 1e300:
+            break
+        hi *= 2.0
     return _invert_cdf(lambda v: t_cdf(v, d), lambda v: t_pdf(v, d), p, lo, hi, start)

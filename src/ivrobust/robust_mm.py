@@ -12,8 +12,8 @@ reweighting step but the last is followed by one fixed-point step of the
 M-scale equation instead of a solve. After the last step only candidates
 that can still hold the smallest scale get an exact M-scale; the winner is
 the one an exact solve of every candidate would pick. M-scales are solved
-by safeguarded Newton steps inside a closed-form bracket (bisection only for
-rows the step cap does not settle); one function evaluates the M-scale
+by safeguarded Newton steps inside a closed-form bracket, and past a step
+cap by bisection in log scale, in one loop; one function evaluates the M-scale
 equation for the fixed-point step, the solve and the prune, with each row
 summed as its own dot product, so a row gets the same scale alone or in any
 batch.
@@ -131,12 +131,13 @@ def _m_scale_batch(resid: np.ndarray) -> np.ndarray:
     max|r| sqrt(6) / C_S every u^2 <= 1/6, so that every term is at most
     1 - (5/6)^3 < 0.43 and g(hi) < 0 beyond any rounding. A row settles when
     its step moves s by at most 4 ulps or its bracket narrows to 8 ulps (a
-    root where the computed g alternates in sign by an ulp); rows that the
-    iteration cap does not settle finish by bisection of their bracket. The
-    rows are solved in chunks of at most _ELEMENT_BUDGET elements. Every
-    operation is row-wise, so a row's scale does not depend on the other rows
-    of the batch or on the chunking. Iterates stay above lo > 0, so only an
-    exact fit is 0.
+    root where the computed g alternates in sign by an ulp). Past
+    _NEWTON_MAX_ITER steps the same loop bisects the bracket in log scale: a
+    bracket of doubles spans a ratio under 2^2,098, which 60 halvings narrow
+    to 8 ulps. The rows are solved in chunks of at most _ELEMENT_BUDGET
+    elements. Every operation is row-wise, so a row's scale does not depend on
+    the other rows of the batch or on the chunking. Iterates stay above
+    lo > 0, so only an exact fit is 0.
     """
     return np.concatenate([_m_scale_chunk(resid[rows]) for rows in _row_chunks(*resid.shape)])
 
@@ -159,30 +160,21 @@ def _m_scale_chunk(resid: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         hi = s * _HI_PER_MAX
         pending = ~exact & ~plateau
-        for _ in range(_NEWTON_MAX_ITER):
+        for i in range(_NEWTON_MAX_ITER + _BISECT_STEPS):
             if not np.any(pending):
                 break
             g, slope = _g_and_slope(a, s, buf)
             above = g > 0.0
             np.copyto(lo, s, where=pending & above)
             np.copyto(hi, s, where=pending & ~above)
-            step = s + g * s / (6.0 * slope)
-            inside = (step >= lo) & (step <= hi)
-            step = np.where(inside, step, 0.5 * (lo + hi))
+            if i < _NEWTON_MAX_ITER:
+                step = s + g * s / (6.0 * slope)
+                step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+            else:  # past the step cap: bisect in log scale, as sqrt(lo * hi) but never overflowing
+                step = np.sqrt(lo) * np.sqrt(hi)
             settled = (np.abs(step - s) <= 4.0 * _EPS * step) | (hi - lo <= 8.0 * _EPS * step)
             np.copyto(s, step, where=pending)
             pending &= ~settled
-        if np.any(pending):
-            left = np.flatnonzero(pending)
-            rows = a[left]
-            b_lo = lo[left]
-            b_hi = hi[left]
-            for _ in range(_BISECT_STEPS):
-                mid = 0.5 * (b_lo + b_hi)
-                above = _g_and_slope(rows, mid, buf)[0] > 0.0
-                b_lo = np.where(above, mid, b_lo)
-                b_hi = np.where(above, b_hi, mid)
-            s[left] = 0.5 * (b_lo + b_hi)
     s = np.where(plateau, lo, s)
     return np.where(exact, 0.0, s)
 

@@ -194,7 +194,7 @@ def oracle_rho_norm(u):
 
 
 def bisect_m_scale_batch(resid):
-    """Reference row-wise M-scales: bracket expansion, then 64 bisection steps."""
+    """Reference row-wise M-scales: bracket expansion, then bisection in log scale to 8 ulps."""
     c, breakdown = C_S, BREAKDOWN
     a = np.abs(resid)
     n = a.shape[1]
@@ -210,13 +210,17 @@ def bisect_m_scale_batch(resid):
         if not np.any(need):
             break
         hi = np.where(need, hi * 2.0, hi)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
+    # at the geometric midpoint, so that a root many orders below max|r| is found to 8 ulps
+    for _ in range(200):
+        wide = solve & (hi - lo > 8.0 * np.finfo(float).eps * hi)
+        if not np.any(wide):
+            break
+        mid = np.sqrt(lo) * np.sqrt(hi)
         g_mid = oracle_rho_norm(a / mid[:, None]).mean(axis=1) - breakdown
         above = g_mid > 0.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return np.where(exact, 0.0, 0.5 * (lo + hi)), exact
+        lo = np.where(wide & above, mid, lo)
+        hi = np.where(wide & ~above, mid, hi)
+    return np.where(exact, 0.0, np.sqrt(lo) * np.sqrt(hi)), exact
 
 
 def oracle_batch(rng, rows, j):
@@ -236,6 +240,26 @@ def oracle_batch(rng, rows, j):
             r[i, rng.choice(j, size=(j - 1) // 2, replace=False)] = 0.0
         elif kind == 3:
             r[i] = 0.0
+    return r
+
+
+def dust_row(rng, n, kind):
+    """A row whose root lies many orders of magnitude below max|r|, the Newton start.
+
+    Kind 0: n // 2 + 1 residuals of N(0, 1e-14^2) beside N(0, 1) ones, 70% of
+    them zeroed; kind 1: n // 2 + 1 of N(0, 1e-12^2) beside N(0, 100^2) ones;
+    kind 2: N(0, 1) exp(N(0, 8^2)).
+    """
+    k = n // 2 + 1
+    if kind == 0:
+        r = rng.normal(size=n)
+        r[rng.random(n) < 0.7] = 0.0
+        r[:k] = rng.normal(scale=1e-14, size=k)
+    elif kind == 1:
+        r = rng.normal(scale=100.0, size=n)
+        r[:k] = rng.normal(scale=1e-12, size=k)
+    else:
+        r = rng.normal(size=n) * np.exp(rng.normal(scale=8.0, size=n))
     return r
 
 
@@ -337,6 +361,15 @@ class TestMScaleNewtonOracle:
         rng = np.random.default_rng(197)
         for j in (2, 3, 11, 25, 40):
             assert_matches_bisection(oracle_batch(rng, 60, j))
+
+    def test_roots_far_below_the_largest_residual(self):
+        # rounding dust beside a few large residuals: many of these rows are still
+        # unsettled after _NEWTON_MAX_ITER steps, and the bisection that goes on from
+        # there must find their roots to the oracle's accuracy
+        rng = np.random.default_rng(3)
+        rows = [dust_row(rng, 6 + i % 35, i % 3) for i in range(3000)]
+        for n in range(6, 41):
+            assert_matches_bisection(np.array([r for r in rows if len(r) == n]))
 
     @pytest.mark.parametrize("newton_cap", [16, 1])
     @pytest.mark.parametrize("j", [25, 9_000])
