@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -473,7 +474,9 @@ def mm_regress(s: SummarySet, weights: WeightVector | None = None,
         harmonized for the intercept to be interpretable.
     weights : WeightVector, optional
         Analysis weights, inverse-variance by default; applied by scaling
-        each observation by sqrt(w).
+        each observation by sqrt(w). Variants of weight 0 are left out of the
+        fit, so its S-scale, SEs and the intercept fit's t degrees of freedom
+        (variants - 2) count the positively weighted variants only.
     intercept : bool
         Fit a free intercept. The fit needs at least p + ceil(J / 2) positively
         weighted variants (p = 2 with an intercept, 1 without: J >= 4 and
@@ -512,35 +515,42 @@ def _mm_fits(s: SummarySet, requests) -> list[tuple[RobustFit, Estimate] | Estim
     stream, so its result does not depend on the other requests.
     """
     results: list = [None] * len(requests)
-    searches = []  # (request index, design, response, rng)
+    searches = []  # (request index, fitted set, design, response, rng)
     for k, (weights, intercept, seed, effects, _) in enumerate(requests):
         try:
             searches.append((k, *_search_inputs(s, weights, intercept, seed, effects)))
         except EstimationError as exc:
             results[k] = exc
     for rows in _row_chunks(len(searches), N_CANDIDATES * s.j):
-        fits = []  # (request index, design, response, candidate coefficients, residuals)
-        for k, design, response, rng in searches[rows]:
+        fits = []  # (request index, fitted set, design, response, candidates, residuals)
+        for k, fit_set, design, response, rng in searches[rows]:
             try:
-                fits.append((k, design, response, *_candidates(s, design, response, rng)))
+                fits.append((k, fit_set, design, response,
+                             *_candidates(fit_set, design, response, rng)))
             except SingularDesignError as exc:  # no finite exact fit in the redraws
                 results[k] = exc
-        for (k, design, response, *_), winner in zip(fits, _s_stage([f[1:] for f in fits])):
+        for (k, fit_set, design, response, *_), winner in zip(
+                fits, _s_stage([f[2:] for f in fits])):
             try:
-                results[k] = _mm_result(s, design, response, *winner, *requests[k][3:])
+                results[k] = _mm_result(fit_set, design, response, *winner, *requests[k][3:])
             except EstimationError as exc:  # an estimate that is not finite
                 results[k] = exc
     return results
 
 
 def _search_inputs(s: SummarySet, weights, intercept: bool, seed, effects: str):
-    """A fit's weighted design, response and search stream, after its preconditions."""
+    """A fit's set, weighted design, response and search stream, after its preconditions.
+
+    The fitted set holds the positively weighted variants only: a zero-weight
+    variant's residual is 0 on every line, and would shrink the M-scale.
+    """
     if effects not in EFFECTS_MODELS:
         raise ValueError(f"effects must be one of {EFFECTS_MODELS}, got {effects!r}")
     w = _resolve_weights(s, weights)
-    # an elemental fit passes through p positively weighted variants and every
-    # zero-weight one, so it leaves at most k - p residuals nonzero: with fewer
-    # than BREAKDOWN * J of them every candidate would be an exact fit
+    # an elemental fit passes through p of the k positively weighted variants, so it
+    # leaves at most k - p residuals nonzero; the minimum asks for BREAKDOWN * J of
+    # them, zero weights counted in J, which also keeps a fit on the k alone from
+    # being an exact fit for every candidate
     p = 2 if intercept else 1
     k = int(np.count_nonzero(w))
     minimum = p + math.ceil(BREAKDOWN * s.j)
@@ -550,6 +560,11 @@ def _search_inputs(s: SummarySet, weights, intercept: bool, seed, effects: str):
             f"{'with' if intercept else 'without'} an intercept, got {k}: with fewer, every "
             "elemental fit leaves under half the residuals nonzero and is an exact fit"
         )
+    if k < s.j:
+        positive = w > 0.0
+        s = SummarySet(*(col[positive] for col in s._cols), ids=compress(s.ids, positive),
+                       harmonized=s.harmonized)
+        w = w[positive]
     design, response = _design(s, w, intercept)
     if intercept:
         _intercept_fit(design, response)
@@ -560,7 +575,7 @@ def _search_inputs(s: SummarySet, weights, intercept: bool, seed, effects: str):
             raise DegenerateInstrumentError(
                 "every positively weighted exposure association is zero"
             )
-    return design, response, np.random.Generator(np.random.Philox(as_seed_sequence(seed)))
+    return s, design, response, np.random.Generator(np.random.Philox(as_seed_sequence(seed)))
 
 
 def _mm_result(s: SummarySet, design, response, beta, s_star: float, effects: str,

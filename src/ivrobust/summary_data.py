@@ -12,6 +12,7 @@ delta-method variances, each working on whole columns.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -190,15 +191,19 @@ def read_csv(source: str | Path | IO[str]) -> SummarySet:
     must match the schema exactly (order included). A UTF-8 byte-order mark
     at the start of a file named by path is ignored.
 
-    A seekable file named by path is first read block by block: each block of
-    lines is split into fields once and each value column converted in one
-    pass. Any input that path does not cover (a quote, a carriage return, a
-    wrong field count, a value ``float`` rejects, an invalid variant) is
-    re-read from the start by the row walker, which also reads open file
-    objects. Both accept the same inputs and return the same set, and every
-    error comes from the walker. The walker stops at the first wrong field
-    count, value ``float`` rejects or field past ``csv.field_size_limit()``,
-    and reports an invalid variant in the rows before it first.
+    A seekable file named by path is first read block by block
+    (:func:`_read_blocks`): numpy's C text reader splits each block of lines
+    and converts its values with ``float``'s own string-to-double parse. A
+    block that reader rejects, or one holding a character it strips as
+    whitespace but ``float`` rejects (``\\x1c`` to ``\\x1f``), is split in
+    Python and converted by ``float``. Any input that path does not cover (a
+    quote, a carriage return, a wrong field count, a value ``float`` rejects,
+    an invalid variant) is re-read from the start by the row walker, which
+    also reads open file objects. Both accept the same inputs and return the
+    same set, and every error comes from the walker. The walker stops at the
+    first wrong field count, value ``float`` rejects or field past
+    ``csv.field_size_limit()``, and reports an invalid variant in the rows
+    before it first.
     """
     if hasattr(source, "read"):
         return _parse_csv(source)
@@ -211,13 +216,27 @@ def read_csv(source: str | Path | IO[str]) -> SummarySet:
         return _parse_csv(fh)
 
 
-_BLOCK_CHARS = 1 << 18  # about 3,000 lines of 90 characters
+_BLOCK_CHARS = 1 << 16  # about 700 lines of 90 characters, under csv.field_size_limit()
+# one CSV row: the id as a str object, then the four values
+_ROW = np.dtype([("id", object)] + [(name, float) for name in _VALUES])
+# numpy's reader strips these around a value as whitespace, and float rejects them
+_FLOAT_REJECTS = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 
 def _read_blocks(fh: IO[str]) -> SummarySet | None:
-    # the plain case: no quotes, "\n" line ends, five fields on every non-empty
-    # line, each value a float and each variant valid; None for anything else
-    limit, width = csv.field_size_limit(), len(CSV_COLUMNS)
+    """The plain case of :func:`read_csv`: no quotes, ``"\\n"`` line ends, five
+    fields on every non-empty line, each value a float and each variant valid;
+    None for anything else.
+
+    numpy's C text reader (``np.loadtxt``) splits each block of lines and
+    converts its values through ``PyOS_string_to_double``, as ``float`` does,
+    so the doubles are ``float``'s. A block it rejects (a value such as
+    ``1_0`` or non-ASCII digits that ``float`` accepts, a wrong field count, a
+    bad value), a block longer than ``csv.field_size_limit()`` and a block
+    holding one of ``_FLOAT_REJECTS`` are split in Python instead, and their
+    values converted by ``float``, whose verdict stands.
+    """
+    limit = csv.field_size_limit()
     try:
         header = fh.readline()
         if ('"' in header or "\r" in header or len(header) > limit
@@ -228,16 +247,13 @@ def _read_blocks(fh: IO[str]) -> SummarySet | None:
         for block in _line_blocks(fh):
             if '"' in block or "\r" in block:
                 return None
-            lines = list(filter(None, block.split("\n")))
-            if not lines:
-                continue
-            if (set(map(str.count, lines, repeat(","))) != {width - 1}
-                    or max(map(len, lines)) > limit):
+            if not block.strip("\n"):
+                continue  # loadtxt warns on a block without data
+            block_ids, cols = _block_columns(block, limit)
+            if block_ids is None:
                 return None
-            fields = ",".join(lines).split(",")
-            ids.extend(map(str.strip, fields[::width]))
-            blocks.append([np.fromiter(map(float, fields[k::width]), float, len(lines))
-                           for k in range(1, width)])
+            ids.extend(block_ids)
+            blocks.append(cols)
     except ValueError:  # a value float rejects, or bytes that are not UTF-8
         return None
     if not ids:
@@ -246,6 +262,26 @@ def _read_blocks(fh: IO[str]) -> SummarySet | None:
     if _first_fault(ids, cols) is not None:
         return None
     return object.__new__(SummarySet)._store(tuple(ids), cols, False, check=False)
+
+
+def _block_columns(block: str, limit: int):
+    # (ids, value columns) of a block holding at least one line; (None, None) on a
+    # wrong field count or a line past the size limit; a value float rejects raises
+    if len(block) <= limit and not any(map(block.__contains__, _FLOAT_REJECTS)):
+        try:
+            rows = np.loadtxt(io.StringIO(block), delimiter=",", dtype=_ROW, comments=None,
+                              quotechar=None, ndmin=1)
+        except ValueError:
+            pass
+        else:
+            return list(map(str.strip, rows["id"])), [rows[name] for name in _VALUES]
+    width = len(CSV_COLUMNS)
+    lines = list(filter(None, block.split("\n")))
+    if set(map(str.count, lines, repeat(","))) != {width - 1} or max(map(len, lines)) > limit:
+        return None, None
+    fields = ",".join(lines).split(",")
+    return (list(map(str.strip, fields[::width])),
+            [np.fromiter(map(float, fields[k::width]), float, len(lines)) for k in range(1, width)])
 
 
 def _line_blocks(fh: IO[str]):

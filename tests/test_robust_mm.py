@@ -1009,6 +1009,24 @@ class TestExactFitsOnly:
         assert est.se_reported and math.isfinite(est.se) and est.warnings == ()
 
 
+class TestZeroWeights:
+    @pytest.mark.parametrize("intercept", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_zero_weight_variants_leave_the_fit(self, seed, intercept):
+        # a zero-weight variant's residual is 0 on every line; counted, it would
+        # shrink the S-scale and so move the M-stage and the SE
+        rng = np.random.default_rng(12)
+        x = rng.uniform(0.05, 0.15, 12)
+        s = line_set(x, 0.1 * x + rng.normal(0.0, 0.02, 12), se_y=0.02)
+        nine = make_set(s.beta_x[:9], s.se_x[:9], s.beta_y[:9], s.se_y[:9], harmonized=True)
+        w = WeightVector(np.where(np.arange(12) < 9, inverse_variance_weights(s).w, 0.0))
+        fit, est = mm_regress(s, w, intercept=intercept, seed=seed)
+        fit9, est9 = mm_regress(nine, intercept=intercept, seed=seed)
+        assert fit.scale > 0.0 and est.se_reported
+        assert (est.theta, fit.scale, est.se) == (est9.theta, fit9.scale, est9.se)
+        assert est == est9
+
+
 class TestNormalConsistency:
     def test_against_quadrature_oracle(self):
         def expectation(kappa, c):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 import string
+import sys
 from unittest import mock
 
 import numpy as np
@@ -469,3 +470,29 @@ class TestCsvFastPath:
         write_csv(s, copy)
         assert read_csv(copy) == s
         assert copy.read_text(encoding="utf-8") == path.read_text(encoding="utf-8")
+
+
+class TestCsvFloatRejects:
+    """Values padded with characters numpy's reader strips but ``float`` rejects."""
+
+    @pytest.mark.parametrize("value", [form.format(c) for c in "\x1c\x1d\x1e\x1f"
+                                       for form in ("5{}", "{}5")])
+    def test_separator_padding_is_non_numeric(self, tmp_path, value):
+        path = tmp_path / "set.csv"
+        path.write_text(HEADER + f"rs1,{value},0.01,0.02,0.05\nrs2,0.2,0.01,0.03,0.05\n",
+                        encoding="utf-8", newline="")
+        with pytest.raises(CsvParseError) as exc:
+            read_csv(path)
+        assert str(exc.value) == f"row 2: non-numeric value {value.strip()!r} for beta_x"
+        assert _blocks(path) is None
+
+    def test_padded_values_match_the_walker(self, tmp_path):
+        # every ASCII character, and every one that str counts as a space or a digit
+        chars = [chr(c) for c in range(sys.maxunicode + 1)
+                 if c < 128 or chr(c).isspace() or chr(c).isdecimal()]
+        path = tmp_path / "set.csv"
+        for c in chars:
+            for value in (c + "5", "5" + c, "5" + c + "5"):
+                path.write_text(HEADER + f"rs1,{value},0.01,0.02,0.05\n",
+                                encoding="utf-8", newline="")
+                assert _outcome(read_csv, path) == _outcome(_walk, path), repr(value)
