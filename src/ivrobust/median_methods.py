@@ -59,7 +59,10 @@ def weighted_median(theta, weights) -> float:
         s_j = sum(w_1..w_j) - w_j / 2; the result is
         theta_k + (theta_{k+1} - theta_k) * ((0.5 - s_k) / (s_{k+1} - s_k))
         with k the largest index where s_k < 0.5, or the smallest value if no
-        s_k is below one half.
+        s_k is below one half. A zero-weight value keeps its place in the
+        sorted order and can be an end point of the interpolation:
+        ``weighted_median([1, 1.5, 3], [0.5, 0, 0.5])`` is 1.5, where ``[1, 3]``
+        under ``[0.5, 0.5]`` gives 2.0, as in Bowden et al.'s definition.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or theta.size == 0:
@@ -163,8 +166,9 @@ def bootstrap_se(s: SummarySet, weights, draws: int = 1000, seed=None) -> float:
     Each draw resamples every association from a normal centred at its
     estimate with its reported standard error, recomputes the ratio
     estimates, and takes their weighted median with the weights held fixed
-    at the values supplied here. Returns the sample standard deviation
-    (denominator ``draws - 1``) of the replicated medians.
+    at the values supplied here. Every variant is redrawn, zero-weight ones
+    too, so the stream does not depend on the weights. Returns the sample
+    standard deviation (denominator ``draws - 1``) of the replicated medians.
     """
     _check_draws(draws)
     return _bootstrap_sds(s, [_normalized(weights, s.j)], draws, seed)[0]

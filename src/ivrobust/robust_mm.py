@@ -29,11 +29,11 @@ redrawn until their indices give non-singular, finite exact fits, and then
 until the residuals of each distinct subset, formed once in the order of its
 first draw, are finite; each subset is refined and solved once. A candidate's
 scale is its only state: 0 marks an exact fit, which no step moves.
-Several fits of one summary set (``run_methods`` asks for up to four) run
-their S-stages in lockstep: each draws its candidates from its own stream,
-and each round's scale step, and the last round's prune and solves, run
-once over the stacked candidate rows of all of them, in groups whose stacked
-rows stay within a fixed element budget. Every step of the search is
+Several fits of one summary set on the same number of variants (``run_methods``
+asks for up to four) run their S-stages in lockstep: each draws its candidates
+from its own stream, and each round's scale step, and the last round's prune
+and solves, run once over the stacked candidate rows of all of them, in groups
+whose stacked rows stay within a fixed element budget. Every step of the search is
 row-wise (a candidate's residuals, reweighted fit and M-scale depend on its
 own subset alone, at any J), so a fit's winner is, bit for bit, the one it
 finds alone and the one a search over all its draws finds.
@@ -42,20 +42,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
 from ._util import _row_chunks, as_seed_sequence
-from .exceptions import (
-    DegenerateInstrumentError,
-    EstimationError,
-    InsufficientInstrumentsError,
-    SingularDesignError,
-)
+from .exceptions import DegenerateInstrumentError, EstimationError, SingularDesignError
 from .summary_data import SummarySet
-from .wls import (EFFECTS_MODELS, Estimate, WeightVector, _design, _estimate, _intercept_fit,
-                  _resolve_weights, _wls_products, _wls_rows, _wls_solve)
+from .wls import (EFFECTS_MODELS, Estimate, WeightVector, _design, _estimate, _fitted_variants,
+                  _intercept_fit, _origin_sxx, _wls_products, _wls_rows, _wls_solve)
 
 C_S = 1.548  # scale (S) stage: 50% breakdown
 C_M = 4.685  # efficiency (M) stage: 95% efficiency under normal errors
@@ -474,14 +468,13 @@ def mm_regress(s: SummarySet, weights: WeightVector | None = None,
         harmonized for the intercept to be interpretable.
     weights : WeightVector, optional
         Analysis weights, inverse-variance by default; applied by scaling
-        each observation by sqrt(w). Variants of weight 0 are left out of the
-        fit, so its S-scale, SEs and the intercept fit's t degrees of freedom
-        (variants - 2) count the positively weighted variants only.
+        each observation by sqrt(w). The fit runs on the k positively
+        weighted variants, so its S-scale, SEs and the intercept fit's t
+        degrees of freedom (k - 2) count those only.
     intercept : bool
-        Fit a free intercept. The fit needs at least p + ceil(J / 2) positively
-        weighted variants (p = 2 with an intercept, 1 without: J >= 4 and
-        J >= 2 when every weight is positive); with fewer, every elemental fit
-        would be an exact fit, so it raises InsufficientInstrumentsError.
+        Fit a free intercept. The fit needs k >= 2p (p = 2 with an intercept, 1
+        without): with fewer, every elemental fit, through p variants, would be
+        an exact fit, so it raises InsufficientInstrumentsError.
     seed : int, SeedSequence, optional
         Drives the random subset search; identical seeds give bit-identical
         fits regardless of thread count.
@@ -509,72 +502,52 @@ def _mm_fits(s: SummarySet, requests) -> list[tuple[RobustFit, Estimate] | Estim
 
     Each request's result, or the EstimationError it raised, in request
     order; a ValueError (an unknown ``effects``, a weight vector of the wrong
-    length) propagates. The S-stages run in lockstep groups of consecutive
-    requests whose N_CANDIDATES x J candidate rows together stay within
-    _ELEMENT_BUDGET (a request over it runs alone); every fit keeps its own
-    stream, so its result does not depend on the other requests.
+    length) propagates. Requests whose fitted sets have equal size k run their
+    S-stages in lockstep, in groups of consecutive ones whose N_CANDIDATES x k
+    rows stay within _ELEMENT_BUDGET (a request over it runs alone); every fit
+    keeps its own stream, so its result does not depend on the other requests.
     """
     results: list = [None] * len(requests)
-    searches = []  # (request index, fitted set, design, response, rng)
-    for k, (weights, intercept, seed, effects, _) in enumerate(requests):
+    searches = {}  # k: [(request index, fitted set, design, response, rng)]
+    for i, (weights, intercept, seed, effects, _) in enumerate(requests):
         try:
-            searches.append((k, *_search_inputs(s, weights, intercept, seed, effects)))
+            fit_set, *search = _search_inputs(s, weights, intercept, seed, effects)
+            searches.setdefault(fit_set.j, []).append((i, fit_set, *search))
         except EstimationError as exc:
-            results[k] = exc
-    for rows in _row_chunks(len(searches), N_CANDIDATES * s.j):
-        fits = []  # (request index, fitted set, design, response, candidates, residuals)
-        for k, fit_set, design, response, rng in searches[rows]:
-            try:
-                fits.append((k, fit_set, design, response,
-                             *_candidates(fit_set, design, response, rng)))
-            except SingularDesignError as exc:  # no finite exact fit in the redraws
-                results[k] = exc
-        for (k, fit_set, design, response, *_), winner in zip(
-                fits, _s_stage([f[2:] for f in fits])):
-            try:
-                results[k] = _mm_result(fit_set, design, response, *winner, *requests[k][3:])
-            except EstimationError as exc:  # an estimate that is not finite
-                results[k] = exc
+            results[i] = exc
+    for k, group in searches.items():
+        for rows in _row_chunks(len(group), N_CANDIDATES * k):
+            fits = []  # (request index, fitted set, design, response, candidates, residuals)
+            for i, fit_set, design, response, rng in group[rows]:
+                try:
+                    fits.append((i, fit_set, design, response,
+                                 *_candidates(fit_set, design, response, rng)))
+                except SingularDesignError as exc:  # no finite exact fit in the redraws
+                    results[i] = exc
+            for (i, fit_set, design, response, *_), winner in zip(
+                    fits, _s_stage([f[2:] for f in fits])):
+                try:
+                    results[i] = _mm_result(fit_set, design, response, *winner, *requests[i][3:])
+                except EstimationError as exc:  # an estimate that is not finite
+                    results[i] = exc
     return results
 
 
 def _search_inputs(s: SummarySet, weights, intercept: bool, seed, effects: str):
-    """A fit's set, weighted design, response and search stream, after its preconditions.
-
-    The fitted set holds the positively weighted variants only: a zero-weight
-    variant's residual is 0 on every line, and would shrink the M-scale.
-    """
+    """A fit's positively weighted variants (k >= 2p of them, see :func:`mm_regress`),
+    weighted design, response and search stream, after its preconditions."""
     if effects not in EFFECTS_MODELS:
         raise ValueError(f"effects must be one of {EFFECTS_MODELS}, got {effects!r}")
-    w = _resolve_weights(s, weights)
-    # an elemental fit passes through p of the k positively weighted variants, so it
-    # leaves at most k - p residuals nonzero; the minimum asks for BREAKDOWN * J of
-    # them, zero weights counted in J, which also keeps a fit on the k alone from
-    # being an exact fit for every candidate
     p = 2 if intercept else 1
-    k = int(np.count_nonzero(w))
-    minimum = p + math.ceil(BREAKDOWN * s.j)
-    if k < minimum:
-        raise InsufficientInstrumentsError(
-            f"mm_regress needs at least {minimum} positively weighted variants of J = {s.j} "
-            f"{'with' if intercept else 'without'} an intercept, got {k}: with fewer, every "
-            "elemental fit leaves under half the residuals nonzero and is an exact fit"
-        )
-    if k < s.j:
-        positive = w > 0.0
-        s = SummarySet(*(col[positive] for col in s._cols), ids=compress(s.ids, positive),
-                       harmonized=s.harmonized)
-        w = w[positive]
+    s, w = _fitted_variants(s, weights, 2 * p, lambda k: (
+        f"mm_regress needs at least {2 * p} positively weighted variants of J = {s.j} "
+        f"{'with' if intercept else 'without'} an intercept, got {k}: with fewer, every "
+        "elemental fit leaves under half the residuals nonzero and is an exact fit"))
     design, response = _design(s, w, intercept)
     if intercept:
         _intercept_fit(design, response)
     else:
-        with np.errstate(over="ignore"):  # an overflowing sum is positive
-            sxx = float(np.sum(w * s.beta_x * s.beta_x))
-        if sxx <= 0.0:
-            raise DegenerateInstrumentError(
-                "every positively weighted exposure association is zero"
-            )
+        _origin_sxx(w, s.beta_x)
     return s, design, response, np.random.Generator(np.random.Philox(as_seed_sequence(seed)))
 
 

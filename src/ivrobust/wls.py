@@ -6,13 +6,16 @@ regression whose intercept captures directional pleiotropy, plus the I^2
 heterogeneity of the scaled exposure associations, which indicates how far
 the intercept model is attenuated by weak instruments.
 
+Every regression fit here and in :mod:`ivrobust.robust_mm` runs on its positively
+weighted variants (:func:`_fitted_variants`), so variants of weight 0 do not change it.
+
 The intercept fits (``egger`` and the intercept precondition of the robust
 fits), the S-stage's reweighting steps and the sandwich's bread in
 :mod:`ivrobust.robust_mm` go through one closed-form kernel, batched over rows
 of weights (:func:`_wls_rows`); the M-stage's steps use the same closed form on
 scalar sums (:func:`_wls_solve`). The zero-intercept sums of ``ivw``, and of
-the robust fits' check that some weighted exposure association is nonzero,
-are taken directly.
+the robust fits' check that some weighted exposure association is nonzero
+(:func:`_origin_sxx`), are taken directly.
 
 Standard errors follow a multiplicative random-effects model: the raw
 regression standard error is divided by min(sigma_hat, 1), so heterogeneity
@@ -22,6 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from typing import Callable
 
 import numpy as np
 
@@ -153,12 +158,40 @@ def inverse_variance_weights(s: SummarySet) -> WeightVector:
     return WeightVector(w)
 
 
-def _resolve_weights(s: SummarySet, weights: WeightVector | None) -> np.ndarray:
+def _fitted_variants(s: SummarySet, weights: WeightVector | None, minimum: int,
+                     too_few: Callable[[int], str]) -> tuple[SummarySet, np.ndarray]:
+    """The positively weighted variants a regression fit runs on, and their weights.
+
+    ``weights`` default to inverse-variance weights, one per variant. A
+    zero-weight variant's weighted residual is 0 on every line: counted, it
+    would shrink the residual scale and add a degree of freedom, so a fit
+    counts only its k positive ones, as R's ``lm.wfit`` does. With k <
+    ``minimum`` this raises InsufficientInstrumentsError(too_few(k)). A set
+    whose weights are all positive is returned as it is, with no copy.
+    """
     if weights is None:
         weights = inverse_variance_weights(s)
     if len(weights) != s.j:
         raise ValueError(f"got {len(weights)} weights for {s.j} variants")
-    return weights.w
+    w = weights.w
+    k = np.count_nonzero(w)
+    if k < minimum:
+        raise InsufficientInstrumentsError(too_few(k))
+    if k < s.j:
+        positive = w > 0.0
+        s = SummarySet(*(col[positive] for col in s._cols), ids=compress(s.ids, positive),
+                       harmonized=s.harmonized)
+        w = w[positive]
+    return s, w
+
+
+def _origin_sxx(w: np.ndarray, x: np.ndarray) -> float:
+    """sum(w x^2) of a fit through the origin; raises when it is zero (an overflow is inf)."""
+    with np.errstate(over="ignore"):
+        sxx = float(np.sum(w * x * x))
+    if sxx <= 0.0:
+        raise DegenerateInstrumentError("every positively weighted exposure association is zero")
+    return sxx
 
 
 def _wls_rows(w: np.ndarray, design: np.ndarray, response: np.ndarray):
@@ -258,13 +291,13 @@ def ivw(s: SummarySet, weights: WeightVector | None = None,
     s : SummarySet
         Variant associations (orientation does not affect this estimator).
     weights : WeightVector, optional
-        Analysis weights; defaults to inverse-variance weights. At least one
-        must be strictly positive.
+        Analysis weights, inverse-variance by default. The fit runs on the k >= 1
+        strictly positive ones; the residual scale has k - 1 degrees of freedom.
     effects : {"fixed", "multiplicative_random"}
         Fixed effects divides the raw SE by the residual scale sigma_hat;
         multiplicative random effects divides by min(sigma_hat, 1). A single
-        variant has no residual scale and falls back to fixed effects with a
-        warning recorded on the estimate.
+        positively weighted variant has no residual scale and falls back to
+        fixed effects with a warning recorded on the estimate.
 
     Returns
     -------
@@ -273,19 +306,12 @@ def ivw(s: SummarySet, weights: WeightVector | None = None,
     """
     if effects not in EFFECTS_MODELS:
         raise ValueError(f"effects must be one of {EFFECTS_MODELS}, got {effects!r}")
-    w = _resolve_weights(s, weights)
-    if not np.any(w > 0.0):
-        raise InsufficientInstrumentsError("ivw needs at least one strictly positive weight")
-    x = s.beta_x
-    y = s.beta_y
+    s, w = _fitted_variants(s, weights, 1, lambda k: "ivw needs a strictly positive weight")
+    x, y = s.beta_x, s.beta_y
+    sxx = _origin_sxx(w, x)
     # overflowing sums give a non-finite theta or SE, which _estimate rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        sxx = float(np.sum(w * x * x))
         sxy = float(np.sum(w * x * y))
-    if sxx <= 0.0:
-        raise DegenerateInstrumentError(
-            "every positively weighted exposure association is zero"
-        )
     theta = sxy / sxx
     se_fixed = sxx ** -0.5
     warnings: tuple[str, ...] = ()
@@ -308,22 +334,18 @@ def egger(s: SummarySet, weights: WeightVector | None = None) -> Estimate:
     """Weighted regression with a free intercept for directional pleiotropy.
 
     Requires a harmonized set (all exposure associations oriented
-    non-negative) and at least three variants. The slope estimates the causal
-    effect; the intercept estimates the average direct effect of the variants
-    on the outcome. Inference uses a t reference with J - 2 degrees of
-    freedom under multiplicative random effects. When the residual scale is
-    below one, the reported interval is the wider of the normal-reference
-    interval and the t interval built on the unshrunk (raw) standard error.
+    non-negative) and at least three positively weighted variants; the fit
+    runs on those k variants. The slope estimates the causal effect; the
+    intercept estimates the average direct effect of the variants on the
+    outcome. Inference uses a t reference with k - 2 degrees of freedom
+    under multiplicative random effects. When the residual scale is below
+    one, the reported interval is the wider of the normal-reference interval
+    and the t interval built on the unshrunk (raw) standard error.
     """
     if not s.harmonized:
         raise ValueError("egger requires a harmonized summary set")
-    if s.j < 3:
-        raise InsufficientInstrumentsError(
-            f"egger needs at least 3 variants for residual degrees of freedom, got {s.j}"
-        )
-    w = _resolve_weights(s, weights)
-    if np.count_nonzero(w > 0.0) < 2:
-        raise InsufficientInstrumentsError("egger needs at least two strictly positive weights")
+    s, w = _fitted_variants(s, weights, 3, lambda k: "egger needs at least 3 strictly positive "
+                            f"weights for residual degrees of freedom, got {k}")
     design, response = _design(s, w, intercept=True)
     coef, inv = _intercept_fit(design, response)
     intercept, slope = float(coef[0]), float(coef[1])

@@ -104,6 +104,11 @@ class TestWeightedMedian:
     def test_single_value(self):
         assert weighted_median([0.42], np.array([1.0])) == 0.42
 
+    def test_zero_weight_value_keeps_its_place(self):
+        # a zero-weight value stays in the sorted order, an end point of the interpolation
+        assert weighted_median([1.0, 1.5, 3.0], [0.5, 0.0, 0.5]) == 1.5
+        assert weighted_median([1.0, 3.0], [0.5, 0.5]) == 2.0
+
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(89)
         for _ in range(300):
@@ -253,6 +258,20 @@ class TestBootstrap:
                 medians.append(row[order[0]] if k < 0 else
                                a + (b - a) * ((0.5 - mid[k]) / (mid[k + 1] - mid[k])))
             assert bootstrap_se(s, weights, draws=100, seed=9) == np.std(medians, ddof=1)
+
+    def test_zero_weight_variants_are_still_drawn(self, monkeypatch):
+        # every variant is redrawn whatever its weight: the draws do not depend on them
+        s = harmonize(random_summary(np.random.default_rng(5), j=12))
+        blocks = []
+        sort_rows = median_methods._sort_rows
+        monkeypatch.setattr(median_methods, "_sort_rows",
+                            lambda ratio: blocks.append(ratio.copy()) or sort_rows(ratio))
+        w = np.random.default_rng(6).uniform(0.1, 1.0, 12)
+        bootstrap_se(s, w, draws=50, seed=9)
+        w[[2, 7]] = 0.0
+        bootstrap_se(s, w, draws=50, seed=9)
+        assert [b.shape for b in blocks] == [(50, 12)] * 2
+        assert np.array_equal(blocks[0], blocks[1])
 
     def test_bootstrap_holds_one_block_of_draws(self):
         # the three medians at J = 20,000 with 200 draws: holding both draws whole

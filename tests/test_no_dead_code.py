@@ -1,10 +1,13 @@
-"""Every module-level function and constant of the package is used by the package or exported.
+"""Every module-level function and constant of the package is used by the package or exported,
+and every name a module imports is used by that module.
 
 A function that only tests call is dead weight: the tests pin behaviour no
 program path has. The check is static: a function counts as used when its
 name is loaded (``f(...)``, ``module.f``, passed as a value) somewhere in the
 package outside its own body. A module-level name bound by assignment counts
 as used when it is loaded anywhere in the package; dunder names are exempt.
+An imported name counts as used when its module loads it (annotations
+included) or lists it in its own ``__all__``; ``__future__`` imports are exempt.
 """
 from __future__ import annotations
 
@@ -75,6 +78,37 @@ def unused_functions(package: Path = PACKAGE) -> list[str]:
     return unused
 
 
+def _imported_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.extend(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.extend(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def _own_all(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def unused_imports(package: Path = PACKAGE) -> list[str]:
+    """``module.name`` for each imported name its module neither loads nor lists in ``__all__``."""
+    trees, _ = _parse(package)
+    unused = []
+    for module, tree in trees.items():
+        loaded = {sub.id for sub in ast.walk(tree)
+                  if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        exported = _own_all(tree)
+        unused.extend(f"{module}.{name}" for name in _imported_names(tree)
+                      if name not in loaded and name not in exported)
+    return unused
+
+
 def test_every_function_is_used_or_exported():
     assert unused_functions() == []
 
@@ -105,3 +139,23 @@ def test_guard_sees_an_unused_constant(tmp_path):
     )
     # dunders are exempt, ALL_METHODS is exported, and _USED and _LIMIT are loaded
     assert unused_constants(tmp_path) == ["a._PAIRED", "a._BIG"]
+
+
+def test_every_import_is_used_or_exported():
+    assert unused_imports() == []
+
+
+def test_guard_sees_an_unused_import(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import math\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from itertools import compress, repeat as rep\n"
+        "from typing import Callable\n"
+        "from .b import helper\n\n"
+        "__all__ = ['helper']\n\n\n"
+        "def f(x: Callable) -> float:\n    return math.sqrt(np.abs(x)) + os.sep\n"
+    )
+    # math, os and np are loaded, Callable in an annotation, helper is in __all__
+    assert unused_imports(tmp_path) == ["a.compress", "a.rep"]

@@ -1,6 +1,7 @@
 """Bisquare loss identities, M-scale oracles, and MM-fit behavior."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -12,12 +13,13 @@ import scipy.optimize
 import scipy.stats as st
 
 from ivrobust import ScenarioSpec, _util, robust_mm, run_study
-from ivrobust.estimators import run_methods
+from ivrobust.estimators import _stream, run_methods
 from ivrobust.exceptions import (
     DegenerateInstrumentError,
     InsufficientInstrumentsError,
     SingularDesignError,
 )
+from ivrobust.penalization import cochran_q_egger, cochran_q_ivw, penalize_weights
 from ivrobust.robust_mm import (
     BREAKDOWN,
     C_M,
@@ -968,8 +970,9 @@ def ten_variant_set(outliers):
 
 class TestExactFitsOnly:
     # with k positive weights an elemental fit through p of them leaves at most
-    # k - p residuals nonzero; under BREAKDOWN * J every candidate is an exact
-    # fit, and the search reported the line through its first draw
+    # k - p residuals nonzero; with k < 2p that is under half of them, every
+    # candidate is an exact fit, and the search reported the line through its
+    # first draw
     def test_three_variant_intercept_fit_raises(self):
         for seed in range(4):
             s = three_variant_set(seed)
@@ -982,23 +985,38 @@ class TestExactFitsOnly:
             assert mm_regress(s, seed=seed)[0].scale > 0.0  # J >= 2 suffices without
 
     def test_zero_weights_leave_too_few_variants(self):
+        # the minimum counts the positively weighted variants only: 4 of J = 10
+        # fit as those 4 alone, and 1 of them is too few
         s = ten_variant_set(outliers=False)
-        four = WeightVector(np.where(np.arange(10) < 4, inverse_variance_weights(s).w, 0.0))
+        base = inverse_variance_weights(s).w
+        four = WeightVector(np.where(np.arange(10) < 4, base, 0.0))
+        kept = make_set(s.beta_x[:4], s.se_x[:4], s.beta_y[:4], s.se_y[:4], harmonized=True)
         for seed in range(3):
-            with pytest.raises(InsufficientInstrumentsError,
-                               match="at least 6 positively weighted variants of J = 10 "
-                                     "without an intercept, got 4"):
-                mm_regress(s, four, seed=seed)
-        six = WeightVector(np.where(np.arange(10) < 6, inverse_variance_weights(s).w, 0.0))
-        fit, est = mm_regress(s, six, seed=0)
-        assert not fit.exact_fit and est.se_reported
+            fit, est = mm_regress(s, four, seed=seed)
+            assert (fit, est) == mm_regress(kept, seed=seed)
+            assert not fit.exact_fit and est.se_reported
+        assert mm_regress(s, four, seed=0)[0].scale == pytest.approx(0.150, abs=5e-4)
+        one = WeightVector(np.where(np.arange(10) < 1, base, 0.0))
+        with pytest.raises(InsufficientInstrumentsError,
+                           match="at least 2 positively weighted variants of J = 10 "
+                                 "without an intercept, got 1"):
+            mm_regress(s, one, seed=0)
 
-    def test_penalized_fit_with_six_zero_factors_raises(self):
-        # the six outliers' Cochran Q tails underflow: their penalized weights are 0
+    def test_penalized_fit_with_six_zero_factors_fits_the_rest(self):
+        # the six outliers' Cochran Q tails underflow: their penalized weights are
+        # 0, and the fit runs on the 4 kept variants under their penalized weights
         s = ten_variant_set(outliers=True)
-        with pytest.raises(InsufficientInstrumentsError, match="got 4"):
-            run_methods(s, ("penalized_robust_ivw",), seed=0)
-        assert run_methods(s, ("robust_ivw",), seed=0)["robust_ivw"].se_reported
+        base = inverse_variance_weights(s)
+        w = penalize_weights(base, cochran_q_ivw(s, ivw(s, base).theta)).w
+        kept = w > 0.0
+        assert kept.tolist() == [True] * 4 + [False] * 6
+        four = make_set(s.beta_x[kept], s.se_x[kept], s.beta_y[kept], s.se_y[kept],
+                        harmonized=True)
+        _, manual = mm_regress(four, WeightVector(w[kept]),
+                               seed=_stream(_util.as_seed_sequence(0), "penalized_robust_ivw"))
+        got = run_methods(s, ("penalized_robust_ivw",), seed=0)["penalized_robust_ivw"]
+        assert got == dataclasses.replace(manual, method="penalized_robust_ivw")
+        assert got.se_reported and "exact fit" not in got.warnings
 
     def test_four_variant_intercept_fit_reports_se(self):
         rng = np.random.default_rng(3)
@@ -1007,6 +1025,20 @@ class TestExactFitsOnly:
         fit, est = mm_regress(s, intercept=True, seed=1)
         assert not fit.exact_fit and fit.scale > 0.0
         assert est.se_reported and math.isfinite(est.se) and est.warnings == ()
+
+
+def twelve_variant_set(shift, se_last):
+    """Twelve variants near y = 0.1 x, the last moved by ``shift`` with se_y ``se_last``;
+    the first nine as a set of their own; and the inverse-variance weights."""
+    rng = np.random.default_rng(12)
+    x = rng.uniform(0.05, 0.15, 12)
+    y = 0.1 * x + rng.normal(0.0, 0.02, 12)
+    y[-1] += shift
+    se_y = np.full(12, 0.02)
+    se_y[-1] = se_last
+    s = make_set(x, np.full(12, 0.01), y, se_y, harmonized=True)
+    nine = make_set(x[:9], np.full(9, 0.01), y[:9], se_y[:9], harmonized=True)
+    return s, nine, inverse_variance_weights(s).w
 
 
 class TestZeroWeights:
@@ -1025,6 +1057,49 @@ class TestZeroWeights:
         assert fit.scale > 0.0 and est.se_reported
         assert (est.theta, fit.scale, est.se) == (est9.theta, fit9.scale, est9.se)
         assert est == est9
+
+    @pytest.mark.parametrize("fit", [ivw, egger])
+    def test_least_squares_fits_run_on_the_positive_subset(self, fit):
+        # a zero-weight variant's weighted residual is 0: counted, it would shrink
+        # sigma and add a degree of freedom
+        s, nine, w = twelve_variant_set(shift=0.0, se_last=0.02)
+        est, est9 = fit(s, WeightVector(np.where(np.arange(12) < 9, w, 0.0))), fit(nine)
+        assert (est.theta, est.se, est.residual_scale, est.df, est.warnings) == (
+            est9.theta, est9.se, est9.residual_scale, est9.df, est9.warnings)
+        assert est == est9
+
+    def test_single_positive_weight_falls_back_to_fixed_effects(self):
+        s, _, w = twelve_variant_set(shift=0.0, se_last=0.02)
+        one = make_set(s.beta_x[:1], s.se_x[:1], s.beta_y[:1], s.se_y[:1], harmonized=True)
+        est = ivw(s, WeightVector(np.where(np.arange(12) < 1, w, 0.0)))
+        assert est == ivw(one)
+        assert est.effects_model == "fixed" and est.residual_scale is None
+
+    @pytest.mark.parametrize("method", ["penalized_ivw", "penalized_egger"])
+    def test_penalized_fits_run_on_the_positive_subset(self, method):
+        # the last variant sits 10 above the line at a low weight: its penalty
+        # factor underflows to 0 while the reference fit barely moves
+        s, _, base = twelve_variant_set(shift=10.0, se_last=0.2)
+        fit = egger if method == "penalized_egger" else ivw
+        ref = fit(s)
+        report = (cochran_q_egger(s, ref.intercept, ref.theta) if fit is egger
+                  else cochran_q_ivw(s, ref.theta))
+        w = penalize_weights(WeightVector(base), report).w
+        kept = w > 0.0
+        assert kept.tolist() == [True] * 11 + [False]
+        eleven = make_set(s.beta_x[kept], s.se_x[kept], s.beta_y[kept], s.se_y[kept],
+                          harmonized=True)
+        got = run_methods(s, (method,), seed=0)[method]
+        assert got == dataclasses.replace(fit(eleven, WeightVector(w[kept])), method=method)
+        assert got.df == (9 if fit is egger else None) and got.se_reported
+
+    def test_robust_fits_on_different_variant_counts_run_together(self):
+        # the penalized fits drop the variant whose factor underflows and the others
+        # keep all 12: their S-stages cannot share one stack of candidate rows
+        s, _, _ = twelve_variant_set(shift=10.0, se_last=0.2)
+        methods = ("robust_ivw", "penalized_robust_ivw", "robust_egger", "penalized_robust_egger")
+        joint = run_methods(s, methods, seed=0)
+        assert joint == {m: run_methods(s, (m,), seed=0)[m] for m in methods}
 
 
 class TestNormalConsistency:
