@@ -1017,6 +1017,7 @@ class TestExactFitsOnly:
         got = run_methods(s, ("penalized_robust_ivw",), seed=0)["penalized_robust_ivw"]
         assert got == dataclasses.replace(manual, method="penalized_robust_ivw")
         assert got.se_reported and "exact fit" not in got.warnings
+        assert run_methods(s, ("robust_ivw",), seed=0)["robust_ivw"].se_reported
 
     def test_four_variant_intercept_fit_reports_se(self):
         rng = np.random.default_rng(3)
@@ -1041,31 +1042,28 @@ def twelve_variant_set(shift, se_last):
     return s, nine, inverse_variance_weights(s).w
 
 
-class TestZeroWeights:
-    @pytest.mark.parametrize("intercept", [False, True])
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_zero_weight_variants_leave_the_fit(self, seed, intercept):
-        # a zero-weight variant's residual is 0 on every line; counted, it would
-        # shrink the S-scale and so move the M-stage and the SE
-        rng = np.random.default_rng(12)
-        x = rng.uniform(0.05, 0.15, 12)
-        s = line_set(x, 0.1 * x + rng.normal(0.0, 0.02, 12), se_y=0.02)
-        nine = make_set(s.beta_x[:9], s.se_x[:9], s.beta_y[:9], s.se_y[:9], harmonized=True)
-        w = WeightVector(np.where(np.arange(12) < 9, inverse_variance_weights(s).w, 0.0))
-        fit, est = mm_regress(s, w, intercept=intercept, seed=seed)
-        fit9, est9 = mm_regress(nine, intercept=intercept, seed=seed)
-        assert fit.scale > 0.0 and est.se_reported
-        assert (est.theta, fit.scale, est.se) == (est9.theta, fit9.scale, est9.se)
-        assert est == est9
+def scale_and_estimate(method, s, weights, seed):
+    """A regression fit's residual scale (a robust fit's S-scale) and its Estimate."""
+    if method in ("ivw", "egger"):
+        est = (ivw if method == "ivw" else egger)(s, weights)
+        return est.residual_scale, est
+    fit, est = mm_regress(s, weights, intercept=method == "mm_regress_intercept", seed=seed)
+    return fit.scale, est
 
-    @pytest.mark.parametrize("fit", [ivw, egger])
-    def test_least_squares_fits_run_on_the_positive_subset(self, fit):
-        # a zero-weight variant's weighted residual is 0: counted, it would shrink
-        # sigma and add a degree of freedom
+
+class TestZeroWeights:
+    @pytest.mark.parametrize("method", ["mm_regress", "mm_regress_intercept", "ivw", "egger"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_zero_weight_variants_leave_the_fit(self, seed, method):
+        # a zero-weight variant's weighted residual is 0 on every line; counted, it
+        # would shrink the residual scale, so move the SE, and add a degree of freedom
         s, nine, w = twelve_variant_set(shift=0.0, se_last=0.02)
-        est, est9 = fit(s, WeightVector(np.where(np.arange(12) < 9, w, 0.0))), fit(nine)
-        assert (est.theta, est.se, est.residual_scale, est.df, est.warnings) == (
-            est9.theta, est9.se, est9.residual_scale, est9.df, est9.warnings)
+        zero = WeightVector(np.where(np.arange(12) < 9, w, 0.0))
+        scale, est = scale_and_estimate(method, s, zero, seed)
+        scale9, est9 = scale_and_estimate(method, nine, None, seed)
+        assert scale > 0.0 and est.se_reported
+        assert (est.theta, scale, est.se, est.df, est.warnings) == (
+            est9.theta, scale9, est9.se, est9.df, est9.warnings)
         assert est == est9
 
     def test_single_positive_weight_falls_back_to_fixed_effects(self):
