@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -143,6 +144,8 @@ class ScenarioSpec:
                              f"at n = {self.n} can overflow the outcome's sum of squares")
         if self.n_sim < 1:
             raise ValueError(f"n_sim must be >= 1, got {self.n_sim}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -323,9 +326,14 @@ def _sum_of_squares_bound(m: int, j: int, effect: float, var: float) -> float:
     at most 1/2 and an error variance ``var``, the expected sum is at most
     m (J effect^2 / 2 + var); the chi-square factor 1 + 2 sqrt(40 / m) + 80 / m
     (Laurent & Massart: its upper tail past it is below e^-40) widens it for
-    the draw. Python float products give inf on overflow.
+    the draw. Python float products give inf on overflow; so does an m or j
+    too large to convert to a float.
     """
-    return m * (j * effect * effect / 2.0 + var) * (1.0 + 2.0 * math.sqrt(40.0 / m) + 80.0 / m)
+    try:
+        widen = 1.0 + 2.0 * math.sqrt(40.0 / m) + 80.0 / m
+        return m * (j * effect * effect / 2.0 + var) * widen
+    except OverflowError:
+        return math.inf
 
 
 def _outcome_variance(theta: float) -> float:

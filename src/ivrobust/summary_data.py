@@ -16,7 +16,6 @@ import io
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import IO
 
@@ -191,17 +190,16 @@ def read_csv(source: str | Path | IO[str]) -> SummarySet:
     must match the schema exactly (order included). A UTF-8 byte-order mark
     at the start of a file named by path is ignored.
 
-    A seekable file named by path is first read block by block
-    (:func:`_read_blocks`): numpy's C text reader splits each block of lines
-    and converts its values with ``float``'s own string-to-double parse. A
-    block that reader rejects, or one holding a character it strips as
-    whitespace but ``float`` rejects (``\\x1c`` to ``\\x1f``), is split in
-    Python and converted by ``float``. Any input that path does not cover (a
-    quote, a carriage return, a wrong field count, a value ``float`` rejects,
-    an invalid variant) is re-read from the start by the row walker, which
-    also reads open file objects. Both accept the same inputs and return the
-    same set, and every error comes from the walker. The walker stops at the
-    first wrong field count, value ``float`` rejects or field past
+    Two readers share the work. A seekable file named by path is first read
+    block by block (:func:`_read_blocks`): numpy's C text reader splits each
+    plain block of lines and converts its values with ``float``'s own
+    string-to-double parse. Any input that path does not cover (a quote, a
+    carriage return, a character numpy's reader strips as whitespace but
+    ``float`` rejects, a block the reader rejects, an invalid variant) is
+    re-read from the start by the row walker, which also reads open file
+    objects and converts each value with ``float``. Both return the same set,
+    and every error comes from the walker. The walker stops at the first
+    wrong field count, value ``float`` rejects or field past
     ``csv.field_size_limit()``, and reports an invalid variant in the rows
     before it first.
     """
@@ -219,22 +217,23 @@ def read_csv(source: str | Path | IO[str]) -> SummarySet:
 _BLOCK_CHARS = 1 << 16  # about 700 lines of 90 characters, under csv.field_size_limit()
 # one CSV row: the id as a str object, then the four values
 _ROW = np.dtype([("id", object)] + [(name, float) for name in _VALUES])
-# numpy's reader strips these around a value as whitespace, and float rejects them
-_FLOAT_REJECTS = ("\x1c", "\x1d", "\x1e", "\x1f")
+# a block holding one of these goes to the row walker: a quote, a carriage return, and
+# the separators numpy's reader strips around a value as whitespace but float rejects
+_NOT_PLAIN = ('"', "\r", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
 def _read_blocks(fh: IO[str]) -> SummarySet | None:
     """The plain case of :func:`read_csv`: no quotes, ``"\\n"`` line ends, five
-    fields on every non-empty line, each value a float and each variant valid;
-    None for anything else.
+    fields on every non-empty line, each value one numpy's reader converts and
+    each variant valid; None for anything else.
 
     numpy's C text reader (``np.loadtxt``) splits each block of lines and
     converts its values through ``PyOS_string_to_double``, as ``float`` does,
-    so the doubles are ``float``'s. A block it rejects (a value such as
-    ``1_0`` or non-ASCII digits that ``float`` accepts, a wrong field count, a
-    bad value), a block longer than ``csv.field_size_limit()`` and a block
-    holding one of ``_FLOAT_REJECTS`` are split in Python instead, and their
-    values converted by ``float``, whose verdict stands.
+    so the doubles are ``float``'s. A block longer than
+    ``csv.field_size_limit()`` or holding one of ``_NOT_PLAIN``, and a block
+    the reader rejects (a wrong field count, a bad value, or a value such as
+    ``1_0`` or non-ASCII digits that ``float`` accepts), give None, and the
+    row walker reads the file instead.
     """
     limit = csv.field_size_limit()
     try:
@@ -245,16 +244,15 @@ def _read_blocks(fh: IO[str]) -> SummarySet | None:
         ids: list[str] = []
         blocks: list[list[np.ndarray]] = []
         for block in _line_blocks(fh):
-            if '"' in block or "\r" in block:
+            if len(block) > limit or any(map(block.__contains__, _NOT_PLAIN)):
                 return None
             if not block.strip("\n"):
                 continue  # loadtxt warns on a block without data
-            block_ids, cols = _block_columns(block, limit)
-            if block_ids is None:
-                return None
-            ids.extend(block_ids)
-            blocks.append(cols)
-    except ValueError:  # a value float rejects, or bytes that are not UTF-8
+            rows = np.loadtxt(io.StringIO(block), delimiter=",", dtype=_ROW, comments=None,
+                              quotechar=None, ndmin=1)
+            ids.extend(map(str.strip, rows["id"]))
+            blocks.append([rows[name] for name in _VALUES])
+    except ValueError:  # a block numpy's reader rejects, or bytes that are not UTF-8
         return None
     if not ids:
         return None
@@ -262,26 +260,6 @@ def _read_blocks(fh: IO[str]) -> SummarySet | None:
     if _first_fault(ids, cols) is not None:
         return None
     return object.__new__(SummarySet)._store(tuple(ids), cols, False, check=False)
-
-
-def _block_columns(block: str, limit: int):
-    # (ids, value columns) of a block holding at least one line; (None, None) on a
-    # wrong field count or a line past the size limit; a value float rejects raises
-    if len(block) <= limit and not any(map(block.__contains__, _FLOAT_REJECTS)):
-        try:
-            rows = np.loadtxt(io.StringIO(block), delimiter=",", dtype=_ROW, comments=None,
-                              quotechar=None, ndmin=1)
-        except ValueError:
-            pass
-        else:
-            return list(map(str.strip, rows["id"])), [rows[name] for name in _VALUES]
-    width = len(CSV_COLUMNS)
-    lines = list(filter(None, block.split("\n")))
-    if set(map(str.count, lines, repeat(","))) != {width - 1} or max(map(len, lines)) > limit:
-        return None, None
-    fields = ",".join(lines).split(",")
-    return (list(map(str.strip, fields[::width])),
-            [np.fromiter(map(float, fields[k::width]), float, len(lines)) for k in range(1, width)])
 
 
 def _line_blocks(fh: IO[str]):

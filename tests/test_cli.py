@@ -319,6 +319,11 @@ class TestSimulate:
         assert code == EXIT_PARSE
         assert "theta = 1e+153" in capsys.readouterr().err
 
+    def test_sample_size_too_large_for_a_float_exit_code(self, capsys):
+        n = "1" + "0" * 310
+        assert main(["simulate", "--scenario", "1", "--n", n]) == EXIT_PARSE
+        assert f"at n = {n} can overflow" in capsys.readouterr().err
+
     def test_one_sample_flag(self, capsys):
         code = main(["simulate", "--scenario", "1", "--n", "301", "--j", "4",
                      "--n-sim", "1", "--seed", "3", "--methods", "ivw",

@@ -165,6 +165,9 @@ class TestScenarioSpec:
         (dict(scenario=1, gamma_range=(math.nan, 0.1)),
          r"gamma_range must be an ordered finite pair, got \(nan, 0.1\)"),
         (dict(scenario=1, n_sim=0), "n_sim must be >= 1, got 0"),
+        (dict(scenario=1, seed=-1), "seed must be a non-negative integer, got -1"),
+        (dict(scenario=1, seed=1.5), "seed must be a non-negative integer, got 1.5"),
+        (dict(scenario=1, seed="1"), "seed must be a non-negative integer, got '1'"),
     ])
     def test_validation(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -200,6 +203,13 @@ class TestScenarioSpec:
             ScenarioSpec(scenario=1, gamma_range=(1e200, 1e200), n=2_000, j=5)
         with pytest.raises(ValueError, match="gamma_range"):
             ScenarioSpec(scenario=2, prop_invalid=0.3, gamma_range=(-1e160, 0.1), j=5)
+
+    def test_sizes_too_large_for_a_float_rejected(self):
+        # the sum-of-squares bound raised OverflowError converting n (or j) to a float
+        huge = 10 ** 310
+        for kw in (dict(n=huge), dict(n=10 * huge, j=huge)):
+            with pytest.raises(ValueError, match=rf"at n = {kw['n']} can overflow"):
+                ScenarioSpec(scenario=1, **kw)
 
     def test_r_squared_of_one_is_an_f_of_inf(self):
         # gamma = 1e150 leaves the exposure's residual sum of squares below an ulp of its

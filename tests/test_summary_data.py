@@ -413,11 +413,24 @@ class TestCsvFastPath:
             expected = _outcome(_walk, path)
             assert _outcome(read_csv, path) == expected
             fast = _blocks(path)
-        # the block reader covers every valid file without quotes or "\r", and nothing else
-        plain = isinstance(expected, SummarySet) and '"' not in text and "\r" not in text
+        # the block reader covers every valid file without quotes, "\r" or a value holding
+        # "_" (numpy's reader rejects "1_0"), and nothing else; the header's names hold "_"
+        rows = text.partition("\n")[2]
+        plain = (isinstance(expected, SummarySet) and '"' not in text and "\r" not in text
+                 and "_" not in rows)
         assert (fast is not None) == plain
         if plain:
             assert fast == expected
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661\u0660"])
+    def test_values_only_float_reads_go_to_the_walker(self, path, value):
+        # float reads "1_0" and non-ASCII digits as 10.0; numpy's reader rejects them
+        path.write_text(HEADER + f"rs1,{value},0.01,0.02,0.05\nrs2,0.2,0.01,{value},0.05\n",
+                        encoding="utf-8", newline="")
+        assert _blocks(path) is None
+        s = read_csv(path)
+        assert s == _walk(path)
+        assert s.beta_x[0] == s.beta_y[1] == 10.0
 
     def test_existing_cases_through_a_path(self, path):
         rows = "rs1,0.1,0.01,0.02,0.05\n\nrs2,0.2,0.01,0.02,0\nrs3,0.3,0.01,0.02,0.05\n"
