@@ -15,6 +15,7 @@ of them. Past one block (draws x J > 2^20) the draws depend on the block layout.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -23,12 +24,12 @@ from .exceptions import (DegenerateInstrumentError, EstimationError,
                          InsufficientInstrumentsError)
 from .penalization import cochran_q_ivw
 from .summary_data import SummarySet, ratio_estimates
-from .wls import Estimate, WeightVector, _estimate
+from .wls import Estimate, _as_weights, _estimate
 
 
 def _normalized(weights, n: int) -> np.ndarray:
     # a WeightVector or raw non-negative weights, scaled to sum to one
-    w = (weights if isinstance(weights, WeightVector) else WeightVector(weights)).w
+    w = _as_weights(weights).w
     if w.size != n:
         raise ValueError(f"got {w.size} weights for {n} values")
     with np.errstate(over="ignore"):
@@ -118,8 +119,8 @@ def _weigh_rows(sorted_rows: tuple[np.ndarray, np.ndarray], w: np.ndarray) -> np
 
 
 def _check_draws(draws: int) -> None:
-    if draws < 2:
-        raise ValueError(f"bootstrap needs at least 2 draws, got {draws}")
+    if not isinstance(draws, numbers.Integral) or draws < 2:
+        raise ValueError(f"bootstrap needs an integer of at least 2 draws, got {draws!r}")
 
 
 def _bootstrap_sds(s: SummarySet, weights: list[np.ndarray], draws: int, seed) -> list[float]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .exceptions import DegenerateInstrumentError, InsufficientInstrumentsError
 from .summary_data import SummarySet, ratio_estimates
-from .wls import WeightVector
+from .wls import WeightVector, _as_weights
 
 PENALTY_SLOPE = 20.0
 
@@ -114,8 +114,9 @@ def cochran_q_egger(s: SummarySet, intercept_ref: float, slope_ref: float) -> Pe
                    reference_intercept=float(intercept_ref))
 
 
-def penalize_weights(base: WeightVector, report: PenaltyReport) -> WeightVector:
-    """Apply the report's penalty factors to ``base`` elementwise."""
+def penalize_weights(base, report: PenaltyReport) -> WeightVector:
+    """Apply the report's penalty factors to ``base`` (a WeightVector or array_like)."""
+    base = _as_weights(base)
     if len(base) != report.factor_j.size:
         raise ValueError(
             f"got {len(base)} weights for {report.factor_j.size} penalty factors"

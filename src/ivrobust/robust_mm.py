@@ -466,7 +466,7 @@ def mm_regress(s: SummarySet, weights: WeightVector | None = None,
     s : SummarySet
         Variant associations. With ``intercept`` the set should be
         harmonized for the intercept to be interpretable.
-    weights : WeightVector, optional
+    weights : WeightVector or array_like, optional
         Analysis weights, inverse-variance by default; applied by scaling
         each observation by sqrt(w). The fit runs on the k positively
         weighted variants, so its S-scale, SEs and the intercept fit's t

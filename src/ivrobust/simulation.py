@@ -10,8 +10,9 @@ model is
     X = sum_j gamma_j G_j + U + e_X    (exposure)
     Y = sum_j alpha_j G_j + theta X + U + e_Y
 
-with G_j ~ Binomial(2, maf), independent standard normal errors, and
-gamma_j ~ U(0.03, 0.1). Invalid instruments (direct effects alpha_j, or
+with G_j ~ Binomial(2, MAF), independent standard normal errors, and
+gamma_j ~ U(GAMMA_RANGE), where MAF = 0.3 and GAMMA_RANGE = (0.03, 0.1)
+are fixed for every study. Invalid instruments (direct effects alpha_j, or
 confounded effects phi_j) are assigned by scenario:
 
 1. no invalid instruments (alpha = phi = 0);
@@ -66,9 +67,15 @@ from .summary_data import SummarySet, harmonize
 from .wls import Estimate, instrument_strength
 
 DESIGNS = ("one_sample", "two_sample")
+# every variant's allele frequency, and the range of its exposure effect gamma_j
+MAF = 0.3
+GAMMA_RANGE = (0.03, 0.1)
 # each scenario's invalid effects: balanced and directional direct effects alpha
 # (scenarios 2 and 3), effects through the confounder phi (scenario 4)
 _PLEIOTROPY_RANGES = {2: (-0.1, 0.1), 3: (0.0, 0.1), 4: (-0.1, 0.1)}
+# the largest association sample: m G'G and s s' in _draw_sample hold integers of at
+# most 4 m^2 <= 2^53, so the centred Gram matrix is exact
+_MAX_SAMPLE = math.isqrt(2 ** 51)
 _MAX_REGENERATIONS = 100
 _FLOAT_MAX = float(np.finfo(float).max)
 # genotype blocks are float32: a block's G'G entries and column sums are
@@ -89,7 +96,9 @@ class ScenarioSpec:
     ``prop_invalid`` is the probability that each variant is invalid
     (independently, unless ``fixed_invalid_count`` asks for exactly
     round(prop * j) invalid variants per replicate). Scenario 1 requires
-    ``prop_invalid == 0``.
+    ``prop_invalid == 0``. ``n``, ``j``, ``n_sim`` and ``seed`` are integers;
+    each association sample (n / 2 individuals, or n in the one-sample design)
+    holds more than j + 1 and at most ``_MAX_SAMPLE`` = 47,453,132.
     """
 
     scenario: int
@@ -98,8 +107,6 @@ class ScenarioSpec:
     n: int = 40_000
     j: int = 25
     design: str = "two_sample"
-    maf: float = 0.3
-    gamma_range: tuple[float, float] = (0.03, 0.1)
     n_sim: int = 1000
     seed: int = 0
     fixed_invalid_count: bool = False
@@ -115,6 +122,9 @@ class ScenarioSpec:
             raise ValueError("scenario 1 has no invalid instruments; prop_invalid must be 0")
         if self.design not in DESIGNS:
             raise ValueError(f"design must be one of {DESIGNS}, got {self.design!r}")
+        for name in ("n", "j", "n_sim"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.j < 1:
             raise ValueError(f"j must be >= 1, got {self.j}")
         if self.design == "two_sample" and self.n % 2:
@@ -125,23 +135,17 @@ class ScenarioSpec:
                 f"n too small: each association sample needs more than j + 1 = {self.j + 1} "
                 f"individuals, got {per_sample}"
             )
-        if not 0.0 < self.maf < 1.0:
-            raise ValueError(f"maf must lie in (0, 1), got {self.maf!r}")
-        lo, hi = self.gamma_range
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-            raise ValueError(f"gamma_range must be an ordered finite pair, got {self.gamma_range!r}")
-        # the largest exposure effect gamma + phi and outcome effect alpha + theta b_x + phi
-        # of the scenario, whose one kind of invalid effect (alpha or phi) is at most pleio
+        if per_sample > _MAX_SAMPLE:
+            raise ValueError(f"n = {self.n} too large: each association sample holds at most "
+                             f"{_MAX_SAMPLE} individuals, got {per_sample}")
+        # the largest outcome effect alpha + theta (gamma + phi) + phi of the scenario,
+        # whose one kind of invalid effect (alpha or phi) is at most pleio
         pleio = max(map(abs, _PLEIOTROPY_RANGES.get(self.scenario, (0.0,))))
-        b_x = max(abs(lo), abs(hi)) + pleio * (self.scenario == 4)
-        b_y = pleio + abs(self.theta) * b_x
-        if not _sum_of_squares_bound(per_sample, self.j, b_x, 2.0) < _FLOAT_MAX:
-            raise ValueError(f"gamma_range = {self.gamma_range!r} at n = {self.n} can overflow "
-                             f"the exposure's sum of squares")
+        b_y = pleio + abs(self.theta) * (GAMMA_RANGE[1] + pleio * (self.scenario == 4))
         if not _sum_of_squares_bound(per_sample, self.j, b_y,
                                      _outcome_variance(self.theta)) < _FLOAT_MAX:
-            raise ValueError(f"theta = {self.theta!r} with gamma_range = {self.gamma_range!r} "
-                             f"at n = {self.n} can overflow the outcome's sum of squares")
+            raise ValueError(f"theta = {self.theta!r} at n = {self.n} can overflow the "
+                             f"outcome's sum of squares")
         if self.n_sim < 1:
             raise ValueError(f"n_sim must be >= 1, got {self.n_sim}")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
@@ -178,17 +182,13 @@ class RawStudy:
 
 @dataclass(frozen=True)
 class GeneratedStudy:
-    """Summarized associations extracted from one simulated dataset."""
+    """Summarized associations of one simulated dataset, its invalid variants'
+    flags, and the exposure's multivariable R^2 and F statistic on all variants."""
 
     summary: SummarySet
-    theta: float
     invalid: np.ndarray
-    gamma: np.ndarray
-    alpha: np.ndarray
-    phi: np.ndarray
     r_squared: float
     f_statistic: float
-    f_univariable_mean: float
 
 
 def generate_individual_data(spec: ScenarioSpec, rng: np.random.Generator) -> RawStudy:
@@ -207,7 +207,7 @@ def generate_individual_data(spec: ScenarioSpec, rng: np.random.Generator) -> Ra
         invalid[rng.permutation(j)[:count]] = True
     else:
         invalid = rng.random(j) < spec.prop_invalid
-    gamma = rng.uniform(spec.gamma_range[0], spec.gamma_range[1], j)
+    gamma = rng.uniform(*GAMMA_RANGE, j)
     alpha = np.zeros(j)
     phi = np.zeros(j)
     if spec.scenario in (2, 3):
@@ -217,11 +217,11 @@ def generate_individual_data(spec: ScenarioSpec, rng: np.random.Generator) -> Ra
     mix = _error_factors(spec.theta, spec.design)
     if spec.design == "two_sample":
         m = spec.n // 2
-        chol_x, (score_x,), (rss_x,) = _draw_sample(rng, m, j, spec.maf, mix[0])
-        chol_y, (score_y,), (rss_y,) = _draw_sample(rng, m, j, spec.maf, mix[1])
+        chol_x, (score_x,), (rss_x,) = _draw_sample(rng, m, j, MAF, mix[0])
+        chol_y, (score_y,), (rss_y,) = _draw_sample(rng, m, j, MAF, mix[1])
     else:
         m = spec.n
-        chol_x, (score_x, score_y), (rss_x, rss_y) = _draw_sample(rng, m, j, spec.maf, mix[0])
+        chol_x, (score_x, score_y), (rss_x, rss_y) = _draw_sample(rng, m, j, MAF, mix[0])
         chol_y = chol_x
     return RawStudy(design=spec.design, n_sample=m, chol_x=chol_x, chol_y=chol_y,
                     score_x=score_x, score_y=score_y, rss_x=float(rss_x), rss_y=float(rss_y),
@@ -326,14 +326,11 @@ def _sum_of_squares_bound(m: int, j: int, effect: float, var: float) -> float:
     at most 1/2 and an error variance ``var``, the expected sum is at most
     m (J effect^2 / 2 + var); the chi-square factor 1 + 2 sqrt(40 / m) + 80 / m
     (Laurent & Massart: its upper tail past it is below e^-40) widens it for
-    the draw. Python float products give inf on overflow; so does an m or j
-    too large to convert to a float.
+    the draw. Python float products give inf on overflow; m and j are a
+    validated spec's, at most ``_MAX_SAMPLE``, so they convert exactly.
     """
-    try:
-        widen = 1.0 + 2.0 * math.sqrt(40.0 / m) + 80.0 / m
-        return m * (j * effect * effect / 2.0 + var) * widen
-    except OverflowError:
-        return math.inf
+    widen = 1.0 + 2.0 * math.sqrt(40.0 / m) + 80.0 / m
+    return m * (j * effect * effect / 2.0 + var) * widen
 
 
 def _outcome_variance(theta: float) -> float:
@@ -417,20 +414,10 @@ def extract_summary(raw: RawStudy, design: str) -> GeneratedStudy:
     beta_y, se_y, _ = _associations(raw.chol_y, effect_y, raw.score_y, raw.rss_y, m)
     # an R^2 that rounds to 1 is an F of inf
     f_overall = (r2 / k) / ((1.0 - r2) / (m - k - 1)) if r2 < 1.0 else math.inf
-    f_uni = float(np.mean((beta_x / se_x) ** 2))
     ids = [f"g{i + 1}" for i in range(k)]
     summary = SummarySet(beta_x, se_x, beta_y, se_y, ids=ids)
-    return GeneratedStudy(
-        summary=summary,
-        theta=raw.theta,
-        invalid=raw.invalid,
-        gamma=raw.gamma,
-        alpha=raw.alpha,
-        phi=raw.phi,
-        r_squared=r2,
-        f_statistic=f_overall,
-        f_univariable_mean=f_uni,
-    )
+    return GeneratedStudy(summary=summary, invalid=raw.invalid, r_squared=r2,
+                          f_statistic=f_overall)
 
 
 @dataclass(frozen=True)
@@ -597,8 +584,8 @@ def run_study(spec: ScenarioSpec, methods=ALL_METHODS, *, threads: int = 1,
     methods = _check_methods(methods, bootstrap_draws)
     if not methods:
         raise ValueError("at least one method is required")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    if not isinstance(threads, numbers.Integral) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     replicate = partial(_replicate, spec, methods=methods, bootstrap_draws=bootstrap_draws)
     # a pool starts all its workers at once: no more than there are replicates or CPUs
     workers = min(threads, spec.n_sim, os.cpu_count() or 1)

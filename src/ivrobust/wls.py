@@ -62,6 +62,11 @@ class WeightVector:
         return self.w.size
 
 
+def _as_weights(weights) -> WeightVector:
+    """A WeightVector as it is; any other non-negative weights checked into one."""
+    return weights if isinstance(weights, WeightVector) else WeightVector(weights)
+
+
 @dataclass(frozen=True)
 class Estimate:
     """A causal-effect estimate with its uncertainty summary.
@@ -162,15 +167,15 @@ def _fitted_variants(s: SummarySet, weights: WeightVector | None, minimum: int,
                      too_few: Callable[[int], str]) -> tuple[SummarySet, np.ndarray]:
     """The positively weighted variants a regression fit runs on, and their weights.
 
-    ``weights`` default to inverse-variance weights, one per variant. A
-    zero-weight variant's weighted residual is 0 on every line: counted, it
-    would shrink the residual scale and add a degree of freedom, so a fit
-    counts only its k positive ones, as R's ``lm.wfit`` does. With k <
+    ``weights`` (a WeightVector or array_like) default to inverse-variance
+    weights, one per variant. A zero-weight variant's weighted residual is 0
+    on every line: counted, it would shrink the residual scale and add a
+    degree of freedom, so a fit counts only its k positive ones, as R's
+    ``lm.wfit`` does. With k <
     ``minimum`` this raises InsufficientInstrumentsError(too_few(k)). A set
     whose weights are all positive is returned as it is, with no copy.
     """
-    if weights is None:
-        weights = inverse_variance_weights(s)
+    weights = inverse_variance_weights(s) if weights is None else _as_weights(weights)
     if len(weights) != s.j:
         raise ValueError(f"got {len(weights)} weights for {s.j} variants")
     w = weights.w
@@ -290,7 +295,7 @@ def ivw(s: SummarySet, weights: WeightVector | None = None,
     ----------
     s : SummarySet
         Variant associations (orientation does not affect this estimator).
-    weights : WeightVector, optional
+    weights : WeightVector or array_like, optional
         Analysis weights, inverse-variance by default. The fit runs on the k >= 1
         strictly positive ones; the residual scale has k - 1 degrees of freedom.
     effects : {"fixed", "multiplicative_random"}

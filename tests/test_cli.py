@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from ivrobust import cli
 from ivrobust._util import _cell
 from ivrobust.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, main
 from ivrobust.summary_data import read_csv
@@ -319,10 +320,15 @@ class TestSimulate:
         assert code == EXIT_PARSE
         assert "theta = 1e+153" in capsys.readouterr().err
 
-    def test_sample_size_too_large_for_a_float_exit_code(self, capsys):
-        n = "1" + "0" * 310
-        assert main(["simulate", "--scenario", "1", "--n", n]) == EXIT_PARSE
-        assert f"at n = {n} can overflow" in capsys.readouterr().err
+    def test_sample_size_too_large_for_a_float_exit_code(self, capsys, monkeypatch):
+        # n = 2 * 10^300 passed every check and the run drew genotype blocks without end
+        def run(*args, **kwargs):
+            raise AssertionError("a study started at an n no run can finish")
+
+        monkeypatch.setattr(cli, "run_study", run)
+        for n in ("1" + "0" * 310, str(2 * 10 ** 300)):
+            assert main(["simulate", "--scenario", "1", "--n", n]) == EXIT_PARSE
+            assert f"n = {n} too large" in capsys.readouterr().err
 
     def test_one_sample_flag(self, capsys):
         code = main(["simulate", "--scenario", "1", "--n", "301", "--j", "4",

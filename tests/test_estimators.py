@@ -18,6 +18,8 @@ from ivrobust.exceptions import (
     SingularDesignError,
 )
 from ivrobust.penalization import cochran_q_egger, cochran_q_ivw, penalize_weights
+from ivrobust.robust_mm import mm_regress
+from ivrobust.simulation import ScenarioSpec, run_study
 from ivrobust.summary_data import SummarySet, harmonize
 from ivrobust.wls import egger, inverse_variance_weights, ivw
 
@@ -252,6 +254,42 @@ class TestPenalizedWiring:
         got = run_methods(summary, ("penalized_robust_ivw",), seed=13)
         assert got["penalized_robust_ivw"] == dataclasses.replace(
             manual, method="penalized_robust_ivw")
+
+
+class TestPlainArguments:
+    """Weights given as a list or an array, and bootstrap draw counts that are not integers."""
+
+    @pytest.mark.parametrize("plain", [list, np.array], ids=["list", "array"])
+    def test_plain_weights_fit_as_their_weight_vector(self, summary, plain):
+        # each regression fit and penalize_weights raised AttributeError on a plain
+        # sequence ("... has no attribute 'w'"), where the medians accepted one
+        hs = harmonize(summary)
+        base = inverse_variance_weights(hs)
+        w = plain(base.w)
+        assert ivw(hs, w) == ivw(hs, base)
+        assert egger(hs, w) == egger(hs, base)
+        for intercept in (False, True):
+            assert (mm_regress(hs, w, intercept=intercept, seed=3)
+                    == mm_regress(hs, base, intercept=intercept, seed=3))
+        report = cochran_q_ivw(hs, ivw(hs, base).theta)
+        np.testing.assert_array_equal(penalize_weights(w, report).w,
+                                      penalize_weights(base, report).w)
+
+    @pytest.mark.parametrize("draws", [2.5, 1e3])
+    @pytest.mark.parametrize("entry", ["run_methods", "bootstrap_se", "run_study"])
+    def test_non_integer_draw_count_rejected(self, summary, entry, draws):
+        # numpy raised its own TypeError on a float draw count, deep in the bootstrap
+        calls = {
+            "run_methods": lambda: run_methods(summary, ("simple_median",), seed=1,
+                                               bootstrap_draws=draws),
+            "bootstrap_se": lambda: bootstrap_se(summary, np.ones(summary.j), draws=draws,
+                                                 seed=1),
+            "run_study": lambda: run_study(ScenarioSpec(scenario=1, n=600, j=4, n_sim=1),
+                                           ("simple_median",), bootstrap_draws=draws),
+        }
+        with pytest.raises(ValueError, match=rf"bootstrap needs an integer of at least 2 "
+                                             rf"draws, got {draws}"):
+            calls[entry]()
 
 
 class TestUnderflowedWeights:

@@ -122,7 +122,7 @@ def raw_from_individuals(design, t, g_x, eps_x, g_y, eps_y):
 def brute_force_summary(spec, t, rng):
     """Associations by the individual-level path: binomial genotypes, n-length errors, OLS."""
     n, j = spec.n, spec.j
-    g = rng.binomial(2, spec.maf, size=(n, j)).astype(float)
+    g = rng.binomial(2, simulation.MAF, size=(n, j)).astype(float)
     eps_u, eps_x, eps_y = rng.standard_normal((3, n))
     u = g @ t["phi"] + eps_u
     x = g @ t["gamma"] + u + eps_x
@@ -157,13 +157,12 @@ class TestScenarioSpec:
         (dict(scenario=1, j=0), "j must be >= 1, got 0"),
         (dict(scenario=1, n=40_001), "two-sample design needs an even n"),
         (dict(scenario=1, n=40, j=25), "n too small"),
-        (dict(scenario=1, maf=0.0), r"maf must lie in \(0, 1\), got 0.0"),
-        (dict(scenario=1, gamma_range=(0.1, 0.03)),
-         r"gamma_range must be an ordered finite pair, got \(0.1, 0.03\)"),
-        (dict(scenario=1, gamma_range=(0.03, math.inf)),
-         r"gamma_range must be an ordered finite pair, got \(0.03, inf\)"),
-        (dict(scenario=1, gamma_range=(math.nan, 0.1)),
-         r"gamma_range must be an ordered finite pair, got \(nan, 0.1\)"),
+        # a count that is not an integer failed with a TypeError inside the first replicate
+        (dict(scenario=1, n=200, j=5, n_sim=2.5), "n_sim must be an integer, got 2.5"),
+        (dict(scenario=1, n=200, j=2.5), "j must be an integer, got 2.5"),
+        (dict(scenario=1, n=200.0, j=5), "n must be an integer, got 200.0"),
+        (dict(scenario=1, n=2 * 47_453_133), "n = 94906266 too large: each association "
+                                             "sample holds at most 47453132 individuals"),
         (dict(scenario=1, n_sim=0), "n_sim must be >= 1, got 0"),
         (dict(scenario=1, seed=-1), "seed must be a non-negative integer, got -1"),
         (dict(scenario=1, seed=1.5), "seed must be a non-negative integer, got 1.5"),
@@ -198,23 +197,30 @@ class TestScenarioSpec:
                 report = run_study(spec, ("ivw", "egger"))
                 assert report.row("ivw").mean == pytest.approx(5e151, rel=0.2)
 
-    def test_gamma_range_whose_sums_of_squares_overflow_rejected(self):
-        with pytest.raises(ValueError, match=r"gamma_range = \(1e\+200, 1e\+200\) at n = 2000"):
-            ScenarioSpec(scenario=1, gamma_range=(1e200, 1e200), n=2_000, j=5)
-        with pytest.raises(ValueError, match="gamma_range"):
-            ScenarioSpec(scenario=2, prop_invalid=0.3, gamma_range=(-1e160, 0.1), j=5)
-
     def test_sizes_too_large_for_a_float_rejected(self):
         # the sum-of-squares bound raised OverflowError converting n (or j) to a float
         huge = 10 ** 310
         for kw in (dict(n=huge), dict(n=10 * huge, j=huge)):
-            with pytest.raises(ValueError, match=rf"at n = {kw['n']} can overflow"):
+            with pytest.raises(ValueError, match=rf"n = {kw['n']} too large"):
                 ScenarioSpec(scenario=1, **kw)
 
-    def test_r_squared_of_one_is_an_f_of_inf(self):
+    def test_sample_size_bounded(self):
+        # the centred Gram matrix is exact while 4 m^2 <= 2^53; a larger n constructed,
+        # and a run drew its genotype blocks without end (specs only: no run starts)
+        largest = 47_453_132
+        assert simulation._MAX_SAMPLE == largest
+        assert ScenarioSpec(scenario=1, n=2 * largest).n == 2 * largest
+        assert ScenarioSpec(scenario=1, n=largest, design="one_sample").n == largest
+        for kw in (dict(n=largest + 1, design="one_sample"), dict(n=2 * 10 ** 300)):
+            with pytest.raises(ValueError, match=rf"n = {kw['n']} too large: each association "
+                                                 rf"sample holds at most {largest}"):
+                ScenarioSpec(scenario=1, **kw)
+
+    def test_r_squared_of_one_is_an_f_of_inf(self, monkeypatch):
         # gamma = 1e150 leaves the exposure's residual sum of squares below an ulp of its
         # total: 1 - R^2 rounds to 0, and the F statistic divided by it
-        spec = ScenarioSpec(scenario=1, gamma_range=(1e150, 1e150), n=2_000, j=5, n_sim=2)
+        monkeypatch.setattr(simulation, "GAMMA_RANGE", (1e150, 1e150))
+        spec = ScenarioSpec(scenario=1, n=2_000, j=5, n_sim=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = run_study(spec, ("ivw",))
@@ -310,8 +316,8 @@ class TestGenerate:
         rng_a, rng_b = rng_for(3), rng_for(3)
         raw = generate_individual_data(spec, rng_a)
         rng_b.random(5)  # the invalid flags ...
-        rng_b.uniform(0.03, 0.1, 5)  # ... and gamma precede the genotypes
-        g, _ = genotypes(rng_b.bit_generator, 200, 5, spec.maf)
+        rng_b.uniform(*simulation.GAMMA_RANGE, 5)  # ... and gamma precede the genotypes
+        g, _ = genotypes(rng_b.bit_generator, 200, 5, simulation.MAF)
         gc = g - g.mean(axis=0)
         np.testing.assert_allclose(raw.chol_x @ raw.chol_x.T, gc.T @ gc, rtol=1e-12,
                                    atol=1e-12 * np.abs(gc.T @ gc).max())
@@ -408,9 +414,6 @@ class TestExtractSummary:
         assert study.r_squared == pytest.approx(r2, rel=1e-10)
         assert study.f_statistic == pytest.approx((r2 / j) / ((1.0 - r2) / (m - j - 1)),
                                                   rel=1e-10)
-        assert study.f_univariable_mean == pytest.approx(
-            float(np.mean((s.beta_x / s.se_x) ** 2)), rel=1e-12
-        )
 
     def test_near_noiseless_instrument(self):
         rng = rng_for(10)
@@ -470,19 +473,22 @@ class TestExactLaw:
         corr_old = np.corrcoef(old[0].ravel(), old[2].ravel())[0, 1]
         assert abs(corr_new - corr_old) < 4.5 * math.sqrt(2 / new[0].size)
 
-    def test_monomorphic_variant_regenerates(self):
+    def test_monomorphic_variant_regenerates(self, monkeypatch):
         # at maf = 0.03 a variant is monomorphic in a 40-person half about one time in
         # eleven: the dataset is redrawn and counted, never summarized
-        spec = ScenarioSpec(scenario=1, n=80, j=4, maf=0.03, n_sim=10, seed=3)
+        monkeypatch.setattr(simulation, "MAF", 0.03)
+        spec = ScenarioSpec(scenario=1, n=80, j=4, n_sim=10, seed=3)
         report = run_study(spec, ("ivw",))
         assert report.regenerated_datasets > 0
         assert report.regenerated_datasets == run_study(spec, ("ivw",)).regenerated_datasets
-        monomorphic = ScenarioSpec(scenario=1, n=80, j=4, maf=1e-12, n_sim=1)
+        monkeypatch.setattr(simulation, "MAF", 1e-12)
+        monomorphic = ScenarioSpec(scenario=1, n=80, j=4, n_sim=1)
         with pytest.raises(simulation._DegenerateGenotype):
             generate_individual_data(monomorphic, rng_for(14))
 
-    def test_every_draw_degenerate_raises(self):
-        spec = ScenarioSpec(scenario=1, n=80, j=4, maf=1e-12, n_sim=1, seed=3)
+    def test_every_draw_degenerate_raises(self, monkeypatch):
+        monkeypatch.setattr(simulation, "MAF", 1e-12)
+        spec = ScenarioSpec(scenario=1, n=80, j=4, n_sim=1, seed=3)
         with pytest.raises(RuntimeError, match="no informative dataset"):
             run_study(spec, ("ivw",))
 
@@ -683,6 +689,9 @@ class TestRunStudy:
             run_study(spec, ())
         with pytest.raises(ValueError, match="threads"):
             run_study(spec, ("ivw",), threads=0)
+        # a fractional count ran, or raised a TypeError where it reached the pool
+        with pytest.raises(ValueError, match="threads must be an integer >= 1, got 1.5"):
+            run_study(spec, ("ivw",), threads=1.5)
 
     def test_duplicate_method_rejected_before_any_draw(self, monkeypatch):
         def draw(*args, **kwargs):
