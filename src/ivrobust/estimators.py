@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from ._util import as_seed_sequence
-from .exceptions import EstimationError
+from .exceptions import EstimationError, _raised
 from .median_methods import _check_draws, _median_fits
 from .penalization import cochran_q_egger, cochran_q_ivw, penalize_weights
 from .robust_mm import _mm_fits
@@ -57,7 +57,10 @@ _STREAMS = {
 
 def _check_methods(methods, bootstrap_draws: int | None = None) -> tuple[str, ...]:
     """``methods`` as a tuple; ValueError for an unknown or a repeated method id, or,
-    given ``bootstrap_draws``, for fewer than 2 draws when a median is requested."""
+    given ``bootstrap_draws``, for fewer than 2 draws when a median is requested, and for
+    one string in place of a collection of ids."""
+    if isinstance(methods, str):
+        raise ValueError(f"methods must be a collection of method ids, got the string {methods!r}")
     methods = tuple(methods)
     unknown = [m for m in methods if m not in ALL_METHODS]
     if unknown:
@@ -84,14 +87,16 @@ def _fit_each(s: SummarySet, methods, *, effects: str = "multiplicative_random",
               ) -> Iterator[tuple[str, Estimate | EstimationError]]:
     """Yield ``(method, Estimate or the EstimationError it raised)`` in request order.
 
-    The inverse-variance weights, each reference fit and each penalized
+    The inverse-variance weights, each least-squares fit and each penalized
     weight vector are computed when a method first needs them, so their
     errors are those of the methods that use them; one that raised is
-    recomputed by the next method needing it. The requested medians
-    (:func:`ivrobust.median_methods._median_fits`, one bootstrap pass) and
-    the requested robust methods (:func:`ivrobust.robust_mm._mm_fits`,
+    recomputed by the next method needing it. The penalized weights of a
+    regression come from its unpenalized least-squares fit. The requested
+    medians (:func:`ivrobust.median_methods._median_fits`, one bootstrap pass)
+    and the requested robust methods (:func:`ivrobust.robust_mm._mm_fits`,
     lockstep S-stages) are each fitted together when the first of them is
     needed; each keeps its own error, and its result is the one it gets alone.
+    A fit named for another method (a penalized regression's) is renamed.
     An unknown ``effects`` raises ValueError before any method fits.
     """
     methods = _check_methods(methods, bootstrap_draws)
@@ -105,12 +110,13 @@ def _fit_each(s: SummarySet, methods, *, effects: str = "multiplicative_random",
         return inverse_variance_weights(hs)
 
     @cache
-    def reference(intercept: bool) -> Estimate:
-        return egger(hs, base()) if intercept else ivw(hs, base(), effects=effects)
+    def least_squares(intercept: bool, penalized: bool) -> Estimate:
+        w = penalized_weights(intercept) if penalized else base()
+        return egger(hs, w) if intercept else ivw(hs, w, effects=effects)
 
     @cache
     def penalized_weights(intercept: bool) -> WeightVector:
-        ref = reference(intercept)
+        ref = least_squares(intercept, False)
         report = (cochran_q_egger(hs, ref.intercept, ref.theta) if intercept
                   else cochran_q_ivw(hs, ref.theta))
         return penalize_weights(base(), report)
@@ -125,8 +131,8 @@ def _fit_each(s: SummarySet, methods, *, effects: str = "multiplicative_random",
             except EstimationError as exc:
                 fits[name] = exc
                 continue
-            requests[name] = (w, intercept, _stream(root, name), effects, name)
-        for name, result in zip(requests, _mm_fits(hs, list(requests.values()))):
+            requests[name] = (w, intercept, _stream(root, name))
+        for name, result in zip(requests, _mm_fits(hs, list(requests.values()), effects)):
             fits[name] = result if isinstance(result, EstimationError) else result[1]
         return fits
 
@@ -137,16 +143,11 @@ def _fit_each(s: SummarySet, methods, *, effects: str = "multiplicative_random",
 
     def fit(name: str) -> Estimate:
         if name in _MEDIANS or name in _ROBUST:
-            result = (median_fits() if name in _MEDIANS else robust_fits())[name]
-            if isinstance(result, EstimationError):
-                raise result
-            return result
-        intercept, _, penalized = _REGRESSIONS[name]
-        if not penalized:
-            return reference(intercept)
-        w = penalized_weights(intercept)
-        est = egger(hs, w) if intercept else ivw(hs, w, effects=effects)
-        return dataclasses.replace(est, method=name)
+            est = _raised((median_fits() if name in _MEDIANS else robust_fits())[name])
+        else:
+            intercept, _, penalized = _REGRESSIONS[name]
+            est = least_squares(intercept, penalized)
+        return est if est.method == name else dataclasses.replace(est, method=name)
 
     for name in methods:
         try:
@@ -167,14 +168,9 @@ def run_methods(s: SummarySet, methods=ALL_METHODS, *,
     methods were requested. Robust fits use the fixed tuning of
     :mod:`ivrobust.robust_mm`. Every method either returns an
     :class:`Estimate`, with or without SE, or raises an
-    :class:`EstimationError`: the first method in request order that fails
-    raises its error, and no later method runs (the robust methods are fitted
-    together when the first of them runs).
+    :class:`EstimationError`: of the fits of :func:`_fit_each`, the first
+    that fails in request order raises its error, and no later method runs
+    (the robust methods are fitted together when the first of them runs).
     """
-    results: dict[str, Estimate] = {}
-    for name, fit in _fit_each(s, methods, effects=effects, bootstrap_draws=bootstrap_draws,
-                               seed=seed):
-        if isinstance(fit, EstimationError):
-            raise fit
-        results[name] = fit
-    return results
+    return {name: _raised(fit) for name, fit in _fit_each(
+        s, methods, effects=effects, bootstrap_draws=bootstrap_draws, seed=seed)}

@@ -6,6 +6,13 @@ class EstimationError(ValueError):
     """An estimator precondition was violated."""
 
 
+def _raised(result):
+    """A fit's result as it is, or, when the fit failed, its EstimationError raised."""
+    if isinstance(result, EstimationError):
+        raise result
+    return result
+
+
 class DegenerateInstrumentError(EstimationError):
     """An exposure association needed for a ratio or fit is exactly zero.
 

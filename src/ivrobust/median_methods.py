@@ -21,7 +21,7 @@ import numpy as np
 
 from ._util import _row_chunks, as_seed_sequence
 from .exceptions import (DegenerateInstrumentError, EstimationError,
-                         InsufficientInstrumentsError)
+                         InsufficientInstrumentsError, _raised)
 from .penalization import cochran_q_ivw
 from .summary_data import SummarySet, ratio_estimates
 from .wls import Estimate, _as_weights, _estimate
@@ -29,9 +29,7 @@ from .wls import Estimate, _as_weights, _estimate
 
 def _normalized(weights, n: int) -> np.ndarray:
     # a WeightVector or raw non-negative weights, scaled to sum to one
-    w = _as_weights(weights).w
-    if w.size != n:
-        raise ValueError(f"got {w.size} weights for {n} values")
+    w = _as_weights(weights, n).w
     with np.errstate(over="ignore"):
         total = w.sum()
     if not total > 0.0:
@@ -220,10 +218,7 @@ def _median_fits(s: SummarySet, methods, draws: int, seed
 
 
 def _alone(s: SummarySet, method: str, draws: int, seed) -> Estimate:
-    result = _median_fits(s, (method,), draws, seed)[method]
-    if isinstance(result, EstimationError):
-        raise result
-    return result
+    return _raised(_median_fits(s, (method,), draws, seed)[method])
 
 
 def simple_median(s: SummarySet, draws: int = 1000, seed=None) -> Estimate:

@@ -115,10 +115,5 @@ def cochran_q_egger(s: SummarySet, intercept_ref: float, slope_ref: float) -> Pe
 
 
 def penalize_weights(base, report: PenaltyReport) -> WeightVector:
-    """Apply the report's penalty factors to ``base`` (a WeightVector or array_like)."""
-    base = _as_weights(base)
-    if len(base) != report.factor_j.size:
-        raise ValueError(
-            f"got {len(base)} weights for {report.factor_j.size} penalty factors"
-        )
-    return WeightVector(base.w * report.factor_j)
+    """Apply the report's penalty factors to ``base`` (J weights, a WeightVector or array_like)."""
+    return WeightVector(_as_weights(base, report.factor_j.size).w * report.factor_j)

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import _row_chunks, as_seed_sequence
-from .exceptions import DegenerateInstrumentError, EstimationError, SingularDesignError
+from .exceptions import DegenerateInstrumentError, EstimationError, SingularDesignError, _raised
 from .summary_data import SummarySet
 from .wls import (EFFECTS_MODELS, Estimate, WeightVector, _design, _estimate, _fitted_variants,
                   _intercept_fit, _origin_sxx, _wls_products, _wls_rows, _wls_solve)
@@ -491,27 +491,28 @@ def mm_regress(s: SummarySet, weights: WeightVector | None = None,
         (the estimate is still returned); an M-stage that did not converge
         adds the warning "M-step did not converge".
     """
-    (result,) = _mm_fits(s, [(weights, intercept, seed, effects, None)])
-    if isinstance(result, EstimationError):
-        raise result
-    return result
+    return _raised(_mm_fits(s, [(weights, intercept, seed)], effects)[0])
 
 
-def _mm_fits(s: SummarySet, requests) -> list[tuple[RobustFit, Estimate] | EstimationError]:
-    """MM fits of one summary set, one per (weights, intercept, seed, effects, method).
+def _mm_fits(s: SummarySet, requests, effects: str
+             ) -> list[tuple[RobustFit, Estimate] | EstimationError]:
+    """MM fits of one summary set, one per (weights, intercept, seed), under one ``effects``.
 
     Each request's result, or the EstimationError it raised, in request
-    order; a ValueError (an unknown ``effects``, a weight vector of the wrong
-    length) propagates. Requests whose fitted sets have equal size k run their
+    order, named as :func:`_mm_result` names it. A ValueError propagates: an
+    unknown ``effects`` before any fit, a weight vector of the wrong length at
+    its request. Requests whose fitted sets have equal size k run their
     S-stages in lockstep, in groups of consecutive ones whose N_CANDIDATES x k
     rows stay within _ELEMENT_BUDGET (a request over it runs alone); every fit
     keeps its own stream, so its result does not depend on the other requests.
     """
+    if effects not in EFFECTS_MODELS:
+        raise ValueError(f"effects must be one of {EFFECTS_MODELS}, got {effects!r}")
     results: list = [None] * len(requests)
     searches = {}  # k: [(request index, fitted set, design, response, rng)]
-    for i, (weights, intercept, seed, effects, _) in enumerate(requests):
+    for i, request in enumerate(requests):
         try:
-            fit_set, *search = _search_inputs(s, weights, intercept, seed, effects)
+            fit_set, *search = _search_inputs(s, *request)
             searches.setdefault(fit_set.j, []).append((i, fit_set, *search))
         except EstimationError as exc:
             results[i] = exc
@@ -527,17 +528,15 @@ def _mm_fits(s: SummarySet, requests) -> list[tuple[RobustFit, Estimate] | Estim
             for (i, fit_set, design, response, *_), winner in zip(
                     fits, _s_stage([f[2:] for f in fits])):
                 try:
-                    results[i] = _mm_result(fit_set, design, response, *winner, *requests[i][3:])
+                    results[i] = _mm_result(fit_set, design, response, *winner, effects)
                 except EstimationError as exc:  # an estimate that is not finite
                     results[i] = exc
     return results
 
 
-def _search_inputs(s: SummarySet, weights, intercept: bool, seed, effects: str):
+def _search_inputs(s: SummarySet, weights, intercept: bool, seed):
     """A fit's positively weighted variants (k >= 2p of them, see :func:`mm_regress`),
     weighted design, response and search stream, after its preconditions."""
-    if effects not in EFFECTS_MODELS:
-        raise ValueError(f"effects must be one of {EFFECTS_MODELS}, got {effects!r}")
     p = 2 if intercept else 1
     s, w = _fitted_variants(s, weights, 2 * p, lambda k: (
         f"mm_regress needs at least {2 * p} positively weighted variants of J = {s.j} "
@@ -551,11 +550,12 @@ def _search_inputs(s: SummarySet, weights, intercept: bool, seed, effects: str):
     return s, design, response, np.random.Generator(np.random.Philox(as_seed_sequence(seed)))
 
 
-def _mm_result(s: SummarySet, design, response, beta, s_star: float, effects: str,
-               method: str | None) -> tuple[RobustFit, Estimate]:
+def _mm_result(s: SummarySet, design, response, beta, s_star: float, effects: str
+               ) -> tuple[RobustFit, Estimate]:
     """The M-stage from an S-stage winner (scale 0: an exact fit), its RobustFit and Estimate.
 
-    An infinite scale would weigh every residual 1 and make the M-stage least
+    The estimate is named from the design, ``robust_egger`` or ``robust_ivw``. An
+    infinite scale would weigh every residual 1 and make the M-stage least
     squares, so it is the fit's DegenerateInstrumentError.
     """
     if not math.isfinite(s_star):
@@ -574,7 +574,7 @@ def _mm_result(s: SummarySet, design, response, beta, s_star: float, effects: st
             correction = sigma if effects == "fixed" else min(sigma, 1.0)
             ses = [v / correction for v in raw]
     est = _estimate(
-        method or ("robust_egger" if intercept else "robust_ivw"), float(beta[-1]), ses[-1],
+        "robust_egger" if intercept else "robust_ivw", float(beta[-1]), ses[-1],
         df=s.j - 2 if intercept else None, intercept=float(beta[0]) if intercept else None,
         intercept_se=ses[0] if intercept else None, effects_model=effects, residual_scale=sigma,
         warnings=("exact fit",) * exact + ("M-step did not converge",) * (not converged),

@@ -96,9 +96,11 @@ class ScenarioSpec:
     ``prop_invalid`` is the probability that each variant is invalid
     (independently, unless ``fixed_invalid_count`` asks for exactly
     round(prop * j) invalid variants per replicate). Scenario 1 requires
-    ``prop_invalid == 0``. ``n``, ``j``, ``n_sim`` and ``seed`` are integers;
-    each association sample (n / 2 individuals, or n in the one-sample design)
-    holds more than j + 1 and at most ``_MAX_SAMPLE`` = 47,453,132.
+    ``prop_invalid == 0``. ``scenario``, ``n``, ``j``, ``n_sim`` and ``seed``
+    are integers and ``theta`` and ``prop_invalid`` real numbers, each stored
+    as a Python int or float; each association sample (n / 2 individuals, or
+    n in the one-sample design) holds more than j + 1 and at most
+    ``_MAX_SAMPLE`` = 47,453,132.
     """
 
     scenario: int
@@ -112,8 +114,24 @@ class ScenarioSpec:
     fixed_invalid_count: bool = False
 
     def __post_init__(self):
-        if self.scenario not in (1, 2, 3, 4):
+        if not isinstance(self.scenario, numbers.Integral) or self.scenario not in (1, 2, 3, 4):
             raise ValueError(f"scenario must be 1..4, got {self.scenario!r}")
+        for name in ("theta", "prop_invalid"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
+        for name in ("n", "j", "n_sim"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        # Python numbers: a numpy scalar would compute the bounds below in its own type
+        for name in ("scenario", "n", "j", "n_sim", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        for name in ("theta", "prop_invalid"):
+            try:
+                object.__setattr__(self, name, float(getattr(self, name)))
+            except OverflowError:  # an int past the largest float
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}") from None
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
         if not 0.0 <= self.prop_invalid <= 1.0:
@@ -122,9 +140,6 @@ class ScenarioSpec:
             raise ValueError("scenario 1 has no invalid instruments; prop_invalid must be 0")
         if self.design not in DESIGNS:
             raise ValueError(f"design must be one of {DESIGNS}, got {self.design!r}")
-        for name in ("n", "j", "n_sim"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.j < 1:
             raise ValueError(f"j must be >= 1, got {self.j}")
         if self.design == "two_sample" and self.n % 2:
@@ -148,8 +163,6 @@ class ScenarioSpec:
                              f"outcome's sum of squares")
         if self.n_sim < 1:
             raise ValueError(f"n_sim must be >= 1, got {self.n_sim}")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

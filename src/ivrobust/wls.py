@@ -62,9 +62,12 @@ class WeightVector:
         return self.w.size
 
 
-def _as_weights(weights) -> WeightVector:
-    """A WeightVector as it is; any other non-negative weights checked into one."""
-    return weights if isinstance(weights, WeightVector) else WeightVector(weights)
+def _as_weights(weights, n: int) -> WeightVector:
+    """``weights`` checked into a WeightVector of ``n`` weights, one per variant."""
+    weights = weights if isinstance(weights, WeightVector) else WeightVector(weights)
+    if len(weights) != n:
+        raise ValueError(f"got {len(weights)} weights for {n} variants")
+    return weights
 
 
 @dataclass(frozen=True)
@@ -175,10 +178,7 @@ def _fitted_variants(s: SummarySet, weights: WeightVector | None, minimum: int,
     ``minimum`` this raises InsufficientInstrumentsError(too_few(k)). A set
     whose weights are all positive is returned as it is, with no copy.
     """
-    weights = inverse_variance_weights(s) if weights is None else _as_weights(weights)
-    if len(weights) != s.j:
-        raise ValueError(f"got {len(weights)} weights for {s.j} variants")
-    w = weights.w
+    w = (inverse_variance_weights(s) if weights is None else _as_weights(weights, s.j)).w
     k = np.count_nonzero(w)
     if k < minimum:
         raise InsufficientInstrumentsError(too_few(k))

@@ -55,6 +55,17 @@ class TestRegistry:
         with pytest.raises(ValueError, match="duplicate"):
             run_methods(summary, ("ivw", "ivw"), seed=1)
 
+    @pytest.mark.parametrize("entry", ["run_methods", "run_study"])
+    def test_one_string_rejected_as_the_method_list(self, summary, entry):
+        # a bare id was split into characters: "unknown method id(s): i, v, w"
+        calls = {
+            "run_methods": lambda: run_methods(summary, "ivw", seed=1),
+            "run_study": lambda: run_study(ScenarioSpec(scenario=1, n=600, j=4, n_sim=1), "ivw"),
+        }
+        with pytest.raises(ValueError, match="methods must be a collection of method ids, "
+                                             "got the string 'ivw'"):
+            calls[entry]()
+
     def test_request_order_preserved(self, summary):
         order = ("weighted_median", "ivw", "robust_egger")
         assert tuple(run_methods(summary, order, seed=2, bootstrap_draws=100)) == order

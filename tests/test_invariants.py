@@ -61,10 +61,17 @@ def test_every_method_returns_an_estimate_or_raises_estimation_error(s, effects,
        st.integers(0, 2 ** 32 - 1))
 def test_joint_request_gives_each_method_its_single_method_result(s, effects, seed):
     # the robust methods of a joint request share one lockstep S-stage
+    # and run_methods returns that result, named for its method, or raises it
     joint = dict(_fit_each(s, ALL_METHODS, effects=effects, seed=seed, bootstrap_draws=30))
     for name, got in joint.items():
         ((_, alone),) = _fit_each(s, (name,), effects=effects, seed=seed, bootstrap_draws=30)
         assert type(got) is type(alone) and _outcome(got) == _outcome(alone)
+        try:
+            ran = run_methods(s, (name,), effects=effects, seed=seed, bootstrap_draws=30)[name]
+        except EstimationError as exc:
+            ran = exc
+        assert type(ran) is type(alone) and _outcome(ran) == _outcome(alone)
+        assert isinstance(ran, EstimationError) or ran.method == name
 
 
 def _outcome(fit) -> str:

@@ -166,7 +166,7 @@ class TestWeightedMedian:
     @pytest.mark.parametrize("theta, weights, message", [
         ([1.0, 2.0], [0.0, 0.0], "at least one weight must be strictly positive"),
         ([1.0, 2.0], [1.0, -0.1], "weights must be finite and >= 0"),
-        ([1.0, 2.0], np.ones(3), "got 3 weights for 2 values"),
+        ([1.0, 2.0], np.ones(3), "got 3 weights for 2 variants"),
         ([], [], "theta must be a non-empty 1-d vector"),
         ([[1.0, 2.0]], [1.0, 1.0], "theta must be a non-empty 1-d vector"),
         ([1.0, np.nan], [1.0, 1.0], "theta must be finite"),

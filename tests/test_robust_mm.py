@@ -727,13 +727,12 @@ class TestLockstep:
             iv = inverse_variance_weights(s)
             other = WeightVector(iv.w * rng.uniform(0.1, 1.0, s.j))
             fits = [(iv, False), (iv, True), (other, False)]
-            requests = [(w, intercept, [seed, k], "multiplicative_random", None)
-                        for k, (w, intercept) in enumerate(fits)]
-            joint = robust_mm._mm_fits(s, requests)
+            requests = [(w, intercept, [seed, k]) for k, (w, intercept) in enumerate(fits)]
+            joint = robust_mm._mm_fits(s, requests, "multiplicative_random")
             assert isinstance(joint[1], SingularDesignError)
             for k, request in enumerate(requests):
                 if k != 1:
-                    assert joint[k] == mm_regress(s, *request[:4])
+                    assert joint[k] == mm_regress(s, *request)
 
     def test_last_round_solves_once_for_all_fits(self, monkeypatch):
         sizes = []
@@ -754,11 +753,14 @@ class TestLockstep:
     def test_groups_under_the_element_budget_match_solo_fits(self, monkeypatch):
         s = s_stage_case(7)
         w = inverse_variance_weights(s)
-        requests = [(w, intercept, seed, effects, None) for seed in (3, 6)
-                    for intercept in (False, True) for effects in ("fixed", "multiplicative_random")]
-        solo = [mm_regress(s, *r[:4]) for r in requests]
+        half = WeightVector(0.5 * w.w)
+        # one SE model per call: the weight axis keeps eight fits to group
+        requests = [(weights, intercept, seed) for seed in (3, 6)
+                    for intercept in (False, True) for weights in (w, half)]
+        effects_models = ("fixed", "multiplicative_random")
+        solo = {e: [mm_regress(s, *r, effects=e) for r in requests] for e in effects_models}
         # the intercept fits of the two streams differ, so a crossed stream shows
-        assert solo[2][1].theta != solo[6][1].theta
+        assert solo["fixed"][2][1].theta != solo["fixed"][6][1].theta
         stages = []
         real_stage = robust_mm._s_stage
 
@@ -770,23 +772,23 @@ class TestLockstep:
         for budget, groups in ((_util._ELEMENT_BUDGET, [8]), (3 * 500 * s.j, [3, 3, 2]),
                                (1, [1] * 8)):
             monkeypatch.setattr(_util, "_ELEMENT_BUDGET", budget)
-            stages.clear()
-            assert robust_mm._mm_fits(s, requests) == solo
-            assert stages == groups
+            for effects in effects_models:
+                stages.clear()
+                assert robust_mm._mm_fits(s, requests, effects) == solo[effects]
+                assert stages == groups
 
     def test_preconditions_fail_per_fit(self):
         s = s_stage_case(5)
         w = inverse_variance_weights(s)
         zero = make_set(np.zeros(s.j), np.full(s.j, 0.01), s.beta_y, s.se_y, harmonized=True)
-        got = robust_mm._mm_fits(zero, [(None, False, 1, "fixed", None)])
+        got = robust_mm._mm_fits(zero, [(None, False, 1)], "fixed")
         assert isinstance(got[0], DegenerateInstrumentError)
         two = make_set(s.beta_x[:2], s.se_x[:2], s.beta_y[:2], s.se_y[:2], harmonized=True)
-        got = robust_mm._mm_fits(two, [(None, True, 1, "fixed", None),
-                                        (None, False, 1, "fixed", None)])
+        got = robust_mm._mm_fits(two, [(None, True, 1), (None, False, 1)], "fixed")
         assert isinstance(got[0], InsufficientInstrumentsError)
         assert got[1] == mm_regress(two, seed=1, effects="fixed")
         with pytest.raises(ValueError):
-            robust_mm._mm_fits(s, [(w, False, 1, "random", None)])
+            robust_mm._mm_fits(s, [(w, False, 1)], "random")
 
 
 def lapack_m_stage(design, response, beta, s_star):

@@ -167,10 +167,31 @@ class TestScenarioSpec:
         (dict(scenario=1, seed=-1), "seed must be a non-negative integer, got -1"),
         (dict(scenario=1, seed=1.5), "seed must be a non-negative integer, got 1.5"),
         (dict(scenario=1, seed="1"), "seed must be a non-negative integer, got '1'"),
+        # a number of the wrong type raised a bare TypeError, or constructed
+        (dict(scenario=1, theta="0.1"), "theta must be a real number, got '0.1'"),
+        (dict(scenario=2, prop_invalid="0.3"), "prop_invalid must be a real number, got '0.3'"),
+        (dict(scenario=1.0), "scenario must be 1..4, got 1.0"),
+        (dict(scenario=1, theta=10 ** 400), "theta must be finite"),
+        # numpy's int64 j overflowed the sum-of-squares bound with a warning
+        (dict(scenario=1, theta=1e200, j=np.int64(25)), r"theta = 1e\+200 at n = 40000"),
     ])
     def test_validation(self, kwargs, message):
-        with pytest.raises(ValueError, match=message):
-            ScenarioSpec(**kwargs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                ScenarioSpec(**kwargs)
+
+    def test_numbers_stored_as_python_numbers(self):
+        # a float32 theta ran the overflow bound in float32: "overflow encountered in cast"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = ScenarioSpec(scenario=2, theta=np.float32(0.1), prop_invalid=np.float64(0.3),
+                                n=np.int64(2000), j=np.int32(25), n_sim=np.uint8(2),
+                                seed=np.int64(4))
+        assert type(spec.theta) is float and spec.theta == float(np.float32(0.1))
+        assert type(spec.prop_invalid) is float
+        assert all(type(getattr(spec, name)) is int
+                   for name in ("scenario", "n", "j", "n_sim", "seed"))
 
     def test_theta_the_error_model_cannot_hold_rejected(self):
         # (1 + theta)^2 overflows the outcome's error variance, in either design
